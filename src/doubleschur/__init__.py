@@ -41,6 +41,7 @@ from .grass import (
     check_graham_positivity,
     full_structure_table,
     schubert_product,
+    schubert_product_by_expansion,
     sigma1_power_expansion,
     truncate,
 )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .poly import Poly, NotShiftInvariant, to_difference_basis, poly_to_obj
 from .schur import (
@@ -29,6 +30,7 @@ __all__ = [
     "SizeGuardExceeded",
     "truncate",
     "schubert_product",
+    "schubert_product_by_expansion",
     "PositivityReport",
     "check_graham_positivity",
     "certificate_to_obj",
@@ -98,16 +100,111 @@ def truncate(expansion, ctx):
     return SchurExpansion(ctx.n, out)
 
 
-def schubert_product(lam, mu, ctx):
-    """Structure constants of the product of two Schubert classes: multiply
-    the double Schur polynomials, expand in the double Schur basis and
-    truncate.  The coefficients are the equivariant structure constants."""
-    lam, mu = partition(lam), partition(mu)
-    for p in (lam, mu):
+def _check_in_box(ctx, *parts):
+    for p in parts:
         if not ctx.in_box(p):
             raise ValueError(f"partition {p} does not fit the {ctx.n} x {ctx.cols} box")
+
+
+def schubert_product(lam, mu, ctx):
+    """Structure constants of the product of two Schubert classes, computed
+    in the coefficient ring Z[t1..tm] alone: localization at the fixed
+    point lam gives the coefficient on lam itself, and the Pieri rule gives
+    every other one by recursion (see `_structure_constant`)."""
+    lam, mu = partition(lam), partition(mu)
+    _check_in_box(ctx, lam, mu)
+    return SchurExpansion(ctx.n, {
+        nu: _structure_constant(lam, mu, nu, ctx.n)
+        for nu in ctx.box_partitions() if _in_support(lam, mu, nu)})
+
+
+def schubert_product_by_expansion(lam, mu, ctx):
+    """The same structure constants by the polynomial route: multiply the
+    double Schur polynomials, expand in the double Schur basis and
+    truncate.  Kept as the independent cross-check of `schubert_product`."""
+    lam, mu = partition(lam), partition(mu)
+    _check_in_box(ctx, lam, mu)
     prod = double_schur(lam, ctx.n) * double_schur(mu, ctx.n)
     return truncate(expand_in_double_schur(prod, ctx.n), ctx)
+
+
+def _contains(outer, inner):
+    return len(inner) <= len(outer) and all(a <= b for a, b in zip(inner, outer))
+
+
+def _in_support(lam, mu, nu):
+    """c_{lam,mu}^nu vanishes unless lam and mu lie inside nu and
+    |nu| <= |lam| + |mu| (the constant has degree |lam| + |mu| - |nu|)."""
+    return _contains(nu, lam) and _contains(nu, mu) and sum(nu) <= sum(lam) + sum(mu)
+
+
+def _removable(nu):
+    """Partitions obtained from nu by removing one corner box."""
+    out = []
+    for r, part in enumerate(nu):
+        if r + 1 == len(nu) or nu[r + 1] < part:
+            out.append(partition(nu[:r] + (part - 1,) + nu[r + 1:]))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _structure_constant(lam, mu, nu, n):
+    """The coefficient c_{lam,mu}^nu of s_nu in s_lam * s_mu (n x-variables).
+
+    Multiplying s_lam * s_mu by e = x1 + ... + xn on either side and
+    expanding both by the Pieri rule e * s_k = d(k) s_k + sum of s_{k+box}
+    gives, for nu != lam,
+
+        (d(nu) - d(lam)) c_{lam,mu}^nu
+            = sum over lam+ = lam + box of c_{lam+,mu}^nu
+              - sum over nu- = nu - box of c_{lam,mu}^{nu-},
+
+    and d(nu) - d(lam) is a nonzero linear form whenever nu strictly
+    contains lam, so one exact division yields c.  Only partitions inside
+    nu contribute, so the Grassmannian's m does not enter.  The recursion
+    ends at nu = lam, where c is the localization of s_mu at lam.
+    """
+    if not _in_support(lam, mu, nu):
+        return Poly.zero(0)
+    if nu == lam:
+        return _localize(mu, lam, n)
+    lam_step, nu_step = pieri_multiply(lam, n), pieri_multiply(nu, n)
+    acc = Poly.zero(0)
+    for grown in lam_step.coeffs:
+        if grown != lam:
+            acc = acc + _structure_constant(grown, mu, nu, n)
+    for shrunk in _removable(nu):
+        acc = acc - _structure_constant(lam, mu, shrunk, n)
+    return acc.exact_div(nu_step.get(nu) - lam_step.get(lam))
+
+
+def _localize(mu, lam, n):
+    """s_mu(x|t) at the torus-fixed point x_k = -t_{lam_k+n-k+1}, by the
+    tableau formula: the sum over semistandard tableaux T of shape mu with
+    entries at most n of the product over cells (i, j) of
+    t_{T(i,j)+j-i} - t_{lam_T(i,j)+n-T(i,j)+1}.  Branches through a
+    vanishing factor are cut.  Zero unless mu is contained in lam."""
+    padded = lam + (0,) * (n - len(lam))
+    cells = [(i, j) for i in range(1, len(mu) + 1) for j in range(1, mu[i - 1] + 1)]
+    filling = {}
+
+    def fill(idx, acc):
+        if idx == len(cells):
+            return acc
+        i, j = cells[idx]
+        low = filling[(i, j - 1)] if j > 1 else 1
+        if i > 1:
+            low = max(low, filling[(i - 1, j)] + 1)
+        total = Poly.zero(0)
+        for v in range(low, n + 1):
+            a, b = v + j - i, padded[v - 1] + n - v + 1
+            if a == b:
+                continue
+            filling[(i, j)] = v
+            total = total + fill(idx + 1, acc * (Poly.t(a) - Poly.t(b)))
+        return total
+
+    return fill(0, Poly.one())
 
 
 @dataclass

@@ -149,7 +149,8 @@ def syt_count_hook(lam):
     for h in _hooks(lam):
         denom *= h
     count, rem = divmod(math.factorial(size), denom)
-    assert rem == 0
+    if rem:
+        raise RuntimeError(f"hook product of {lam} does not divide {size}!")
     return count
 
 
@@ -182,7 +183,7 @@ def syt_count(lam):
     length formula; exhaustively cross-checked for small shapes."""
     lam = partition(lam)
     count = syt_count_hook(lam)
-    if sum(lam) <= SYT_ENUMERATION_LIMIT:
-        assert count == sum(1 for _ in enumerate_syt(lam)), \
-            f"hook formula disagrees with enumeration for {lam}"
+    if sum(lam) <= SYT_ENUMERATION_LIMIT and \
+            count != sum(1 for _ in enumerate_syt(lam)):
+        raise RuntimeError(f"hook formula disagrees with enumeration for {lam}")
     return count

@@ -138,7 +138,8 @@ def double_schur(lam, n):
         raise ValueError("arity must be at least 1")
     lam = partition(lam)
     s = alternant(add_staircase(lam, n), n).exact_div(alternant(staircase(n), n))
-    assert s.is_symmetric(), f"double Schur polynomial of {lam} came out asymmetric"
+    if not s.is_symmetric():
+        raise RuntimeError(f"double Schur polynomial of {lam} came out asymmetric")
     return s
 
 

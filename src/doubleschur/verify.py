@@ -11,6 +11,7 @@ from .grass import (
     GrassContext,
     full_structure_table,
     schubert_product,
+    schubert_product_by_expansion,
     sigma1_power_expansion,
 )
 from .oracles import lr_coefficient, syt_count
@@ -22,7 +23,8 @@ from .schur import (
 )
 
 __all__ = ["SUITES", "run_suite", "verify_pieri", "verify_positivity",
-           "verify_specialize", "verify_intertwine", "verify_syt"]
+           "verify_specialize", "verify_intertwine", "verify_syt",
+           "verify_routes"]
 
 
 def _report(suite, n, m, cases, failures, **extra):
@@ -155,12 +157,35 @@ def verify_syt(n, m, kmax=6):
     return _report("syt", n, m, cases, failures, kmax=kmax)
 
 
+def verify_routes(n, m):
+    """Structure constants along both routes, the coefficient-ring
+    recursion against multiply-and-expand, for every pair of box
+    partitions."""
+    ctx = GrassContext(n, m)
+    box = ctx.box_partitions()
+    failures = []
+    cases = 0
+    for lam in box:
+        for mu in box:
+            cases += 1
+            recursion = schubert_product(lam, mu, ctx)
+            expansion = schubert_product_by_expansion(lam, mu, ctx)
+            if recursion != expansion:
+                failures.append({
+                    "lambda": list(lam), "mu": list(mu),
+                    "recursion": recursion.to_obj(),
+                    "expansion": expansion.to_obj(),
+                })
+    return _report("routes", n, m, cases, failures)
+
+
 SUITES = {
     "pieri": verify_pieri,
     "positivity": verify_positivity,
     "specialize": verify_specialize,
     "intertwine": verify_intertwine,
     "syt": verify_syt,
+    "routes": verify_routes,
 }
 
 

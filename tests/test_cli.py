@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -129,6 +130,15 @@ def test_table_deterministic_bytes(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+def test_table_g26_bytes_are_pinned(tmp_path, capsys):
+    out_file = tmp_path / "g26.json"
+    code, _, _ = run(capsys, "table", "--n", "2", "--m", "6",
+                     "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == \
+        "00ca5b6eba2a765ebaa3425e1fa9fbd8103fb4e68ab2456b95f7daa750326c98"
+
+
 def test_table_guard_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "table", "--n", "3", "--m", "13",
                        "--out", str(tmp_path / "t.json"))
@@ -174,6 +184,15 @@ def test_verify_intertwine(capsys):
                        "--n", "2", "--m", "4")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_verify_routes(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "routes",
+                       "--n", "2", "--m", "4")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert report["cases"] == 36
 
 
 def test_verify_unknown_suite_exits_2(capsys):

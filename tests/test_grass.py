@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doubleschur.grass import (
     GrassContext,
@@ -9,6 +10,7 @@ from doubleschur.grass import (
     check_graham_positivity,
     full_structure_table,
     schubert_product,
+    schubert_product_by_expansion,
     sigma1_power_expansion,
     truncate,
 )
@@ -18,6 +20,7 @@ from doubleschur.schur import (
     SchurExpansion,
     expand_in_double_schur,
     expansion_to_poly,
+    pieri_multiply,
 )
 
 
@@ -174,6 +177,47 @@ def test_product_specializes_to_lr():
                 want = lr_coefficient(lam, mu, nu) \
                     if sum(nu) == sum(lam) + sum(mu) else 0
                 assert got == want, (lam, mu, nu)
+
+
+# -- the two routes to the structure constants ---------------------------------
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 3), (1, 4),
+                                 (2, 4), (2, 5), (3, 5)])
+def test_routes_agree_on_every_pair(n, m):
+    ctx = GrassContext(n, m)
+    box = ctx.box_partitions()
+    for lam in box:
+        for mu in box:
+            assert schubert_product(lam, mu, ctx) == \
+                schubert_product_by_expansion(lam, mu, ctx), (lam, mu)
+
+
+@st.composite
+def small_products(draw):
+    m = draw(st.integers(1, 5))
+    ctx = GrassContext(draw(st.integers(1, m)), m)
+    box = ctx.box_partitions()
+    return ctx, draw(st.sampled_from(box)), draw(st.sampled_from(box))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_products())
+def test_routes_agree_on_random_pairs(case):
+    ctx, lam, mu = case
+    assert schubert_product(lam, mu, ctx) == \
+        schubert_product_by_expansion(lam, mu, ctx)
+
+
+def test_product_one_one_beyond_the_polynomial_route():
+    # sigma_1 = s_(1) = (x1 + ... + xn) + (t1 + ... + tn), so its square is
+    # the Pieri expansion of (1,) plus (t1 + ... + tn) times (1,)
+    n, m = 8, 16
+    ctx = GrassContext(n, m)
+    coeffs = dict(pieri_multiply((1,), n).coeffs)
+    coeffs[(1,)] = coeffs[(1,)] + sum((t(i) for i in range(1, n + 1)), Poly.zero(0))
+    want = truncate(SchurExpansion(n, coeffs), ctx)
+    assert schubert_product((1,), (1,), ctx) == want
+    assert want.get((1,)) == t(8) - t(9)
 
 
 # -- positivity ----------------------------------------------------------------
