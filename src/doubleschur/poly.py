@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
+from math import comb
 
 F = 16                   # bits per exponent field
 FIELD = (1 << F) - 1
@@ -122,18 +123,19 @@ class Poly:
 
     # -- representation helpers ---------------------------------------
 
+    def _widened(self, tw):
+        """The terms repacked at t-width tw >= self.tw."""
+        if tw == self.tw:
+            return self.terms
+        sh = F * (tw - self.tw)
+        return {k << sh: c for k, c in self.terms.items()}
+
     def _aligned(self, other):
         """Common t-width: returns (tw, terms_self, terms_other)."""
         if self.nx != other.nx:
             raise ArityMismatch(f"x-arity mismatch: {self.nx} vs {other.nx}")
-        tw, ow = self.tw, other.tw
-        if tw == ow:
-            return tw, self.terms, other.terms
-        if tw < ow:
-            sh = F * (ow - tw)
-            return ow, {k << sh: c for k, c in self.terms.items()}, other.terms
-        sh = F * (tw - ow)
-        return tw, self.terms, {k << sh: c for k, c in other.terms.items()}
+        tw = max(self.tw, other.tw)
+        return tw, self._widened(tw), other._widened(tw)
 
     def _unpack(self, key):
         """Split a packed key into (x-exponent tuple, sparse t-exponent map)."""
@@ -239,23 +241,8 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         tw, a, b = self._aligned(other)
-        if not a or not b:
-            return Poly(self.nx)
-        shift = F * (self.nx + tw)
-        if (max(a) >> shift) + (max(b) >> shift) >= DEG_LIMIT:
-            raise DegreeOverflow("product degree exceeds the packed monomial bound")
-        if len(a) < len(b):
-            a, b = b, a
         out = {}
-        get = out.get
-        for k2, c2 in b.items():
-            for k1, c1 in a.items():
-                k = k1 + k2
-                v = get(k, 0) + c1 * c2
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
+        _multiply_into(out, 1, a, b, F * (self.nx + tw))
         return Poly(self.nx, tw, out)
 
     __rmul__ = __mul__
@@ -290,27 +277,8 @@ class Poly:
             tw = max(tw, p.tw, q.tw)
         shift = F * (nx + tw)
         out = {}
-        get = out.get
         for c, p, q in pairs:
-            if not p.terms or not q.terms or c == 0:
-                continue
-            a = p.terms if p.tw == tw else {k << (F * (tw - p.tw)): v
-                                            for k, v in p.terms.items()}
-            b = q.terms if q.tw == tw else {k << (F * (tw - q.tw)): v
-                                            for k, v in q.terms.items()}
-            if (max(a) >> shift) + (max(b) >> shift) >= DEG_LIMIT:
-                raise DegreeOverflow("product degree exceeds the packed monomial bound")
-            if len(a) < len(b):
-                a, b = b, a
-            for k2, c2 in b.items():
-                cc = c * c2
-                for k1, c1 in a.items():
-                    k = k1 + k2
-                    v = get(k, 0) + c1 * cc
-                    if v:
-                        out[k] = v
-                    else:
-                        del out[k]
+            _multiply_into(out, c, p._widened(tw), q._widened(tw), shift)
         return cls(nx, tw, out)
 
     def exact_div(self, d):
@@ -484,7 +452,9 @@ class Poly:
 
     # -- display ----------------------------------------------------------
 
-    def __str__(self):
+    def render(self, t_name):
+        """Human-readable form, largest term first; t_name(j) names the
+        t-slot j."""
         if not self.terms:
             return "0"
         chunks = []
@@ -497,7 +467,7 @@ class Poly:
                     factors.append(f"x{i}^{e}")
             for j in sorted(te):
                 e = te[j]
-                factors.append(f"t{j}" if e == 1 else f"t{j}^{e}")
+                factors.append(t_name(j) if e == 1 else f"{t_name(j)}^{e}")
             body = "*".join(factors)
             mag = abs(c)
             if body and mag == 1:
@@ -512,8 +482,32 @@ class Poly:
                 chunks.append(f"+ {text}" if c > 0 else f"- {text}")
         return " ".join(chunks)
 
+    def __str__(self):
+        return self.render("t{}".format)
+
     def __repr__(self):
         return f"Poly[{self.nx}]({self})"
+
+
+def _multiply_into(out, c, a, b, shift):
+    """Accumulate c * a * b into the term dict out; a and b are term dicts
+    packed at one width, shift is the bit offset of the degree field."""
+    if not (c and a and b):
+        return
+    if (max(a) >> shift) + (max(b) >> shift) >= DEG_LIMIT:
+        raise DegreeOverflow("product degree exceeds the packed monomial bound")
+    if len(a) < len(b):
+        a, b = b, a
+    get = out.get
+    for k2, c2 in b.items():
+        cc = c * c2
+        for k1, c1 in a.items():
+            k = k1 + k2
+            v = get(k, 0) + c1 * cc
+            if v:
+                out[k] = v
+            else:
+                del out[k]
 
 
 def _pack(nx, tw, xe, te):
@@ -523,6 +517,28 @@ def _pack(nx, tw, xe, te):
     for j in range(1, tw + 1):
         key = (key << F) | te.get(j, 0)
     return key
+
+
+def _shear(p, i, sign):
+    """Substitute slot_i -> slot_i + sign * slot_{i+1} in an arity-0
+    polynomial: slot_i^e slot_{i+1}^f becomes the binomial sum over a of
+    C(e, a) sign^(e-a) slot_i^a slot_{i+1}^(f+e-a).  The total degree of
+    every term is unchanged, so only the two fields move."""
+    hi = F * (p.tw - i)
+    lo = hi - F
+    out = {}
+    get = out.get
+    for k, c in p.terms.items():
+        e = (k >> hi) & FIELD
+        base = k - (e << hi)
+        for a in range(e + 1):
+            nk = base + (a << hi) + ((e - a) << lo)
+            v = get(nk, 0) + c * comb(e, a) * sign ** (e - a)
+            if v:
+                out[nk] = v
+            else:
+                del out[nk]
+    return Poly(0, p.tw, out)
 
 
 def to_difference_basis(p, m):
@@ -539,35 +555,19 @@ def to_difference_basis(p, m):
     p = p.t_only()
     if p.max_t_index() > m:
         raise ValueError(f"polynomial involves t-indices beyond t{m}")
-    # slot j < m carries u_j, slot m carries the residual t_m
-    images = {}
-    for i in range(1, m + 1):
-        img = Poly.t(m)
-        for j in range(i, m):
-            img = img + Poly.t(j)
-        images[i] = img
-    powers = {}
-    result = Poly.zero(0)
-    for _, te, c in p.iter_terms():
-        term = Poly.const(c)
-        for j, e in te.items():
-            key = (j, e)
-            pw = powers.get(key)
-            if pw is None:
-                pw = images[j] ** e
-                powers[key] = pw
-            term = term * pw
-        result = result + term
-    if result.tw >= m:
-        pos = F * (result.tw - m)
-        bad = {k: c for k, c in result.terms.items() if (k >> pos) & FIELD}
-        if bad:
-            offender = Poly(0, result.tw, {max(bad): bad[max(bad)]})
-            raise NotShiftInvariant(
-                "polynomial is not invariant under a simultaneous t-shift",
-                offender=_difference_str(offender, m),
-            )
-    return result.kill_t_above(m - 1)
+    # t_i -> u_i + t_{i+1} for i = 1 .. m-1 in turn; afterwards slot j < m
+    # carries u_j and slot m, the lowest field, the residual t_m
+    p = Poly(0, m, p.kill_t_above(m)._widened(m))
+    for i in range(1, m):
+        p = _shear(p, i, 1)
+    bad = [k for k in p.terms if k & FIELD]
+    if bad:
+        offender = Poly(0, m, {max(bad): p.terms[max(bad)]})
+        raise NotShiftInvariant(
+            "polynomial is not invariant under a simultaneous t-shift",
+            offender=offender.render(lambda j: f"t{m}" if j == m else f"u{j}"),
+        )
+    return p.kill_t_above(m - 1)
 
 
 def from_difference_basis(q, m):
@@ -578,41 +578,12 @@ def from_difference_basis(q, m):
     q = q.t_only()
     if q.max_t_index() > m - 1:
         raise ValueError(f"difference-basis polynomial may only use u1..u{m - 1}")
-    result = Poly.zero(0)
-    powers = {}
-    for _, te, c in q.iter_terms():
-        term = Poly.const(c)
-        for j, e in te.items():
-            key = (j, e)
-            pw = powers.get(key)
-            if pw is None:
-                pw = (Poly.t(j) - Poly.t(j + 1)) ** e
-                powers[key] = pw
-            term = term * pw
-        result = result + term
-    return result
-
-
-def _difference_str(p, m):
-    """Render an arity-0 polynomial whose slots j < m mean u_j and slot m
-    means t_m."""
-    if not p.terms:
-        return "0"
-    chunks = []
-    for _, te, c in p.iter_terms():
-        factors = []
-        for j in sorted(te):
-            e = te[j]
-            name = f"t{m}" if j == m else f"u{j}"
-            factors.append(name if e == 1 else f"{name}^{e}")
-        body = "*".join(factors)
-        mag = abs(c)
-        text = body if body and mag == 1 else (f"{mag}*{body}" if body else str(mag))
-        if not chunks:
-            chunks.append(text if c > 0 else f"-{text}")
-        else:
-            chunks.append(f"+ {text}" if c > 0 else f"- {text}")
-    return " ".join(chunks)
+    # u_i -> t_i - t_{i+1} for i = m-1 .. 1, so that slot i+1 already
+    # carries t_{i+1} when slot i is rewritten
+    q = Poly(0, m, q.kill_t_above(m)._widened(m))
+    for i in range(m - 1, 0, -1):
+        q = _shear(q, i, -1)
+    return q
 
 
 def poly_to_obj(p):

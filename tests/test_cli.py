@@ -139,6 +139,32 @@ def test_table_g26_bytes_are_pinned(tmp_path, capsys):
         "00ca5b6eba2a765ebaa3425e1fa9fbd8103fb4e68ab2456b95f7daa750326c98"
 
 
+PINNED_OUTPUTS = [
+    (("product", "--n", "2", "--m", "5", "--lambda", "2,1", "--mu", "2,1",
+      "--format", "text"),
+     "e0c8b7e37a789aaad21c424efabc8ca68f56255e4630f0d9cc19d88d760a3c8e"),
+    (("product", "--n", "3", "--m", "6", "--lambda", "2,1", "--mu", "2,1,1",
+      "--format", "text"),
+     "5ac7d8aee77a3433f7a9ca65a8eb0b785f4dc53c24af5d809272e64279eef92e"),
+    (("product", "--n", "2", "--m", "5", "--lambda", "2,1", "--mu", "2,1"),
+     "b84d24ef8edf17feaf90d5313fc2d232ad5ca6698c9de13ffa898a7c6b870455"),
+    (("schur", "--n", "3", "--lambda", "2,1", "--format", "text"),
+     "f339db601d1373ce04e03dd1a673dd728e66333647c59b0ce9de312276eac164"),
+    (("verify", "--suite", "positivity", "--n", "2", "--m", "5"),
+     "eaf4f35e82a465cd5f947cf079d08d26ef5465356529a90f6db92f9eee1cbcc4"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS,
+                         ids=["product-g25-text", "product-g36-text",
+                              "product-g25-json", "schur-n3-text",
+                              "verify-positivity-g25"])
+def test_output_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_table_guard_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "table", "--n", "3", "--m", "13",
                        "--out", str(tmp_path / "t.json"))

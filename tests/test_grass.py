@@ -241,13 +241,18 @@ def test_positivity_detects_negative():
     rep = check_graham_positivity(t(2) - t(1), GrassContext(1, 2))
     assert not rep.positive
     assert rep.reason == "negative coefficient"
-    assert rep.offender
+    assert rep.offender == "-1 on u-monomial {'1': 1}"
 
 
 def test_positivity_detects_shift_variance():
     rep = check_graham_positivity(t(1) + t(2), GrassContext(1, 2))
     assert not rep.positive
     assert rep.reason == "not shift-invariant"
+
+
+def test_positivity_rejects_t_beyond_m():
+    with pytest.raises(ValueError):
+        check_graham_positivity(Poly.t(5), GrassContext(1, 3))
 
 
 def test_certificate_reconstructs_constant():

@@ -175,6 +175,10 @@ def test_difference_basis_rejects_shift_variant():
         to_difference_basis(t(1, 0) + t(2, 0), 2)
     with pytest.raises(NotShiftInvariant):
         to_difference_basis(t(1, 0), 1)
+    with pytest.raises(NotShiftInvariant) as info:
+        to_difference_basis(t(3, 0) ** 2 - t(1, 0), 4)
+    # the largest surviving term that still contains t_m
+    assert info.value.offender == "2*u3*t4"
 
 
 @settings(max_examples=40, deadline=None)
@@ -198,6 +202,90 @@ def test_difference_round_trip_reproduces_input():
     p = (t(1, 0) - t(3, 0)) * (t(2, 0) - t(3, 0)) + 2 * (t(1, 0) - t(2, 0))
     u = to_difference_basis(p, 3)
     assert from_difference_basis(u, 3) == p
+
+
+def _reference_to_difference_basis(p, m):
+    """Oracle: substitute t_i -> u_i + ... + u_{m-1} + t_m term by term with
+    Poly arithmetic (slot j < m is u_j, slot m the residual t_m)."""
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    p = p.t_only()
+    if p.max_t_index() > m:
+        raise ValueError(f"polynomial involves t-indices beyond t{m}")
+    images = {i: sum((Poly.t(j) for j in range(i, m)), Poly.t(m))
+              for i in range(1, m + 1)}
+    result = Poly.zero(0)
+    for _, te, c in p.iter_terms():
+        term = Poly.const(c)
+        for j, e in te.items():
+            term = term * images[j] ** e
+        result = result + term
+    for _, te, c in result.iter_terms():
+        if m in te:
+            # largest first, so this is the largest term that keeps t_m
+            body = "*".join((f"t{m}" if j == m else f"u{j}") + (f"^{e}" if e > 1 else "")
+                            for j, e in sorted(te.items()))
+            text = body if abs(c) == 1 else f"{abs(c)}*{body}"
+            raise NotShiftInvariant("not shift-invariant",
+                                    offender=text if c > 0 else f"-{text}")
+    return result.kill_t_above(m - 1)
+
+
+def _reference_from_difference_basis(q, m):
+    """Oracle: substitute u_i -> t_i - t_{i+1} term by term with Poly
+    arithmetic."""
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    q = q.t_only()
+    if q.max_t_index() > m - 1:
+        raise ValueError(f"difference-basis polynomial may only use u1..u{m - 1}")
+    result = Poly.zero(0)
+    for _, te, c in q.iter_terms():
+        term = Poly.const(c)
+        for j, e in te.items():
+            term = term * (Poly.t(j) - Poly.t(j + 1)) ** e
+        result = result + term
+    return result
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except NotShiftInvariant as exc:
+        return "NotShiftInvariant", exc.offender
+
+
+@st.composite
+def t_polys(draw, top):
+    """Arity-0 polynomials in t_1..t_top, exponents up to 4."""
+    p = Poly.zero(0)
+    for te, c in draw(st.lists(st.tuples(
+            st.dictionaries(st.integers(1, max(top, 1)), st.integers(1, 4), max_size=3),
+            st.integers(-3, 3)), max_size=4)):
+        mono = Poly.const(c)
+        for j, e in te.items():
+            if j <= top:
+                mono = mono * Poly.t(j) ** e
+        p = p + mono
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda m: st.tuples(st.just(m), t_polys(m), t_polys(m - 1), st.integers(0, 2))))
+def test_difference_basis_matches_reference(case):
+    m, p, u, pad = case
+    # mostly shift-variant: same exception and offender.  The cancelled
+    # term pads p beyond t-width m without using t_{m+pad}.
+    p = p + Poly.t(m + pad) - Poly.t(m + pad)
+    assert _outcome(to_difference_basis, p, m) == \
+        _outcome(_reference_to_difference_basis, p, m)
+    assert _outcome(from_difference_basis, u, m) == \
+        _outcome(_reference_from_difference_basis, u, m)
+    # shift-invariant input: the image of u
+    invariant = _reference_from_difference_basis(u, m)
+    assert _outcome(to_difference_basis, invariant, m) == \
+        _outcome(_reference_to_difference_basis, invariant, m)
 
 
 # -- serialization ---------------------------------------------------------
