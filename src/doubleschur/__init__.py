@@ -23,7 +23,6 @@ from .schur import (
     alternant,
     double_monomial,
     double_schur,
-    expand_in_alternants,
     expand_in_double_schur,
     expansion_to_poly,
     partition,

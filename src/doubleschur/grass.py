@@ -38,6 +38,7 @@ __all__ = [
     "StructureTable",
     "full_structure_table",
     "TABLE_GUARD",
+    "rank_guard",
 ]
 
 TABLE_GUARD = 256
@@ -46,6 +47,16 @@ TABLE_GUARD = 256
 class SizeGuardExceeded(RuntimeError):
     """A batch computation was refused because it exceeds the desk-scale
     resource guard."""
+
+
+def rank_guard(ctx):
+    """Refuse a batch computation over the whole box of ctx when the basis
+    rank exceeds TABLE_GUARD."""
+    rank = math.comb(ctx.m, ctx.n)
+    if rank > TABLE_GUARD:
+        raise SizeGuardExceeded(
+            f"basis rank C({ctx.m},{ctx.n}) = {rank} exceeds the table guard "
+            f"of {TABLE_GUARD}")
 
 
 @dataclass(frozen=True)
@@ -329,11 +340,7 @@ class StructureTable:
 def full_structure_table(ctx):
     """Every product of box partitions, each coefficient carrying its
     positivity certificate.  Refused above the desk-scale guard."""
-    rank = math.comb(ctx.m, ctx.n)
-    if rank > TABLE_GUARD:
-        raise SizeGuardExceeded(
-            f"basis rank C({ctx.m},{ctx.n}) = {rank} exceeds the table guard "
-            f"of {TABLE_GUARD}")
+    rank_guard(ctx)
     box = ctx.box_partitions()
     entries = {}
     for lam in box:

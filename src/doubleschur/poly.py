@@ -159,15 +159,6 @@ class Poly:
     def __bool__(self):
         return bool(self.terms)
 
-    def num_terms(self):
-        return len(self.terms)
-
-    def total_degree(self):
-        """Largest total degree among terms; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(self.terms) >> (F * (self.nx + self.tw))
-
     def max_t_index(self):
         """Largest t-index actually present (0 if none)."""
         if not self.terms:
@@ -407,15 +398,17 @@ class Poly:
         return True
 
     def as_arity(self, nx):
-        """Reinterpret a t-only polynomial at a larger x-arity."""
+        """Reinterpret at a larger x-arity: the variables x_{self.nx+1}..x_nx
+        are new and absent."""
         if nx == self.nx:
             return self
-        if self.nx != 0:
-            raise ArityMismatch("only arity-0 polynomials can be lifted")
+        if nx < self.nx:
+            raise ArityMismatch(f"cannot lower arity {self.nx} to {nx}")
         tw = self.tw
         tmask = (1 << (F * tw)) - 1
-        # keep degree and t fields, insert nx zero x-fields between them
-        out = {((k >> (F * tw)) << (F * (nx + tw))) | (k & tmask): c
+        # keep degree, x and t fields, insert nx - self.nx zero x-fields
+        # between the old x-fields and the t-fields
+        out = {((k >> (F * tw)) << (F * (nx - self.nx + tw))) | (k & tmask): c
                for k, c in self.terms.items()}
         return Poly(nx, tw, out)
 

@@ -3,11 +3,11 @@
 Double monomials (x|t)^k = (x + t1)...(x + tk) generate a basis of the
 polynomial ring in one variable over Z[t1, t2, ...]; alternants (the
 skew-symmetric determinants det((x_i|t)^{nu_j})) give a basis of the
-skew-symmetric polynomials indexed by strictly decreasing sequences nu,
-and the double Schur polynomial of a partition is the exact ratio of the
-alternant at lam + staircase by the staircase alternant (the Vandermonde
-determinant).  This module also provides the change-of-basis expansions
-and the Pieri rule for multiplication by x1 + ... + xn.
+skew-symmetric polynomials indexed by strictly decreasing sequences nu.
+The double Schur polynomial of a partition is built by branching on the
+last variable; the alternant ratio it equals is its test oracle.  This
+module also provides the expansion in the double Schur basis and the Pieri
+rule for multiplication by x1 + ... + xn.
 
 Sign convention: double monomials use (x + t_i), not (x - t_i).
 """
@@ -15,7 +15,7 @@ Sign convention: double monomials use (x + t_i), not (x - t_i).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .poly import Poly
 
@@ -29,7 +29,6 @@ __all__ = [
     "double_monomial",
     "alternant",
     "double_schur",
-    "expand_in_alternants",
     "expand_in_double_schur",
     "pieri_multiply",
     "SchurExpansion",
@@ -132,57 +131,53 @@ def alternant(nu, n):
 
 @lru_cache(maxsize=None)
 def double_schur(lam, n):
-    """The double Schur polynomial of lam in x1..xn: the exact ratio of the
-    alternant at lam + staircase by the staircase alternant."""
+    """The double Schur polynomial of lam in x1..xn, by branching on x_n
+    (Macdonald 1992, 6th variation; Molev-Sagan, Trans. AMS 351, 1999):
+    s_lam = sum over mu with lam_{i+1} <= mu_i <= lam_i of s_mu(x1..x_{n-1})
+    times prod over boxes (i,j) of lam/mu of (x_n + t_{n+j-i})."""
     if n < 1:
         raise ValueError("arity must be at least 1")
     lam = partition(lam)
-    s = alternant(add_staircase(lam, n), n).exact_div(alternant(staircase(n), n))
+    if len(lam) > n:
+        raise ValueError(f"partition {lam} has more than {n} parts")
+    if n == 1:
+        return double_monomial(sum(lam))
+    padded = lam + (0,) * (n - len(lam))
+    xn = Poly.x(n, n)
+    s = Poly.zero(n)
+    for mu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(n - 1))):
+        strip = Poly.one(n)
+        for i, (lo, hi) in enumerate(zip(mu + (0,), padded), 1):
+            for j in range(lo + 1, hi + 1):
+                strip = strip * (xn + Poly.t(n + j - i, n))
+        s = s + double_schur(partition(mu), n - 1).as_arity(n) * strip
     if not s.is_symmetric():
         raise RuntimeError(f"double Schur polynomial of {lam} came out asymmetric")
     return s
 
 
-def _check_arity(p, n):
-    if p.nx != n:
-        raise ValueError(f"expected a polynomial in x1..x{n}, got arity {p.nx}")
+def expand_in_double_schur(p, n):
+    """Expand a symmetric polynomial in the double Schur basis.
 
-
-def expand_in_alternants(p, n):
-    """Expand a skew-symmetric polynomial in the alternant basis.
-
-    Returns {nu: t-only coefficient}.  Under lexicographic order on the
-    x-exponents the leading x-monomial of the alternant at nu is
-    x1^{nu_1}...xn^{nu_n} with coefficient 1 (double monomials are monic),
-    so the leading term of p determines one summand at a time: subtract it
-    and recurse.  The leading x-monomial strictly decreases and the total
+    Under lexicographic order on the x-exponents the leading x-monomial of
+    the double Schur polynomial of lam is x^lam with coefficient 1, so the
+    leading term of p determines one summand at a time: subtract it and
+    recurse.  The leading x-monomial strictly decreases and the total
     x-degree never grows, so this terminates.
     """
-    _check_arity(p, n)
-    if n >= 2 and p.swap_x(1, 2) != -p:
-        raise ValueError("polynomial is not skew-symmetric")
+    if p.nx != n:
+        raise ValueError(f"expected a polynomial in x1..x{n}, got arity {p.nx}")
+    if not p.is_symmetric():
+        raise ValueError("polynomial is not symmetric")
     out = {}
     rem = p
     while rem:
         xv = rem.leading_x()
-        if any(xv[i] <= xv[i + 1] for i in range(n - 1)):
-            raise RuntimeError(
-                f"leading exponents {xv} not strictly decreasing; "
-                "non-skew input slipped through")
+        lam = partition(xv)
         c = rem.coefficient_of_x(xv)
-        out[xv] = c
-        rem = rem - c.as_arity(n) * alternant(xv, n)
-    return out
-
-
-def expand_in_double_schur(p, n):
-    """Expand a symmetric polynomial in the double Schur basis: multiply by
-    the staircase alternant, expand in alternants, shift the index back."""
-    _check_arity(p, n)
-    if not p.is_symmetric():
-        raise ValueError("polynomial is not symmetric")
-    raw = expand_in_alternants(p * alternant(staircase(n), n), n)
-    return SchurExpansion(n, {remove_staircase(nu): c for nu, c in raw.items()})
+        out[lam] = c
+        rem = rem - c.as_arity(n) * double_schur(lam, n)
+    return SchurExpansion(n, out)
 
 
 def pieri_multiply(lam, n):

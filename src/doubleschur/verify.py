@@ -10,6 +10,7 @@ from __future__ import annotations
 from .grass import (
     GrassContext,
     full_structure_table,
+    rank_guard,
     schubert_product,
     schubert_product_by_expansion,
     sigma1_power_expansion,
@@ -192,4 +193,5 @@ SUITES = {
 def run_suite(name, n, m):
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    rank_guard(GrassContext(n, m))
     return SUITES[name](n, m)

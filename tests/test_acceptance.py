@@ -2,8 +2,9 @@
 
 Every criterion runs at exact tolerance and prints one pass/fail line
 (visible with `pytest -s` or on failure).  The Pieri cross-check over the
-full 4x4 box at n = 4 is the long pole: a few minutes of exact arithmetic
-on one core.
+full 4x4 box at n = 4 is the long pole: about half a minute of exact
+arithmetic on one core, most of it multiplying, adding and symmetry-checking
+polynomials of tens of thousands of terms.
 """
 
 import random

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from doubleschur import verify
 from doubleschur.cli import main, parse_partition, UsageError
 
 
@@ -152,13 +153,18 @@ PINNED_OUTPUTS = [
      "f339db601d1373ce04e03dd1a673dd728e66333647c59b0ce9de312276eac164"),
     (("verify", "--suite", "positivity", "--n", "2", "--m", "5"),
      "eaf4f35e82a465cd5f947cf079d08d26ef5465356529a90f6db92f9eee1cbcc4"),
+    (("schur", "--n", "4", "--lambda", "3,2,1"),
+     "df11013c0dc6eb63452081ae082239dab7ac0f922835d551ced9a34c6ddbaeb7"),
+    (("schur", "--n", "4", "--lambda", "2,2,1,1", "--format", "text"),
+     "efa173c8b056c08b13999eb874c1327330862791dd6b8dd8fa3f3d89b5364eb4"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS,
                          ids=["product-g25-text", "product-g36-text",
                               "product-g25-json", "schur-n3-text",
-                              "verify-positivity-g25"])
+                              "verify-positivity-g25", "schur-n4-json",
+                              "schur-n4-text"])
 def test_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -170,6 +176,21 @@ def test_table_guard_exits_3(tmp_path, capsys):
                        "--out", str(tmp_path / "t.json"))
     assert code == 3
     assert "guard" in err
+
+
+def test_verify_guard_exits_3_before_any_suite_runs(capsys, monkeypatch):
+    def refuse(n, m):
+        pytest.fail(f"suite ran at n={n}, m={m} past the guard")
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, refuse)
+    code, _, err = run(capsys, "verify", "--suite", "routes",
+                       "--n", "8", "--m", "16")
+    assert code == 3
+    assert "guard" in err
+    code, _, _ = run(capsys, "verify", "--suite", "routes",
+                     "--n", "0", "--m", "16")
+    assert code == 2
 
 
 def test_verify_pieri(capsys):

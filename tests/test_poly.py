@@ -335,6 +335,18 @@ def test_leading_x_and_coefficient():
     assert p.coefficient_of_x((0, 0)) == -Poly.t(1)
 
 
+def test_as_arity_lifts_and_refuses_to_lower():
+    p = x(1) ** 2 * t(3) - 2 * x(1) * x(2) * t(1) + x(2) + 5
+    lifted = p.as_arity(3)
+    assert lifted.nx == 3
+    for xv in ((2, -1), (0, 3), (4, 7)):
+        assert lifted.evaluate(xv + (0,), (2, 3, 5)) == p.evaluate(xv, (2, 3, 5))
+    assert lifted.leading_x() == (2, 0, 0)
+    assert lifted.coefficient_of_x((1, 1, 0)) == -2 * Poly.t(1)
+    with pytest.raises(ArityMismatch):
+        lifted.as_arity(2)
+
+
 def test_swap_and_symmetry():
     sym = x(1) * x(2) + x(1) + x(2)
     assert sym.is_symmetric()

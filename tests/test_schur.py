@@ -1,15 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from doubleschur.poly import Poly
+from doubleschur.poly import Poly, poly_to_obj
 from doubleschur.schur import (
     SchurExpansion,
     add_staircase,
     alternant,
     double_monomial,
     double_schur,
-    expand_in_alternants,
     expand_in_double_schur,
     expansion_to_poly,
     partition,
@@ -125,6 +125,43 @@ def test_alternant_single_variable():
     assert alternant((3,), 1) == double_monomial(3)
 
 
+def _reference_expand_in_alternants(p, n):
+    """Expand a skew-symmetric polynomial in the alternant basis; the
+    reference peel behind _reference_expand_in_double_schur.
+
+    Returns {nu: t-only coefficient}.  Under lexicographic order on the
+    x-exponents the leading x-monomial of the alternant at nu is
+    x1^{nu_1}...xn^{nu_n} with coefficient 1 (double monomials are monic),
+    so the leading term of p determines one summand at a time: subtract it
+    and recurse.  The leading x-monomial strictly decreases and the total
+    x-degree never grows, so this terminates.
+    """
+    if p.nx != n:
+        raise ValueError(f"expected a polynomial in x1..x{n}, got arity {p.nx}")
+    if n >= 2 and p.swap_x(1, 2) != -p:
+        raise ValueError("polynomial is not skew-symmetric")
+    out = {}
+    rem = p
+    while rem:
+        xv = rem.leading_x()
+        if any(xv[i] <= xv[i + 1] for i in range(n - 1)):
+            raise RuntimeError(
+                f"leading exponents {xv} not strictly decreasing; "
+                "non-skew input slipped through")
+        c = rem.coefficient_of_x(xv)
+        out[xv] = c
+        rem = rem - c.as_arity(n) * alternant(xv, n)
+    return out
+
+
+def _reference_expand_in_double_schur(p, n):
+    """Oracle for expand_in_double_schur: multiply by the staircase
+    alternant (the Vandermonde), expand in alternants, shift the index
+    back."""
+    raw = _reference_expand_in_alternants(p * alternant(staircase(n), n), n)
+    return SchurExpansion(n, {remove_staircase(nu): c for nu, c in raw.items()})
+
+
 # -- double Schur polynomials -------------------------------------------------
 
 def test_schur_empty_is_one():
@@ -150,9 +187,21 @@ def test_schur_specializes_to_classical():
         assert got == classical_schur_ssyt(lam, 2), lam
 
 
-def test_schur_division_never_fails_in_small_box():
-    for lam in box_partitions(3, 3):
-        double_schur(lam, 3)  # raises NotDivisible on failure
+@st.composite
+def shapes(draw):
+    n = draw(st.integers(1, 4))
+    lam = draw(st.sampled_from([lam for lam in box_partitions(4, 3) if len(lam) <= n]))
+    return lam, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes())
+def test_branching_matches_alternant_ratio(case):
+    lam, n = case
+    ratio = alternant(add_staircase(lam, n), n).exact_div(alternant(staircase(n), n))
+    got = double_schur(lam, n)
+    assert got == ratio
+    assert poly_to_obj(got) == poly_to_obj(ratio)
 
 
 def test_schur_rejects_too_many_parts():
@@ -164,23 +213,57 @@ def test_schur_rejects_too_many_parts():
 
 def test_expand_alternant_is_unit_vector():
     for nu in ((2, 0), (3, 1), (5, 2)):
-        got = expand_in_alternants(alternant(nu, 2), 2)
+        got = _reference_expand_in_alternants(alternant(nu, 2), 2)
         assert got == {nu: Poly.one()}
 
 
 def test_expand_zero_is_empty():
-    assert expand_in_alternants(Poly.zero(2), 2) == {}
+    assert _reference_expand_in_alternants(Poly.zero(2), 2) == {}
 
 
 def test_expand_product_example():
     n = 2
     p = (Poly.x(1, n) + Poly.x(2, n) + Poly.t(1, n) + Poly.t(2, n)) * alternant((1, 0), n)
-    assert expand_in_alternants(p, n) == {(2, 0): Poly.one()}
+    assert _reference_expand_in_alternants(p, n) == {(2, 0): Poly.one()}
 
 
 def test_expand_rejects_non_skew():
     with pytest.raises(ValueError):
-        expand_in_alternants(Poly.x(1, 2), 2)
+        _reference_expand_in_alternants(Poly.x(1, 2), 2)
+
+
+@st.composite
+def symmetric_combinations(draw):
+    n = draw(st.integers(1, 4))
+    lams = draw(st.lists(
+        st.sampled_from([lam for lam in box_partitions(4, 3) if len(lam) <= n]),
+        min_size=1, max_size=3, unique=True))
+    # t-indices up to n + 6 reach past every one inside s_lam (at most
+    # n + lam_1 - 1 = n + 2 in this box)
+    t_terms = st.tuples(st.integers(-3, 3).filter(bool),
+                        st.dictionaries(st.integers(1, n + 6), st.integers(1, 2),
+                                        max_size=2))
+    p = Poly.zero(n)
+    for lam in lams:
+        c = Poly.zero(0)
+        for k, te in draw(st.lists(t_terms, min_size=1, max_size=3)):
+            mono = Poly.const(k)
+            for j, e in te.items():
+                mono = mono * Poly.t(j) ** e
+            c = c + mono
+        p = p + c.as_arity(n) * double_schur(lam, n)
+    return p, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_combinations())
+def test_expansion_matches_vandermonde_route(case):
+    p, n = case
+    got = expand_in_double_schur(p, n)
+    want = _reference_expand_in_double_schur(p, n)
+    assert got == want
+    assert got.to_obj() == want.to_obj()
+    assert expansion_to_poly(got) == p
 
 
 def test_expand_in_double_schur_round_trip():
