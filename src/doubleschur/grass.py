@@ -7,7 +7,9 @@ out of the n x (m-n) box.  The classes of the in-box double Schur
 polynomials form a basis of the quotient, multiply with the equivariant
 Schubert structure constants, and every structure constant is certified
 Graham-positive: a nonnegative integer combination of monomials in the
-differences t_i - t_{i+1}.
+differences t_i - t_{i+1}.  The constants are computed in Z[t1..tm] by one
+recursion, the Pieri rule, closed by commutativity and a product formula
+on the diagonal.
 """
 
 from __future__ import annotations
@@ -119,9 +121,9 @@ def _check_in_box(ctx, *parts):
 
 def schubert_product(lam, mu, ctx):
     """Structure constants of the product of two Schubert classes, computed
-    in the coefficient ring Z[t1..tm] alone: localization at the fixed
-    point lam gives the coefficient on lam itself, and the Pieri rule gives
-    every other one by recursion (see `_structure_constant`)."""
+    in the coefficient ring Z[t1..tm] alone by the Pieri recursion of
+    `_structure_constant`, whose only base case is the diagonal constant
+    c_{lam,lam}^lam, a product of linear forms."""
     lam, mu = partition(lam), partition(mu)
     _check_in_box(ctx, lam, mu)
     return SchurExpansion(ctx.n, {
@@ -172,13 +174,25 @@ def _structure_constant(lam, mu, nu, n):
 
     and d(nu) - d(lam) is a nonzero linear form whenever nu strictly
     contains lam, so one exact division yields c.  Only partitions inside
-    nu contribute, so the Grassmannian's m does not enter.  The recursion
-    ends at nu = lam, where c is the localization of s_mu at lam.
+    nu contribute, so the Grassmannian's m does not enter.  At nu = lam
+    and mu != lam, commutativity turns c into c_{mu,lam}^lam, an ordinary
+    step since lam strictly contains mu.  The one base case is the
+    diagonal: the restriction of a Schubert class to its own fixed point
+    is the product of the tangent weights there (Knutson-Tao, Duke Math.
+    J. 119, 2003; Molev-Sagan, Trans. AMS 351, 1999), c_{lam,lam}^lam = product over cells (i, j) of lam of
+    t_{n+j-lam'_j} - t_{lam_i+n-i+1}, with lam' the conjugate partition.
     """
     if not _in_support(lam, mu, nu):
         return Poly.zero(0)
     if nu == lam:
-        return _localize(mu, lam, n)
+        if mu != lam:
+            return _structure_constant(mu, lam, lam, n)
+        c = Poly.one()
+        for i, part in enumerate(lam, 1):
+            for j in range(1, part + 1):
+                height = sum(1 for other in lam if other >= j)
+                c = c * (Poly.t(n + j - height) - Poly.t(part + n - i + 1))
+        return c
     lam_step, nu_step = pieri_multiply(lam, n), pieri_multiply(nu, n)
     acc = Poly.zero(0)
     for grown in lam_step.coeffs:
@@ -187,35 +201,6 @@ def _structure_constant(lam, mu, nu, n):
     for shrunk in _removable(nu):
         acc = acc - _structure_constant(lam, mu, shrunk, n)
     return acc.exact_div(nu_step.get(nu) - lam_step.get(lam))
-
-
-def _localize(mu, lam, n):
-    """s_mu(x|t) at the torus-fixed point x_k = -t_{lam_k+n-k+1}, by the
-    tableau formula: the sum over semistandard tableaux T of shape mu with
-    entries at most n of the product over cells (i, j) of
-    t_{T(i,j)+j-i} - t_{lam_T(i,j)+n-T(i,j)+1}.  Branches through a
-    vanishing factor are cut.  Zero unless mu is contained in lam."""
-    padded = lam + (0,) * (n - len(lam))
-    cells = [(i, j) for i in range(1, len(mu) + 1) for j in range(1, mu[i - 1] + 1)]
-    filling = {}
-
-    def fill(idx, acc):
-        if idx == len(cells):
-            return acc
-        i, j = cells[idx]
-        low = filling[(i, j - 1)] if j > 1 else 1
-        if i > 1:
-            low = max(low, filling[(i - 1, j)] + 1)
-        total = Poly.zero(0)
-        for v in range(low, n + 1):
-            a, b = v + j - i, padded[v - 1] + n - v + 1
-            if a == b:
-                continue
-            filling[(i, j)] = v
-            total = total + fill(idx + 1, acc * (Poly.t(a) - Poly.t(b)))
-        return total
-
-    return fill(0, Poly.one())
 
 
 @dataclass
@@ -244,16 +229,15 @@ class PositivityReport:
 
     def annotate(self, product_obj):
         """Attach this report to a serialized product entry: `certificate`
-        holds the u-expansion itself, remaining fields ride alongside."""
+        holds the u-expansion itself, remaining fields ride alongside (nested
+        under `violation` when the check failed)."""
+        obj = self.to_obj()
+        product_obj["certificate"] = obj.pop("certificate")
+        product_obj["positive"] = obj.pop("positive")
         if self.positive:
-            product_obj["certificate"] = certificate_to_obj(self.certificate)
-            product_obj["positive"] = True
-            product_obj["differences_used"] = list(self.differences_used)
+            product_obj.update(obj)
         else:
-            product_obj["certificate"] = None
-            product_obj["positive"] = False
-            product_obj["violation"] = {"reason": self.reason,
-                                        "offender": self.offender}
+            product_obj["violation"] = obj
         return product_obj
 
 

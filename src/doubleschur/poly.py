@@ -32,6 +32,7 @@ from __future__ import annotations
 import heapq
 from functools import lru_cache
 from math import comb
+from operator import neg
 
 F = 16                   # bits per exponent field
 FIELD = (1 << F) - 1
@@ -193,17 +194,22 @@ class Poly:
 
     # -- arithmetic -----------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, negate=False):
         if isinstance(other, int):
             other = Poly.const(other, self.nx)
         elif not isinstance(other, Poly):
             return NotImplemented
         tw, a, b = self._aligned(other)
-        if len(a) < len(b):
-            a, b = b, a
+        if negate:
+            # subtract in the same pass, negating other's terms as they are read
+            b_terms = zip(b, map(neg, b.values()))
+        else:
+            if len(a) < len(b):
+                a, b = b, a
+            b_terms = b.items()
         out = dict(a)
         get = out.get
-        for k, c in b.items():
+        for k, c in b_terms:
             v = get(k, 0) + c
             if v:
                 out[k] = v
@@ -217,7 +223,7 @@ class Poly:
         return Poly(self.nx, self.tw, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, negate=True)
 
     def __rsub__(self, other):
         return (-self) + other

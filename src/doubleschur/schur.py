@@ -163,16 +163,19 @@ def expand_in_double_schur(p, n):
     the double Schur polynomial of lam is x^lam with coefficient 1, so the
     leading term of p determines one summand at a time: subtract it and
     recurse.  The leading x-monomial strictly decreases and the total
-    x-degree never grows, so this terminates.
+    x-degree never grows, so this terminates.  The leading x-exponent of a
+    symmetric polynomial is weakly decreasing, and an asymmetric remainder
+    never reaches zero, so the peel meets an exponent that is not weakly
+    decreasing exactly when p is not symmetric.
     """
     if p.nx != n:
         raise ValueError(f"expected a polynomial in x1..x{n}, got arity {p.nx}")
-    if not p.is_symmetric():
-        raise ValueError("polynomial is not symmetric")
     out = {}
     rem = p
     while rem:
         xv = rem.leading_x()
+        if any(a < b for a, b in zip(xv, xv[1:])):
+            raise ValueError("polynomial is not symmetric")
         lam = partition(xv)
         c = rem.coefficient_of_x(xv)
         out[lam] = c

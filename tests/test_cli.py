@@ -140,6 +140,15 @@ def test_table_g26_bytes_are_pinned(tmp_path, capsys):
         "00ca5b6eba2a765ebaa3425e1fa9fbd8103fb4e68ab2456b95f7daa750326c98"
 
 
+def test_table_g36_bytes_are_pinned(tmp_path, capsys):
+    out_file = tmp_path / "g36.json"
+    code, _, _ = run(capsys, "table", "--n", "3", "--m", "6",
+                     "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == \
+        "e5d2db02ac80b61d3f3ecd6038b234149d91edc10fa3b3fa3a547b50b1a64f62"
+
+
 PINNED_OUTPUTS = [
     (("product", "--n", "2", "--m", "5", "--lambda", "2,1", "--mu", "2,1",
       "--format", "text"),

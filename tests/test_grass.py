@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from doubleschur.grass import (
     GrassContext,
+    _structure_constant,
     SizeGuardExceeded,
     check_graham_positivity,
     full_structure_table,
@@ -220,6 +221,63 @@ def test_product_one_one_beyond_the_polynomial_route():
     assert want.get((1,)) == t(8) - t(9)
 
 
+# -- the base of the recursion against localization ----------------------------
+
+def _reference_localize(mu, lam, n):
+    """s_mu(x|t) at the torus-fixed point x_k = -t_{lam_k+n-k+1}, by the
+    tableau formula: the sum over semistandard tableaux T of shape mu with
+    entries at most n of the product over cells (i, j) of
+    t_{T(i,j)+j-i} - t_{lam_T(i,j)+n-T(i,j)+1}.  Branches through a
+    vanishing factor are cut.  Zero unless mu is contained in lam."""
+    padded = lam + (0,) * (n - len(lam))
+    cells = [(i, j) for i in range(1, len(mu) + 1) for j in range(1, mu[i - 1] + 1)]
+    filling = {}
+
+    def fill(idx, acc):
+        if idx == len(cells):
+            return acc
+        i, j = cells[idx]
+        low = filling[(i, j - 1)] if j > 1 else 1
+        if i > 1:
+            low = max(low, filling[(i - 1, j)] + 1)
+        total = Poly.zero(0)
+        for v in range(low, n + 1):
+            a, b = v + j - i, padded[v - 1] + n - v + 1
+            if a == b:
+                continue
+            filling[(i, j)] = v
+            total = total + fill(idx + 1, acc * (Poly.t(a) - Poly.t(b)))
+        return total
+
+    return fill(0, Poly.one())
+
+
+@pytest.mark.parametrize("n,m", [(1, 6), (2, 6), (3, 6)])
+def test_coefficient_on_lam_is_localization(n, m):
+    # c_{lam,mu}^lam is s_mu restricted to the fixed point lam; the
+    # recursion reaches it through commutativity and the diagonal product
+    ctx = GrassContext(n, m)
+    box = ctx.box_partitions()
+    for lam in box:
+        for mu in box:
+            assert schubert_product(lam, mu, ctx).get(lam) == \
+                _reference_localize(mu, lam, n), (lam, mu)
+
+
+@st.composite
+def diagonal_shapes(draw):
+    n = draw(st.integers(1, 5))
+    parts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return tuple(sorted((p for p in parts if p), reverse=True)), n
+
+
+@settings(max_examples=80, deadline=None)
+@given(diagonal_shapes())
+def test_diagonal_is_localization(case):
+    lam, n = case
+    assert _structure_constant(lam, lam, lam, n) == _reference_localize(lam, lam, n)
+
+
 # -- positivity ----------------------------------------------------------------
 
 def test_positivity_simple_difference():
@@ -248,6 +306,23 @@ def test_positivity_detects_shift_variance():
     rep = check_graham_positivity(t(1) + t(2), GrassContext(1, 2))
     assert not rep.positive
     assert rep.reason == "not shift-invariant"
+
+
+def test_negative_report_json_shapes():
+    # the flat reason/offender of to_obj and the nested violation of
+    # annotate, key order included (JSON output is byte-compared)
+    cases = [
+        (t(2) - t(1), "negative coefficient", "-1 on u-monomial {'1': 1}"),
+        (t(1) + t(2), "not shift-invariant", "2*t2"),
+    ]
+    for c, reason, offender in cases:
+        rep = check_graham_positivity(c, GrassContext(1, 2))
+        assert json.dumps(rep.to_obj()) == json.dumps(
+            {"positive": False, "certificate": None,
+             "reason": reason, "offender": offender})
+        assert json.dumps(rep.annotate({"nu": [1], "coeff": "c"})) == json.dumps(
+            {"nu": [1], "coeff": "c", "certificate": None, "positive": False,
+             "violation": {"reason": reason, "offender": offender}})
 
 
 def test_positivity_rejects_t_beyond_m():

@@ -91,6 +91,7 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
     assert (p + q) * r == p * r + q * r
+    assert p - q == p + (-q) and (p - q) + q == p
 
 
 @settings(max_examples=60, deadline=None)

@@ -266,6 +266,29 @@ def test_expansion_matches_vandermonde_route(case):
     assert expansion_to_poly(got) == p
 
 
+@st.composite
+def perturbed_combinations(draw):
+    p, n = draw(symmetric_combinations())
+    mono = Poly.const(draw(st.integers(-2, 2).filter(bool)), n)
+    for i in range(1, n + 1):
+        mono = mono * Poly.x(i, n) ** draw(st.integers(0, 3))
+    for j, e in draw(st.dictionaries(st.integers(1, n + 3), st.integers(1, 2),
+                                     max_size=2)).items():
+        mono = mono * Poly.t(j, n) ** e
+    return p + mono, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_combinations())
+def test_expand_raises_exactly_when_not_symmetric(case):
+    q, n = case
+    if q.is_symmetric():
+        assert expansion_to_poly(expand_in_double_schur(q, n)) == q
+    else:
+        with pytest.raises(ValueError, match="^polynomial is not symmetric$"):
+            expand_in_double_schur(q, n)
+
+
 def test_expand_in_double_schur_round_trip():
     for n, lam in ((2, (2, 1)), (3, (1, 1)), (3, ())):
         got = expand_in_double_schur(double_schur(lam, n), n)
