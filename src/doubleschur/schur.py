@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .poly import Poly
+from .poly import F, Poly, _multiply_into
 
 __all__ = [
     "partition",
@@ -134,7 +134,11 @@ def double_schur(lam, n):
     """The double Schur polynomial of lam in x1..xn, by branching on x_n
     (Macdonald 1992, 6th variation; Molev-Sagan, Trans. AMS 351, 1999):
     s_lam = sum over mu with lam_{i+1} <= mu_i <= lam_i of s_mu(x1..x_{n-1})
-    times prod over boxes (i,j) of lam/mu of (x_n + t_{n+j-i})."""
+    times prod over boxes (i,j) of lam/mu of (x_n + t_{n+j-i}), summed in
+    one pass.  One swap of x_{n-1} and x_n checks symmetry completely: each
+    memoized s_mu was checked when built (n = 1 trivially), the lift and the
+    strip (in x_n and t only) keep symmetry in x1..x_{n-1}, and S_{n-1}
+    with the transposition (x_{n-1} x_n) generates S_n."""
     if n < 1:
         raise ValueError("arity must be at least 1")
     lam = partition(lam)
@@ -144,14 +148,15 @@ def double_schur(lam, n):
         return double_monomial(sum(lam))
     padded = lam + (0,) * (n - len(lam))
     xn = Poly.x(n, n)
-    s = Poly.zero(n)
+    summands = []
     for mu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(n - 1))):
         strip = Poly.one(n)
         for i, (lo, hi) in enumerate(zip(mu + (0,), padded), 1):
             for j in range(lo + 1, hi + 1):
                 strip = strip * (xn + Poly.t(n + j - i, n))
-        s = s + double_schur(partition(mu), n - 1).as_arity(n) * strip
-    if not s.is_symmetric():
+        summands.append((1, double_schur(partition(mu), n - 1).as_arity(n), strip))
+    s = Poly.sum_of_products(summands)
+    if s.swap_x(n - 1, n) != s:
         raise RuntimeError(f"double Schur polynomial of {lam} came out asymmetric")
     return s
 
@@ -167,19 +172,27 @@ def expand_in_double_schur(p, n):
     symmetric polynomial is weakly decreasing, and an asymmetric remainder
     never reaches zero, so the peel meets an exponent that is not weakly
     decreasing exactly when p is not symmetric.
+
+    The remainder is one private term dict at one t-width, and c * s_lam is
+    subtracted straight into it.  No x-exponent of s_lam exceeds lam_1, the
+    remainder's largest x1-exponent, so lam_1 never exceeds p's, and
+    t_{n+lam_1-1}, the largest t in s_lam, fits the width fixed from p.
     """
     if p.nx != n:
         raise ValueError(f"expected a polynomial in x1..x{n}, got arity {p.nx}")
+    xv = p.leading_x()
+    tw = max(p.tw, n + xv[0] - 1) if xv else p.tw
+    rem = Poly(n, tw, dict(p._widened(tw)))
     out = {}
-    rem = p
-    while rem:
-        xv = rem.leading_x()
+    while xv is not None:
         if any(a < b for a, b in zip(xv, xv[1:])):
             raise ValueError("polynomial is not symmetric")
         lam = partition(xv)
         c = rem.coefficient_of_x(xv)
         out[lam] = c
-        rem = rem - c.as_arity(n) * double_schur(lam, n)
+        _multiply_into(rem.terms, -1, c.as_arity(n).terms,
+                       double_schur(lam, n)._widened(tw), F * (n + tw))
+        xv = rem.leading_x()
     return SchurExpansion(n, out)
 
 
@@ -272,7 +285,7 @@ class SchurExpansion:
 
 def expansion_to_poly(e):
     """Evaluate a SchurExpansion back to the symmetric polynomial it names."""
-    acc = Poly.zero(e.n)
-    for lam, c in e.coeffs.items():
-        acc = acc + c.as_arity(e.n) * double_schur(lam, e.n)
-    return acc
+    if not e.coeffs:
+        return Poly.zero(e.n)
+    return Poly.sum_of_products((1, c.as_arity(e.n), double_schur(lam, e.n))
+                                for lam, c in e.coeffs.items())

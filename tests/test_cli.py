@@ -166,6 +166,10 @@ PINNED_OUTPUTS = [
      "df11013c0dc6eb63452081ae082239dab7ac0f922835d551ced9a34c6ddbaeb7"),
     (("schur", "--n", "4", "--lambda", "2,2,1,1", "--format", "text"),
      "efa173c8b056c08b13999eb874c1327330862791dd6b8dd8fa3f3d89b5364eb4"),
+    (("verify", "--suite", "pieri", "--n", "3", "--m", "6"),
+     "f89946d7941727b0c49b72789f90d725dc2448250a39d6d0304b53c5294506c3"),
+    (("verify", "--suite", "pieri", "--n", "4", "--m", "7"),
+     "149cc546805285488fd25fc95b89e9ccfce9de16ce672242821e3d28046ee60d"),
 ]
 
 
@@ -173,7 +177,8 @@ PINNED_OUTPUTS = [
                          ids=["product-g25-text", "product-g36-text",
                               "product-g25-json", "schur-n3-text",
                               "verify-positivity-g25", "schur-n4-json",
-                              "schur-n4-text"])
+                              "schur-n4-text", "verify-pieri-g36",
+                              "verify-pieri-g47"])
 def test_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0

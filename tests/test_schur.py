@@ -204,6 +204,26 @@ def test_branching_matches_alternant_ratio(case):
     assert poly_to_obj(got) == poly_to_obj(ratio)
 
 
+def test_one_swap_check_catches_an_asymmetric_build(monkeypatch):
+    # s_(1,1,1)(x1..x3) = s_(1,1)(x1, x2) * (x3 + t1); building it with
+    # x3 + t2 instead gives (x1 + t1)(x2 + t1)(x3 + t2), which is symmetric
+    # in x1, x2 but not under x2 <-> x3
+    real_t = Poly.t
+
+    def wrong_t(j, nx=0):
+        return real_t(2 if (j, nx) == (1, 3) else j, nx)
+
+    double_schur.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(Poly, "t", staticmethod(wrong_t))
+            with pytest.raises(RuntimeError, match="came out asymmetric"):
+                double_schur((1, 1, 1), 3)
+    finally:
+        double_schur.cache_clear()
+    assert double_schur((1, 1, 1), 3).is_symmetric()
+
+
 def test_schur_rejects_too_many_parts():
     with pytest.raises(ValueError):
         double_schur((1, 1, 1), 2)
@@ -293,6 +313,29 @@ def test_expand_in_double_schur_round_trip():
     for n, lam in ((2, (2, 1)), (3, (1, 1)), (3, ())):
         got = expand_in_double_schur(double_schur(lam, n), n)
         assert got == SchurExpansion(n, {lam: 1})
+
+
+def test_expand_writes_into_neither_input_nor_memo():
+    n = 3
+    s21 = double_schur((2, 1), n)
+    inputs = [
+        s21,   # already at the peel's t-width, so the peel must copy it
+        x_sum(n) * s21,
+        Poly.t(5, n) * s21 + 3 * double_schur((1,), n),
+    ]
+    # every shape these peels can meet lies in the n x 3 box
+    memo = {mu: dict(double_schur(mu, n).terms) for mu in box_partitions(n, 3)}
+    for p in inputs:
+        before = dict(p.terms)
+        first = expand_in_double_schur(p, n)
+        second = expand_in_double_schur(p, n)
+        assert set(first.coeffs) <= set(memo)
+        assert second == first
+        assert second.to_obj() == first.to_obj()
+        assert p.terms == before
+    for mu, terms in memo.items():
+        assert double_schur(mu, n).terms == terms, mu
+    assert expand_in_double_schur(Poly.zero(n), n) == SchurExpansion(n, {})
 
 
 def test_expand_x_sum():
