@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .poly import Poly, NotShiftInvariant, to_difference_basis, poly_to_obj
+from .poly import (F, Poly, NotShiftInvariant, _decoded_terms, poly_to_obj,
+                   to_difference_basis)
 from .schur import (
     SchurExpansion,
     double_schur,
@@ -123,12 +124,15 @@ def schubert_product(lam, mu, ctx):
     """Structure constants of the product of two Schubert classes, computed
     in the coefficient ring Z[t1..tm] alone by the Pieri recursion of
     `_structure_constant`, whose only base case is the diagonal constant
-    c_{lam,lam}^lam, a product of linear forms."""
+    c_{lam,lam}^lam, a product of linear forms.  The product commutes, so
+    (lam, mu) and (mu, lam) both run the recursion as (max, min) and share
+    its memo entries."""
     lam, mu = partition(lam), partition(mu)
     _check_in_box(ctx, lam, mu)
+    hi, lo = max(lam, mu), min(lam, mu)
     return SchurExpansion(ctx.n, {
-        nu: _structure_constant(lam, mu, nu, ctx.n)
-        for nu in ctx.box_partitions() if _in_support(lam, mu, nu)})
+        nu: _structure_constant(hi, lo, nu, ctx.n)
+        for nu in ctx.box_partitions() if _in_support(hi, lo, nu)})
 
 
 def schubert_product_by_expansion(lam, mu, ctx):
@@ -160,6 +164,23 @@ def _removable(nu):
     return out
 
 
+def _addable(lam, n):
+    """Partitions obtained from lam by adding one box, at most n rows."""
+    row = lam + (0,)
+    return [lam[:r] + (row[r] + 1,) + lam[r + 1:]
+            for r in range(min(len(lam) + 1, n)) if r == 0 or row[r - 1] > row[r]]
+
+
+def _divisor(lam, nu, n):
+    """d(nu) - d(lam) = sum over rows i <= n of t_{lam_i+n-i+1} - t_{nu_i+n-i+1},
+    from t-keys; the t-indices that lam and nu share cancel."""
+    up, down = ({a + n - i for i, a in enumerate(p + (0,) * (n - len(p)))}
+                for p in (lam, nu))
+    w = max(up | down)
+    return Poly(0, w, {(1 << F * w) | (1 << F * (w - j)): 1 if j in up else -1
+                       for j in up ^ down})
+
+
 @lru_cache(maxsize=None)
 def _structure_constant(lam, mu, nu, n):
     """The coefficient c_{lam,mu}^nu of s_nu in s_lam * s_mu (n x-variables).
@@ -173,15 +194,17 @@ def _structure_constant(lam, mu, nu, n):
               - sum over nu- = nu - box of c_{lam,mu}^{nu-},
 
     and d(nu) - d(lam) is a nonzero linear form whenever nu strictly
-    contains lam, so one exact division yields c.  Only partitions inside
-    nu contribute, so the Grassmannian's m does not enter.  At nu = lam
-    and mu != lam, commutativity turns c into c_{mu,lam}^lam, an ordinary
-    step since lam strictly contains mu.  The one base case is the
-    diagonal: the restriction of a Schubert class to its own fixed point
-    is the product of the tangent weights there (Knutson-Tao, Duke Math.
-    J. 119, 2003; Molev-Sagan, Trans. AMS 351, 1999), c_{lam,lam}^lam = product over cells (i, j) of lam of
-    t_{n+j-lam'_j} - t_{lam_i+n-i+1}, with lam' the conjugate partition.
-    """
+    contains lam, so one exact division yields c.  The divisor comes from
+    the rows of lam and nu, the grown shapes from lam's corners, and no
+    Pieri expansion is built.  Only partitions inside nu contribute, so
+    the Grassmannian's m does not enter.  At nu = lam and mu != lam,
+    commutativity turns c into c_{mu,lam}^lam, an ordinary step since lam
+    strictly contains mu.  The one base case is the diagonal: the
+    restriction of a Schubert class to its own fixed point is the product
+    of the tangent weights there (Knutson-Tao, Duke Math. J. 119, 2003;
+    Molev-Sagan, Trans. AMS 351, 1999), c_{lam,lam}^lam = product over
+    cells (i, j) of lam of t_{n+j-lam'_j} - t_{lam_i+n-i+1}, with lam' the
+    conjugate partition."""
     if not _in_support(lam, mu, nu):
         return Poly.zero(0)
     if nu == lam:
@@ -193,14 +216,12 @@ def _structure_constant(lam, mu, nu, n):
                 height = sum(1 for other in lam if other >= j)
                 c = c * (Poly.t(n + j - height) - Poly.t(part + n - i + 1))
         return c
-    lam_step, nu_step = pieri_multiply(lam, n), pieri_multiply(nu, n)
     acc = Poly.zero(0)
-    for grown in lam_step.coeffs:
-        if grown != lam:
-            acc = acc + _structure_constant(grown, mu, nu, n)
+    for grown in _addable(lam, n):
+        acc = acc + _structure_constant(grown, mu, nu, n)
     for shrunk in _removable(nu):
         acc = acc - _structure_constant(lam, mu, shrunk, n)
-    return acc.exact_div(nu_step.get(nu) - lam_step.get(lam))
+    return acc.exact_div(_divisor(lam, nu, n))
 
 
 @dataclass
@@ -244,10 +265,7 @@ class PositivityReport:
 def certificate_to_obj(cert):
     """Canonical JSON form of a difference-basis expansion: term list with
     sparse u-exponent maps."""
-    out = []
-    for _, te, c in cert.iter_terms():
-        out.append({"u": {str(j): te[j] for j in sorted(te)}, "c": str(c)})
-    return out
+    return [{"u": t, "c": str(c)} for _, t, c in _decoded_terms(cert, str)]
 
 
 def u_str(cert):
@@ -263,15 +281,13 @@ def check_graham_positivity(c, ctx):
     except NotShiftInvariant as exc:
         return PositivityReport(False, reason="not shift-invariant",
                                 offender=exc.offender)
-    used = set()
-    for _, te, coeff in cert.iter_terms():
-        if coeff < 0:
-            mono = {str(j): te[j] for j in sorted(te)}
-            return PositivityReport(
-                False, reason="negative coefficient",
-                offender=f"{coeff} on u-monomial {mono}")
-        used.update(te)
-    return PositivityReport(True, cert, tuple(sorted(used)))
+    negative = [k for k, coeff in cert.terms.items() if coeff < 0]
+    if negative:
+        k = max(negative)  # the first negative term in canonical order
+        _, mono, coeff = next(_decoded_terms(Poly(0, cert.tw, {k: cert.terms[k]}), str))
+        return PositivityReport(False, reason="negative coefficient",
+                                offender=f"{coeff} on u-monomial {mono}")
+    return PositivityReport(True, cert, cert._t_indices())
 
 
 def sigma1_power_expansion(k, ctx):

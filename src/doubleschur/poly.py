@@ -138,20 +138,6 @@ class Poly:
         tw = max(self.tw, other.tw)
         return tw, self._widened(tw), other._widened(tw)
 
-    def _unpack(self, key):
-        """Split a packed key into (x-exponent tuple, sparse t-exponent map)."""
-        te = {}
-        for j in range(self.tw, 0, -1):
-            e = key & FIELD
-            if e:
-                te[j] = e
-            key >>= F
-        xe = [0] * self.nx
-        for i in range(self.nx, 0, -1):
-            xe[i - 1] = key & FIELD
-            key >>= F
-        return tuple(xe), te
-
     # -- basic queries -------------------------------------------------
 
     def is_zero(self):
@@ -160,25 +146,23 @@ class Poly:
     def __bool__(self):
         return bool(self.terms)
 
-    def max_t_index(self):
-        """Largest t-index actually present (0 if none)."""
-        if not self.terms:
-            return 0
+    def _t_indices(self):
+        """Ascending t-indices present: the nonzero t-fields of the OR of all keys."""
         g = 0
         for k in self.terms:
             g |= k
-        w = self.tw
-        while w and g & FIELD == 0:
-            g >>= F
-            w -= 1
-        return w
+        tw = self.tw
+        return tuple(j for j in range(1, tw + 1) if (g >> F * (tw - j)) & FIELD)
+
+    def max_t_index(self):
+        """Largest t-index actually present (0 if none)."""
+        return (self._t_indices() or (0,))[-1]
 
     def iter_terms(self):
         """Yield (x_exponents, t_exponents, coefficient) in canonical order:
         graded lexicographic, largest first."""
-        for k in sorted(self.terms, reverse=True):
-            xe, te = self._unpack(k)
-            yield xe, te, self.terms[k]
+        for xe, te, c in _decoded_terms(self, int):
+            yield tuple(xe), te, c
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -518,26 +502,33 @@ def _pack(nx, tw, xe, te):
     return key
 
 
+@lru_cache(maxsize=None)
+def _shear_row(e, sign):
+    """The coefficients C(e, a) sign^(e-a) of _shear, for a = 0 .. e."""
+    return tuple(comb(e, a) * sign ** (e - a) for a in range(e + 1))
+
+
 def _shear(p, i, sign):
     """Substitute slot_i -> slot_i + sign * slot_{i+1} in an arity-0
     polynomial: slot_i^e slot_{i+1}^f becomes the binomial sum over a of
     C(e, a) sign^(e-a) slot_i^a slot_{i+1}^(f+e-a).  The total degree of
-    every term is unchanged, so only the two fields move."""
+    every term is unchanged, so only the two fields move; a term without
+    slot_i is carried over as it is."""
     hi = F * (p.tw - i)
     lo = hi - F
+    step = (1 << hi) - (1 << lo)
     out = {}
     get = out.get
     for k, c in p.terms.items():
         e = (k >> hi) & FIELD
-        base = k - (e << hi)
-        for a in range(e + 1):
-            nk = base + (a << hi) + ((e - a) << lo)
-            v = get(nk, 0) + c * comb(e, a) * sign ** (e - a)
-            if v:
-                out[nk] = v
-            else:
-                del out[nk]
-    return Poly(0, p.tw, out)
+        if not e:
+            out[k] = get(k, 0) + c
+            continue
+        nk = k - (e << hi) + (e << lo)
+        for b in _shear_row(e, sign):
+            out[nk] = get(nk, 0) + c * b
+            nk += step
+    return Poly(0, p.tw, {k: c for k, c in out.items() if c})
 
 
 def to_difference_basis(p, m):
@@ -585,17 +576,28 @@ def from_difference_basis(q, m):
     return q
 
 
+@lru_cache(maxsize=None)
+def _slot_table(nx, tw, name):
+    """Bit offsets of x1..x_nx, and (name(j), bit offset) of t-slots j = 1..tw."""
+    return (tuple(F * (tw + nx - i) for i in range(1, nx + 1)),
+            tuple((name(j), F * (tw - j)) for j in range(1, tw + 1)))
+
+
+def _decoded_terms(p, name):
+    """(x-exponent list, sparse t-exponent map keyed name(j) for slot j,
+    slot 1 first, coefficient) of each term of p in canonical order, read
+    straight off the packed keys."""
+    xs, ts = _slot_table(p.nx, p.tw, name)
+    terms = p.terms
+    for k in sorted(terms, reverse=True):
+        yield ([(k >> sh) & FIELD for sh in xs],
+               {s: e for s, sh in ts if (e := (k >> sh) & FIELD)}, terms[k])
+
+
 def poly_to_obj(p):
     """Canonical JSON form: a list of term objects in canonical order, the
     coefficient as a decimal string."""
-    out = []
-    for xe, te, c in p.iter_terms():
-        out.append({
-            "x": list(xe),
-            "t": {str(j): te[j] for j in sorted(te)},
-            "c": str(c),
-        })
-    return out
+    return [{"x": x, "t": t, "c": str(c)} for x, t, c in _decoded_terms(p, str)]
 
 
 def poly_from_obj(obj, nx=None):

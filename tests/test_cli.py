@@ -170,6 +170,12 @@ PINNED_OUTPUTS = [
      "f89946d7941727b0c49b72789f90d725dc2448250a39d6d0304b53c5294506c3"),
     (("verify", "--suite", "pieri", "--n", "4", "--m", "7"),
      "149cc546805285488fd25fc95b89e9ccfce9de16ce672242821e3d28046ee60d"),
+    (("product", "--n", "3", "--m", "6", "--lambda", "2,1,1", "--mu", "2,1"),
+     "4d9b989b69beac614ff053c537b4c9e630a560a7feeeb2ddc95c03cdd1c6591d"),
+    (("product", "--n", "3", "--m", "6", "--lambda", "2,1", "--mu", "2,1,1"),
+     "a8b149cafc3b7677ab04a93ea1a1ad45c4239683a833f9f087edcf2a8abb3fc6"),
+    (("verify", "--suite", "positivity", "--n", "3", "--m", "6"),
+     "074dd6b3490f24c3ab9387c029e5a0cc5ac35244e8392ca6c01dec070a57c0d6"),
 ]
 
 
@@ -178,7 +184,9 @@ PINNED_OUTPUTS = [
                               "product-g25-json", "schur-n3-text",
                               "verify-positivity-g25", "schur-n4-json",
                               "schur-n4-text", "verify-pieri-g36",
-                              "verify-pieri-g47"])
+                              "verify-pieri-g47", "product-g36-json",
+                              "product-g36-json-swapped",
+                              "verify-positivity-g36"])
 def test_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from doubleschur.grass import (
     GrassContext,
+    _addable,
+    _divisor,
+    _in_support,
     _structure_constant,
     SizeGuardExceeded,
     check_graham_positivity,
@@ -21,6 +24,7 @@ from doubleschur.schur import (
     SchurExpansion,
     expand_in_double_schur,
     expansion_to_poly,
+    partition,
     pieri_multiply,
 )
 
@@ -129,6 +133,45 @@ def test_product_commutes():
     ctx = GrassContext(2, 4)
     for lam, mu in (((1,), (2, 1)), ((2,), (1, 1)), ((2, 2), (2, 1))):
         assert schubert_product(lam, mu, ctx) == schubert_product(mu, lam, ctx)
+
+
+@pytest.mark.parametrize("n,m", [(2, 5), (3, 6)])
+def test_structure_constant_commutes_in_both_recursion_orders(n, m):
+    # schubert_product always runs the recursion as (max, min), so compare
+    # the two orders of the recursion itself, from an empty memo
+    _structure_constant.cache_clear()
+    box = GrassContext(n, m).box_partitions()
+    triples = [(lam, mu, nu) for lam in box for mu in box for nu in box
+               if _in_support(lam, mu, nu)]
+    assert triples
+    for lam, mu, nu in triples:
+        assert _structure_constant(lam, mu, nu, n) == \
+            _structure_constant(mu, lam, nu, n), (lam, mu, nu)
+
+
+@st.composite
+def nested_partitions(draw):
+    """(n, lam, nu) with lam inside nu inside the n x 4 box, n <= 5."""
+    n = draw(st.integers(1, 5))
+    nu = sorted(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)),
+                reverse=True)
+    lam, cap = [], 4
+    for part in nu:
+        cap = draw(st.integers(0, min(part, cap)))
+        lam.append(cap)
+    return n, partition(lam), partition(nu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_partitions())
+def test_recursion_steps_match_pieri_multiply(case):
+    # the grown shapes and the divisor of one step of _structure_constant,
+    # read off the Pieri expansions they replace
+    n, lam, nu = case
+    assert sorted(_addable(lam, n)) == \
+        sorted(k for k in pieri_multiply(lam, n).coeffs if k != lam)
+    assert _divisor(lam, nu, n) == \
+        pieri_multiply(nu, n).get(nu) - pieri_multiply(lam, n).get(lam)
 
 
 def test_product_associative_sampled():
