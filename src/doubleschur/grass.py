@@ -339,12 +339,17 @@ class StructureTable:
 
 def full_structure_table(ctx):
     """Every product of box partitions, each coefficient carrying its
-    positivity certificate.  Refused above the desk-scale guard."""
+    positivity certificate.  Refused above the desk-scale guard.  The
+    product commutes, so each unordered pair is certified once and its
+    mirror entry shares the result."""
     rank_guard(ctx)
     box = ctx.box_partitions()
     entries = {}
     for lam in box:
         for mu in box:
+            if (mu, lam) in entries:
+                entries[(lam, mu)] = entries[(mu, lam)]
+                continue
             prod = schubert_product(lam, mu, ctx)
             entries[(lam, mu)] = {
                 nu: (c, check_graham_positivity(c, ctx))

@@ -14,10 +14,12 @@ Sign convention: double monomials use (x + t_i), not (x - t_i).
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
+from math import factorial, prod
 
-from .poly import F, Poly, _multiply_into
+from .poly import F, FIELD, Poly, _multiply_into
 
 __all__ = [
     "partition",
@@ -129,35 +131,74 @@ def alternant(nu, n):
     return minors[tuple(range(1, n + 1))]
 
 
+class _SchurPoly(Poly):
+    """A memoized s_lam with its dominant groups, which nothing writes."""
+
+    __slots__ = ("dominant",)
+
+
+def _dominant_groups(p):
+    """Group the terms of p by x-exponent in one pass.  Returns None if p is
+    not symmetric in x1..xn, else the groups whose exponent is weakly
+    decreasing ("dominant"), keyed by the packed x-field, each holding its
+    terms with the x-fields cleared.  p is symmetric exactly when every
+    group equals the group of its sorted exponent and every orbit present
+    has all n!/prod(m_i!) members (m_i the multiplicities of the parts);
+    both are checked once per distinct x-exponent, not once per term."""
+    n, sh = p.nx, F * p.tw
+    xmask = ((1 << F * n) - 1) << sh
+    groups = {}
+    for k, c in p.terms.items():
+        x = k & xmask
+        try:
+            groups[x][k ^ x] = c
+        except KeyError:
+            groups[x] = {k ^ x: c}
+    dominant, members, orbit_sizes = {}, {}, {}
+    for x, g in groups.items():
+        parts = sorted((x >> sh + F * i) & FIELD for i in range(n))
+        d = sum(e << sh + F * i for i, e in enumerate(parts))
+        if d == x:
+            dominant[x] = g
+            orbit_sizes[x] = factorial(n) // prod(map(factorial, Counter(parts).values()))
+        elif groups.get(d) != g:
+            return None
+        members[d] = members.get(d, 0) + 1
+    return dominant if members == orbit_sizes else None
+
+
 @lru_cache(maxsize=None)
 def double_schur(lam, n):
     """The double Schur polynomial of lam in x1..xn, by branching on x_n
     (Macdonald 1992, 6th variation; Molev-Sagan, Trans. AMS 351, 1999):
     s_lam = sum over mu with lam_{i+1} <= mu_i <= lam_i of s_mu(x1..x_{n-1})
     times prod over boxes (i,j) of lam/mu of (x_n + t_{n+j-i}), summed in
-    one pass.  One swap of x_{n-1} and x_n checks symmetry completely: each
-    memoized s_mu was checked when built (n = 1 trivially), the lift and the
-    strip (in x_n and t only) keep symmetry in x1..x_{n-1}, and S_{n-1}
-    with the transposition (x_{n-1} x_n) generates S_n."""
+    one pass.  The postcondition `_dominant_groups` checks symmetry under
+    all of S_n directly, and its dominant groups ride along in the result
+    for `expand_in_double_schur`."""
     if n < 1:
         raise ValueError("arity must be at least 1")
     lam = partition(lam)
     if len(lam) > n:
         raise ValueError(f"partition {lam} has more than {n} parts")
     if n == 1:
-        return double_monomial(sum(lam))
-    padded = lam + (0,) * (n - len(lam))
-    xn = Poly.x(n, n)
-    summands = []
-    for mu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(n - 1))):
-        strip = Poly.one(n)
-        for i, (lo, hi) in enumerate(zip(mu + (0,), padded), 1):
-            for j in range(lo + 1, hi + 1):
-                strip = strip * (xn + Poly.t(n + j - i, n))
-        summands.append((1, double_schur(partition(mu), n - 1).as_arity(n), strip))
-    s = Poly.sum_of_products(summands)
-    if s.swap_x(n - 1, n) != s:
+        s = double_monomial(sum(lam))
+    else:
+        padded = lam + (0,) * (n - len(lam))
+        xn = Poly.x(n, n)
+        summands = []
+        for mu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(n - 1))):
+            strip = Poly.one(n)
+            for i, (lo, hi) in enumerate(zip(mu + (0,), padded), 1):
+                for j in range(lo + 1, hi + 1):
+                    strip = strip * (xn + Poly.t(n + j - i, n))
+            summands.append((1, double_schur(partition(mu), n - 1).as_arity(n), strip))
+        s = Poly.sum_of_products(summands)
+    dominant = _dominant_groups(s)
+    if dominant is None:
         raise RuntimeError(f"double Schur polynomial of {lam} came out asymmetric")
+    s = _SchurPoly(n, s.tw, s.terms)
+    s.dominant = dominant
     return s
 
 
@@ -168,31 +209,46 @@ def expand_in_double_schur(p, n):
     the double Schur polynomial of lam is x^lam with coefficient 1, so the
     leading term of p determines one summand at a time: subtract it and
     recurse.  The leading x-monomial strictly decreases and the total
-    x-degree never grows, so this terminates.  The leading x-exponent of a
-    symmetric polynomial is weakly decreasing, and an asymmetric remainder
-    never reaches zero, so the peel meets an exponent that is not weakly
-    decreasing exactly when p is not symmetric.
+    x-degree never grows, so this terminates.
 
-    The remainder is one private term dict at one t-width, and c * s_lam is
-    subtracted straight into it.  No x-exponent of s_lam exceeds lam_1, the
+    The peel reads only the dominant groups of p and of each s_lam
+    (`_dominant_groups`, which also rejects an asymmetric p).  That
+    suffices: dropping the other groups is linear, the lex-largest
+    x-exponent of a symmetric polynomial is dominant, and a symmetric
+    polynomial with no dominant term is zero.  The remainder is one
+    private dict of groups at one t-width, and c * s_lam is subtracted
+    into it group by group.  No x-exponent of s_lam exceeds lam_1, the
     remainder's largest x1-exponent, so lam_1 never exceeds p's, and
     t_{n+lam_1-1}, the largest t in s_lam, fits the width fixed from p.
     """
     if p.nx != n:
         raise ValueError(f"expected a polynomial in x1..x{n}, got arity {p.nx}")
-    xv = p.leading_x()
-    tw = max(p.tw, n + xv[0] - 1) if xv else p.tw
-    rem = Poly(n, tw, dict(p._widened(tw)))
+    groups = p.dominant if isinstance(p, _SchurPoly) else _dominant_groups(p)
+    if groups is None:
+        raise ValueError("polynomial is not symmetric")
+    lead = max(groups, default=0) >> F * (p.tw + n - 1)
+    tw = max(p.tw, n + lead - 1)
+    up = F * (tw - p.tw)
+    # copied, so that neither p nor a cached group is ever written
+    rem = {x << up: {k << up: c for k, c in g.items()} for x, g in groups.items()}
+    sh, shift = F * tw, F * (n + tw)
+    tmask = (1 << sh) - 1
     out = {}
-    while xv is not None:
-        if any(a < b for a, b in zip(xv, xv[1:])):
-            raise ValueError("polynomial is not symmetric")
-        lam = partition(xv)
-        c = rem.coefficient_of_x(xv)
-        out[lam] = c
-        _multiply_into(rem.terms, -1, c.as_arity(n).terms,
-                       double_schur(lam, n)._widened(tw), F * (n + tw))
-        xv = rem.leading_x()
+    while rem:
+        x = max(rem)
+        lam = partition((x >> sh + F * (n - i)) & FIELD for i in range(1, n + 1))
+        deg = sum(lam) << shift
+        c = {k - deg: v for k, v in rem[x].items()}
+        out[lam] = Poly(0, tw, {(k >> shift << sh) | (k & tmask): v for k, v in c.items()})
+        s = double_schur(lam, n)
+        up = F * (tw - s.tw)
+        for sx, sg in s.dominant.items():
+            if up:
+                sx, sg = sx << up, {k << up: v for k, v in sg.items()}
+            r = rem.setdefault(sx, {})
+            _multiply_into(r, -1, c, sg, shift)
+            if not r:
+                del rem[sx]
     return SchurExpansion(n, out)
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from doubleschur import grass
 from doubleschur.grass import (
     GrassContext,
     _addable,
@@ -440,6 +441,25 @@ def test_table_symmetric():
         mirror = table.entries[(mu, lam)]
         assert {nu: c for nu, (c, _) in products.items()} == \
                {nu: c for nu, (c, _) in mirror.items()}
+
+
+def test_table_certifies_each_unordered_pair_once(monkeypatch):
+    ctx = GrassContext(2, 5)
+    box = ctx.box_partitions()
+    calls = []
+
+    def counting(c, context):
+        calls.append(c)
+        return check_graham_positivity(c, context)
+
+    monkeypatch.setattr(grass, "check_graham_positivity", counting)
+    table = full_structure_table(ctx)
+    pairs = [(lam, mu) for i, lam in enumerate(box) for mu in box[i:]]
+    assert len(calls) == sum(len(schubert_product(lam, mu, ctx).coeffs)
+                             for lam, mu in pairs)
+    assert len(table.entries) == len(box) ** 2
+    for lam, mu in pairs:
+        assert table.entries[(mu, lam)] is table.entries[(lam, mu)]
 
 
 def test_table_guard():

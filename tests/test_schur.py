@@ -1,11 +1,15 @@
+import copy
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from doubleschur.grass import GrassContext
 from doubleschur.poly import Poly, poly_to_obj
 from doubleschur.schur import (
     SchurExpansion,
+    _dominant_groups,
     add_staircase,
     alternant,
     double_monomial,
@@ -309,6 +313,58 @@ def test_expand_raises_exactly_when_not_symmetric(case):
             expand_in_double_schur(q, n)
 
 
+def _x_exponent(p, key):
+    return Poly(p.nx, p.tw, {key: 1}).leading_x()
+
+
+@st.composite
+def orbit_cases(draw):
+    """Symmetric and perturbed polynomials, the zero polynomial, then one
+    edit: drop every term of one x-exponent (one orbit member), drop one
+    term, or change one coefficient; then pad the t-width."""
+    p, n = draw(st.one_of(symmetric_combinations(), perturbed_combinations(),
+                          st.integers(1, 4).map(lambda n: (Poly.zero(n), n))))
+    terms = dict(p.terms)
+    if terms:
+        key = draw(st.sampled_from(sorted(terms)))
+        edit = draw(st.sampled_from(["none", "none", "drop_member", "drop_term",
+                                     "recoefficient"]))
+        if edit == "drop_member":
+            xe = _x_exponent(p, key)
+            terms = {k: c for k, c in terms.items() if _x_exponent(p, k) != xe}
+        elif edit == "drop_term":
+            del terms[key]
+        elif edit == "recoefficient":
+            c = terms.pop(key) + draw(st.integers(-2, 2).filter(bool))
+            if c:
+                terms[key] = c
+    tw = p.tw + draw(st.integers(0, 2))
+    return Poly(n, tw, Poly(n, p.tw, terms)._widened(tw)), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbit_cases())
+def test_orbit_check_matches_is_symmetric(case):
+    p, n = case
+    groups = _dominant_groups(p)
+    assert (groups is not None) == p.is_symmetric()
+    if groups is not None:
+        dominant = {k: c for k, c in p.terms.items()
+                    if (xe := _x_exponent(p, k)) == tuple(sorted(xe, reverse=True))}
+        assert {x | k: c for x, g in groups.items() for k, c in g.items()} == dominant
+
+
+def test_orbit_check_needs_more_than_one_swap():
+    # fixed by x2 <-> x3, but the orbit of x1*x2 lacks x2*x3
+    n = 3
+    x1, x2, x3 = (Poly.x(i, n) for i in (1, 2, 3))
+    p = x1 * x2 + x1 * x3
+    assert p.swap_x(2, 3) == p and not p.is_symmetric()
+    assert _dominant_groups(p) is None
+    with pytest.raises(ValueError, match="^polynomial is not symmetric$"):
+        expand_in_double_schur(p, n)
+
+
 def test_expand_in_double_schur_round_trip():
     for n, lam in ((2, (2, 1)), (3, (1, 1)), (3, ())):
         got = expand_in_double_schur(double_schur(lam, n), n)
@@ -336,6 +392,30 @@ def test_expand_writes_into_neither_input_nor_memo():
     for mu, terms in memo.items():
         assert double_schur(mu, n).terms == terms, mu
     assert expand_in_double_schur(Poly.zero(n), n) == SchurExpansion(n, {})
+
+
+def test_peel_writes_into_no_cached_group():
+    n = 3
+    inputs = []
+    for lam in box_partitions(n, 3):
+        s = double_schur(lam, n)
+        inputs += [s, x_sum(n) * s, Poly.t(5, n) * s + 3 * double_schur((1,), n)]
+    # every shape these peels can meet lies in the n x 4 box
+    memo = {mu: copy.deepcopy(double_schur(mu, n).dominant) for mu in box_partitions(n, 4)}
+    for p in inputs:
+        assert set(expand_in_double_schur(p, n).coeffs) <= set(memo)
+    for mu, groups in memo.items():
+        assert double_schur(mu, n).dominant == groups, mu
+
+
+def test_expansion_bytes_are_pinned():
+    n = 3
+    got = json.dumps([[list(lam), expand_in_double_schur(
+        (x_sum(n) + Poly.t(7, n)) ** 2 * double_schur(lam, n), n).to_obj()]
+        for lam in GrassContext(n, 6).box_partitions()], separators=(",", ":"))
+    assert len(got) == 17993
+    assert hashlib.sha256(got.encode()).hexdigest() == \
+        "92bdc58766576f6ebbab75990ff8bf7622e432f70c9303c6a56d6db1e7d1e72e"
 
 
 def test_expand_x_sum():
