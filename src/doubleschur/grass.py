@@ -339,19 +339,15 @@ class StructureTable:
 
 def full_structure_table(ctx):
     """Every product of box partitions, each coefficient carrying its
-    positivity certificate.  Refused above the desk-scale guard.  The
-    product commutes, so each unordered pair is certified once and its
-    mirror entry shares the result."""
+    positivity certificate.  Refused above the desk-scale guard.  Mirror
+    pairs share one product and one certificate: the product commutes."""
     rank_guard(ctx)
     box = ctx.box_partitions()
     entries = {}
-    for lam in box:
-        for mu in box:
-            if (mu, lam) in entries:
-                entries[(lam, mu)] = entries[(mu, lam)]
-                continue
+    for i, lam in enumerate(box):
+        for mu in box[i:]:
             prod = schubert_product(lam, mu, ctx)
-            entries[(lam, mu)] = {
+            entries[(lam, mu)] = entries[(mu, lam)] = {
                 nu: (c, check_graham_positivity(c, ctx))
                 for nu, c in prod.items()
             }

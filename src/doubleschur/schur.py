@@ -14,7 +14,7 @@ Sign convention: double monomials use (x + t_i), not (x - t_i).
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations, product
 from math import factorial, prod
@@ -138,22 +138,16 @@ class _SchurPoly(Poly):
 
 
 def _dominant_groups(p):
-    """Group the terms of p by x-exponent in one pass.  Returns None if p is
-    not symmetric in x1..xn, else the groups whose exponent is weakly
-    decreasing ("dominant"), keyed by the packed x-field, each holding its
-    terms with the x-fields cleared.  p is symmetric exactly when every
-    group equals the group of its sorted exponent and every orbit present
-    has all n!/prod(m_i!) members (m_i the multiplicities of the parts);
-    both are checked once per distinct x-exponent, not once per term."""
+    """Group p's terms by packed x-field, x-fields cleared.  None if p is not
+    symmetric (some group differs from its sorted exponent's, or an orbit
+    lacks some of its n!/prod(m_i!) members), else the groups with a weakly
+    decreasing ("dominant") exponent."""
     n, sh = p.nx, F * p.tw
     xmask = ((1 << F * n) - 1) << sh
-    groups = {}
+    groups = defaultdict(dict)
     for k, c in p.terms.items():
         x = k & xmask
-        try:
-            groups[x][k ^ x] = c
-        except KeyError:
-            groups[x] = {k ^ x: c}
+        groups[x][k ^ x] = c
     dominant, members, orbit_sizes = {}, {}, {}
     for x, g in groups.items():
         parts = sorted((x >> sh + F * i) & FIELD for i in range(n))
@@ -173,9 +167,8 @@ def double_schur(lam, n):
     (Macdonald 1992, 6th variation; Molev-Sagan, Trans. AMS 351, 1999):
     s_lam = sum over mu with lam_{i+1} <= mu_i <= lam_i of s_mu(x1..x_{n-1})
     times prod over boxes (i,j) of lam/mu of (x_n + t_{n+j-i}), summed in
-    one pass.  The postcondition `_dominant_groups` checks symmetry under
-    all of S_n directly, and its dominant groups ride along in the result
-    for `expand_in_double_schur`."""
+    one pass.  `_dominant_groups` checks symmetry under all of S_n, and its
+    groups ride along in the result for `expand_in_double_schur`."""
     if n < 1:
         raise ValueError("arity must be at least 1")
     lam = partition(lam)
@@ -211,28 +204,22 @@ def expand_in_double_schur(p, n):
     recurse.  The leading x-monomial strictly decreases and the total
     x-degree never grows, so this terminates.
 
-    The peel reads only the dominant groups of p and of each s_lam
-    (`_dominant_groups`, which also rejects an asymmetric p).  That
-    suffices: dropping the other groups is linear, the lex-largest
-    x-exponent of a symmetric polynomial is dominant, and a symmetric
-    polynomial with no dominant term is zero.  The remainder is one
-    private dict of groups at one t-width, and c * s_lam is subtracted
-    into it group by group.  No x-exponent of s_lam exceeds lam_1, the
-    remainder's largest x1-exponent, so lam_1 never exceeds p's, and
-    t_{n+lam_1-1}, the largest t in s_lam, fits the width fixed from p.
+    Only dominant groups (`_dominant_groups`) are kept: dropping the others
+    is linear, the leading exponent of a symmetric polynomial is dominant,
+    and one with no dominant term is zero.  No x-exponent of s_lam exceeds
+    lam_1 <= p's largest x1-exponent, so every s_lam fits p's t-width
+    widened to n + lam_1 - 1.
     """
     if p.nx != n:
         raise ValueError(f"expected a polynomial in x1..x{n}, got arity {p.nx}")
-    groups = p.dominant if isinstance(p, _SchurPoly) else _dominant_groups(p)
-    if groups is None:
+    rem = _dominant_groups(p)
+    if rem is None:
         raise ValueError("polynomial is not symmetric")
-    lead = max(groups, default=0) >> F * (p.tw + n - 1)
-    tw = max(p.tw, n + lead - 1)
+    tw = max(p.tw, n - 1 + (max(rem, default=0) >> F * (p.tw + n - 1)))
     up = F * (tw - p.tw)
-    # copied, so that neither p nor a cached group is ever written
-    rem = {x << up: {k << up: c for k, c in g.items()} for x, g in groups.items()}
-    sh, shift = F * tw, F * (n + tw)
-    tmask = (1 << sh) - 1
+    if up:
+        rem = {x << up: {k << up: c for k, c in g.items()} for x, g in rem.items()}
+    sh, shift, tmask = F * tw, F * (n + tw), (1 << F * tw) - 1
     out = {}
     while rem:
         x = max(rem)
