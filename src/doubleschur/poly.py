@@ -327,66 +327,6 @@ class Poly:
         out = {k >> cut: c for k, c in self.terms.items() if k & mask == 0}
         return Poly(self.nx, m, out)
 
-    def coefficient_of_x(self, xe):
-        """The t-only (arity 0) coefficient of the x-monomial with exponent
-        tuple xe."""
-        if len(xe) != self.nx:
-            raise ArityMismatch(f"expected {self.nx} x-exponents, got {len(xe)}")
-        target = 0
-        for e in xe:
-            target = (target << F) | e
-        dsub = sum(xe)
-        tw = self.tw
-        xshift = F * tw
-        xmask = (1 << (F * self.nx)) - 1
-        tmask = (1 << (F * tw)) - 1
-        out = {}
-        for k, c in self.terms.items():
-            if (k >> xshift) & xmask == target:
-                deg = (k >> (F * (self.nx + tw))) - dsub
-                out[(deg << (F * tw)) | (k & tmask)] = c
-        return Poly(0, tw, out)
-
-    def leading_x(self):
-        """Lexicographically largest x-exponent tuple present, or None."""
-        if not self.terms:
-            return None
-        sh = F * self.tw
-        xmask = (1 << (F * self.nx)) - 1
-        best = max((k >> sh) & xmask for k in self.terms)
-        xe = [0] * self.nx
-        for i in range(self.nx - 1, -1, -1):
-            xe[i] = best & FIELD
-            best >>= F
-        return tuple(xe)
-
-    def swap_x(self, i, j):
-        """Exchange the variables x_i and x_j (1-based)."""
-        nx, tw = self.nx, self.tw
-        if not (1 <= i <= nx and 1 <= j <= nx):
-            raise ArityMismatch(f"cannot swap x{i}, x{j} at arity {nx}")
-        if i == j:
-            return self
-        pi = F * (tw + nx - i)
-        pj = F * (tw + nx - j)
-        out = {}
-        for k, c in self.terms.items():
-            vi = (k >> pi) & FIELD
-            vj = (k >> pj) & FIELD
-            if vi != vj:
-                k += (vj - vi) << pi
-                k += (vi - vj) << pj
-            out[k] = c
-        return Poly(nx, tw, out)
-
-    def is_symmetric(self):
-        """Invariance under all adjacent transpositions of the x-variables
-        (these generate the full symmetric group)."""
-        for i in range(1, self.nx):
-            if self.swap_x(i, i + 1) != self:
-                return False
-        return True
-
     def as_arity(self, nx):
         """Reinterpret at a larger x-arity: the variables x_{self.nx+1}..x_nx
         are new and absent."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import factorial, prod
 
 from .poly import F, FIELD, Poly, _multiply_into
@@ -132,33 +132,74 @@ def alternant(nu, n):
 
 
 class _SchurPoly(Poly):
-    """A memoized s_lam with its dominant groups, which nothing writes."""
+    """A memoized s_lam held as its dominant groups, which nothing writes.
+    The flat `terms` (every orbit member of every group) is written out the
+    first time a caller reads it, and kept."""
 
     __slots__ = ("dominant",)
 
+    def __init__(self, nx, tw, dominant):
+        self.nx, self.tw, self.dominant = nx, tw, dominant
 
-def _dominant_groups(p):
+    def __getattr__(self, name):
+        # reached only while the `terms` slot is unset
+        if name != "terms":
+            raise AttributeError(name)
+        n, sh = self.nx, F * self.tw
+        self.terms = {y | k: c for x, g in self.dominant.items()
+                      for y in _orbit_members(x, n, sh) for k, c in g.items()}
+        return self.terms
+
+
+@lru_cache(maxsize=None)
+def _orbit(x, n, sh):
+    """S_n-orbit data of a packed x-field x (n fields above bit sh): its
+    sorted (dominant) form, its number of members n!/prod(m_i!) (m_i the
+    multiplicities of the parts, zeros included), and its number of members
+    with x1..x_{n-1} weakly decreasing, one per distinct part (the part left
+    to x_n)."""
+    parts = sorted((x >> sh + F * i) & FIELD for i in range(n))
+    mult = Counter(parts)
+    return (sum(e << sh + F * i for i, e in enumerate(parts)),
+            factorial(n) // prod(map(factorial, mult.values())), len(mult))
+
+
+@lru_cache(maxsize=None)
+def _orbit_members(x, n, sh):
+    """Every packed x-field whose exponents rearrange those of x."""
+    parts = [(x >> sh + F * i) & FIELD for i in range(n)]
+    return tuple({sum(e << sh + F * i for i, e in enumerate(perm))
+                  for perm in permutations(parts)})
+
+
+def _dominant_groups(p, representatives=False):
     """Group p's terms by packed x-field, x-fields cleared.  None if p is not
     symmetric (some group differs from its sorted exponent's, or an orbit
     lacks some of its n!/prod(m_i!) members), else the groups with a weakly
-    decreasing ("dominant") exponent."""
+    decreasing ("dominant") exponent.
+
+    With `representatives`, p holds only the terms with x1..x_{n-1} weakly
+    decreasing of a polynomial already symmetric in x1..x_{n-1}.  Every
+    term of that polynomial is then an S_{n-1}-rearrangement of one in p
+    with the same coefficient, and each orbit has one such member per
+    distinct part, so the same two checks with that count in place of
+    n!/prod(m_i!) are symmetry under all of S_n."""
     n, sh = p.nx, F * p.tw
     xmask = ((1 << F * n) - 1) << sh
     groups = defaultdict(dict)
     for k, c in p.terms.items():
         x = k & xmask
         groups[x][k ^ x] = c
-    dominant, members, orbit_sizes = {}, {}, {}
+    dominant, members, sizes = {}, {}, {}
     for x, g in groups.items():
-        parts = sorted((x >> sh + F * i) & FIELD for i in range(n))
-        d = sum(e << sh + F * i for i, e in enumerate(parts))
+        d, size, distinct = _orbit(x, n, sh)
         if d == x:
             dominant[x] = g
-            orbit_sizes[x] = factorial(n) // prod(map(factorial, Counter(parts).values()))
+            sizes[x] = distinct if representatives else size
         elif groups.get(d) != g:
             return None
         members[d] = members.get(d, 0) + 1
-    return dominant if members == orbit_sizes else None
+    return dominant if members == sizes else None
 
 
 @lru_cache(maxsize=None)
@@ -166,33 +207,49 @@ def double_schur(lam, n):
     """The double Schur polynomial of lam in x1..xn, by branching on x_n
     (Macdonald 1992, 6th variation; Molev-Sagan, Trans. AMS 351, 1999):
     s_lam = sum over mu with lam_{i+1} <= mu_i <= lam_i of s_mu(x1..x_{n-1})
-    times prod over boxes (i,j) of lam/mu of (x_n + t_{n+j-i}), summed in
-    one pass.  `_dominant_groups` checks symmetry under all of S_n, and its
-    groups ride along in the result for `expand_in_double_schur`."""
+    times prod over boxes (i,j) of lam/mu of (x_n + t_{n+j-i}).
+
+    Only the terms with x1..x_{n-1} weakly decreasing are formed.  A term
+    (a_1..a_{n-1}, k) of the sum comes from a term (a_1..a_{n-1}) of some
+    s_mu and a strip term in x_n^k, so those terms are exactly the sum over
+    mu of s_mu's dominant groups, lifted to arity n at the build's t-width,
+    times the strip; they are summed in one pass.  Each memoized s_mu was
+    checked symmetric when it was built (n = 1 trivially) and the strip
+    involves x_n and t only, so the sum is symmetric in x1..x_{n-1}, and
+    `_dominant_groups` on these representatives checks symmetry under all
+    of S_n.  Only the dominant groups are memoized; `expand_in_double_schur`
+    peels against them, and the flat terms are written out when read."""
     if n < 1:
         raise ValueError("arity must be at least 1")
     lam = partition(lam)
     if len(lam) > n:
         raise ValueError(f"partition {lam} has more than {n} parts")
     if n == 1:
-        s = double_monomial(sum(lam))
+        reps = double_monomial(sum(lam))
     else:
         padded = lam + (0,) * (n - len(lam))
         xn = Poly.x(n, n)
-        summands = []
+        parents = []
         for mu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(n - 1))):
             strip = Poly.one(n)
             for i, (lo, hi) in enumerate(zip(mu + (0,), padded), 1):
                 for j in range(lo + 1, hi + 1):
                     strip = strip * (xn + Poly.t(n + j - i, n))
-            summands.append((1, double_schur(partition(mu), n - 1).as_arity(n), strip))
-        s = Poly.sum_of_products(summands)
-    dominant = _dominant_groups(s)
+            parents.append((double_schur(partition(mu), n - 1), strip))
+        tw = max(max(s.tw, strip.tw) for s, strip in parents)
+        summands = []
+        for s, strip in parents:
+            # insert a zero x_n field above the t-fields, pad the t-fields to tw
+            sh, up = F * s.tw, F * (tw - s.tw)
+            hi, tmask = F * (tw + 1), (1 << sh) - 1
+            lifted = {((x | k) >> sh << hi) | ((k & tmask) << up): c
+                      for x, g in s.dominant.items() for k, c in g.items()}
+            summands.append((1, Poly(n, tw, lifted), strip))
+        reps = Poly.sum_of_products(summands)
+    dominant = _dominant_groups(reps, representatives=True)
     if dominant is None:
         raise RuntimeError(f"double Schur polynomial of {lam} came out asymmetric")
-    s = _SchurPoly(n, s.tw, s.terms)
-    s.dominant = dominant
-    return s
+    return _SchurPoly(n, reps.tw, dominant)
 
 
 def expand_in_double_schur(p, n):

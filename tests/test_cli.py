@@ -176,6 +176,8 @@ PINNED_OUTPUTS = [
      "a8b149cafc3b7677ab04a93ea1a1ad45c4239683a833f9f087edcf2a8abb3fc6"),
     (("verify", "--suite", "positivity", "--n", "3", "--m", "6"),
      "074dd6b3490f24c3ab9387c029e5a0cc5ac35244e8392ca6c01dec070a57c0d6"),
+    (("verify", "--suite", "pieri", "--n", "5", "--m", "8"),
+     "639e9bd9a6064d65bf86a7187545286bd0c06de4d840d91738040db8083fed32"),
 ]
 
 
@@ -186,7 +188,7 @@ PINNED_OUTPUTS = [
                               "schur-n4-text", "verify-pieri-g36",
                               "verify-pieri-g47", "product-g36-json",
                               "product-g36-json-swapped",
-                              "verify-positivity-g36"])
+                              "verify-positivity-g36", "verify-pieri-g58"])
 def test_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0

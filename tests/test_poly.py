@@ -14,6 +14,7 @@ from doubleschur.poly import (
     poly_to_obj,
     to_difference_basis,
 )
+from xstructure import coefficient_of_x, is_symmetric, leading_x, swap_x
 
 
 def x(i, nx=2):
@@ -330,10 +331,10 @@ def test_json_sparse_t_map_has_no_zero_exponents():
 
 def test_leading_x_and_coefficient():
     p = x(1) ** 2 * t(2) + x(1) * x(2) * 5 - t(1)
-    assert p.leading_x() == (2, 0)
-    assert p.coefficient_of_x((2, 0)) == Poly.t(2)
-    assert p.coefficient_of_x((1, 1)) == Poly.const(5)
-    assert p.coefficient_of_x((0, 0)) == -Poly.t(1)
+    assert leading_x(p) == (2, 0)
+    assert coefficient_of_x(p, (2, 0)) == Poly.t(2)
+    assert coefficient_of_x(p, (1, 1)) == Poly.const(5)
+    assert coefficient_of_x(p, (0, 0)) == -Poly.t(1)
 
 
 def test_as_arity_lifts_and_refuses_to_lower():
@@ -342,18 +343,18 @@ def test_as_arity_lifts_and_refuses_to_lower():
     assert lifted.nx == 3
     for xv in ((2, -1), (0, 3), (4, 7)):
         assert lifted.evaluate(xv + (0,), (2, 3, 5)) == p.evaluate(xv, (2, 3, 5))
-    assert lifted.leading_x() == (2, 0, 0)
-    assert lifted.coefficient_of_x((1, 1, 0)) == -2 * Poly.t(1)
+    assert leading_x(lifted) == (2, 0, 0)
+    assert coefficient_of_x(lifted, (1, 1, 0)) == -2 * Poly.t(1)
     with pytest.raises(ArityMismatch):
         lifted.as_arity(2)
 
 
 def test_swap_and_symmetry():
     sym = x(1) * x(2) + x(1) + x(2)
-    assert sym.is_symmetric()
+    assert is_symmetric(sym)
     skew = x(1) - x(2)
-    assert skew.swap_x(1, 2) == -skew
-    assert not skew.is_symmetric()
+    assert swap_x(skew, 1, 2) == -skew
+    assert not is_symmetric(skew)
 
 
 def test_evaluate():

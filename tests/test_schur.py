@@ -1,6 +1,8 @@
 import copy
 import hashlib
 import json
+from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from doubleschur.schur import (
     x_sum,
 )
 from doubleschur.oracles import classical_schur_ssyt
+from xstructure import coefficient_of_x, is_symmetric, leading_x, swap_x
 
 
 def box_partitions(rows, cols):
@@ -83,8 +86,8 @@ def test_double_monomial_two():
 def test_double_monomial_monic():
     for k in range(7):
         dm = double_monomial(k)
-        assert dm.leading_x() == (k,)
-        assert dm.coefficient_of_x((k,)) == Poly.one()
+        assert leading_x(dm) == (k,)
+        assert coefficient_of_x(dm, (k,)) == Poly.one()
 
 
 def test_telescoping_identity():
@@ -122,7 +125,7 @@ def test_alternant_skew_symmetry():
     for n, nu in ((2, (3, 1)), (3, (4, 2, 1)), (4, (4, 2, 1, 0))):
         a = alternant(nu, n)
         for i in range(1, n):
-            assert a.swap_x(i, i + 1) == -a, (nu, i)
+            assert swap_x(a, i, i + 1) == -a, (nu, i)
 
 
 def test_alternant_single_variable():
@@ -142,17 +145,17 @@ def _reference_expand_in_alternants(p, n):
     """
     if p.nx != n:
         raise ValueError(f"expected a polynomial in x1..x{n}, got arity {p.nx}")
-    if n >= 2 and p.swap_x(1, 2) != -p:
+    if n >= 2 and swap_x(p, 1, 2) != -p:
         raise ValueError("polynomial is not skew-symmetric")
     out = {}
     rem = p
     while rem:
-        xv = rem.leading_x()
+        xv = leading_x(rem)
         if any(xv[i] <= xv[i + 1] for i in range(n - 1)):
             raise RuntimeError(
                 f"leading exponents {xv} not strictly decreasing; "
                 "non-skew input slipped through")
-        c = rem.coefficient_of_x(xv)
+        c = coefficient_of_x(rem, xv)
         out[xv] = c
         rem = rem - c.as_arity(n) * alternant(xv, n)
     return out
@@ -180,7 +183,7 @@ def test_schur_one_box():
 
 def test_schur_is_symmetric():
     for lam in ((2,), (2, 1), (3, 1)):
-        assert double_schur(lam, 3).is_symmetric()
+        assert is_symmetric(double_schur(lam, 3))
 
 
 def test_schur_specializes_to_classical():
@@ -225,7 +228,96 @@ def test_one_swap_check_catches_an_asymmetric_build(monkeypatch):
                 double_schur((1, 1, 1), 3)
     finally:
         double_schur.cache_clear()
-    assert double_schur((1, 1, 1), 3).is_symmetric()
+    assert is_symmetric(double_schur((1, 1, 1), 3))
+
+
+@lru_cache(maxsize=None)
+def _reference_double_schur(lam, n):
+    """Oracle for double_schur: the flat branching build, every term of
+    every s_mu lifted and multiplied by its strip, and symmetry checked on
+    every orbit of the result."""
+    if n < 1:
+        raise ValueError("arity must be at least 1")
+    lam = partition(lam)
+    if len(lam) > n:
+        raise ValueError(f"partition {lam} has more than {n} parts")
+    if n == 1:
+        s = double_monomial(sum(lam))
+    else:
+        padded = lam + (0,) * (n - len(lam))
+        xn = Poly.x(n, n)
+        summands = []
+        for mu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(n - 1))):
+            strip = Poly.one(n)
+            for i, (lo, hi) in enumerate(zip(mu + (0,), padded), 1):
+                for j in range(lo + 1, hi + 1):
+                    strip = strip * (xn + Poly.t(n + j - i, n))
+            summands.append((1, _reference_double_schur(partition(mu), n - 1).as_arity(n), strip))
+        s = Poly.sum_of_products(summands)
+    if _dominant_groups(s) is None:
+        raise RuntimeError(f"double Schur polynomial of {lam} came out asymmetric")
+    return s
+
+
+@st.composite
+def box_shapes(draw):
+    n = draw(st.integers(1, 5))
+    return draw(st.sampled_from(box_partitions(n, 3))), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(box_shapes())
+def test_representative_build_matches_flat_build(case):
+    lam, n = case
+    got, want = double_schur(lam, n), _reference_double_schur(lam, n)
+    assert got.dominant == _dominant_groups(want)
+    assert got == want
+    assert poly_to_obj(got) == poly_to_obj(want)
+
+
+def test_representative_check_counts_one_member_per_distinct_part():
+    # the members of x1x2 + x1x3 + x2x3 with x1 >= x2 are x1x2 and x1x3:
+    # one per distinct part of (1, 1, 0), not all three orbit members
+    n = 3
+    x1, x2, x3 = (Poly.x(i, n) for i in (1, 2, 3))
+    e2 = _dominant_groups(x1 * x2 + x1 * x3 + x2 * x3)
+    assert _dominant_groups(x1 * x2 + x1 * x3, representatives=True) == e2
+    assert _dominant_groups(x1 * x2, representatives=True) is None
+    assert _dominant_groups(x1 * x2 + 2 * x1 * x3, representatives=True) is None
+    assert _dominant_groups(x1 * x2 + x1 * x3 * Poly.t(1, n), representatives=True) is None
+
+
+def _flat_terms_written(s):
+    # object.__getattribute__ does not fall back on __getattr__, so it only
+    # reads the slot
+    try:
+        object.__getattribute__(s, "terms")
+    except AttributeError:
+        return False
+    return True
+
+
+def test_peel_and_parent_builds_write_out_no_flat_terms():
+    n = 3
+    box = GrassContext(n, 6).box_partitions()
+    double_schur.cache_clear()
+    try:
+        met = set()
+        for lam in box:
+            met |= set(expand_in_double_schur(x_sum(n) * double_schur(lam, n), n).coeffs)
+        peel_only = met - set(box)
+        assert peel_only
+        for mu in peel_only:
+            assert not _flat_terms_written(double_schur(mu, n)), mu
+        for mu in box_partitions(2, 4):
+            assert not _flat_terms_written(double_schur(mu, 2)), mu
+        assert all(_flat_terms_written(double_schur(lam, n)) for lam in box)
+        s = double_schur(max(peel_only), n)
+        terms = s.terms
+        assert s.terms is terms
+        assert s == _reference_double_schur(max(peel_only), n)
+    finally:
+        double_schur.cache_clear()
 
 
 def test_schur_rejects_too_many_parts():
@@ -306,7 +398,7 @@ def perturbed_combinations(draw):
 @given(perturbed_combinations())
 def test_expand_raises_exactly_when_not_symmetric(case):
     q, n = case
-    if q.is_symmetric():
+    if is_symmetric(q):
         assert expansion_to_poly(expand_in_double_schur(q, n)) == q
     else:
         with pytest.raises(ValueError, match="^polynomial is not symmetric$"):
@@ -314,7 +406,7 @@ def test_expand_raises_exactly_when_not_symmetric(case):
 
 
 def _x_exponent(p, key):
-    return Poly(p.nx, p.tw, {key: 1}).leading_x()
+    return leading_x(Poly(p.nx, p.tw, {key: 1}))
 
 
 @st.composite
@@ -347,7 +439,7 @@ def orbit_cases(draw):
 def test_orbit_check_matches_is_symmetric(case):
     p, n = case
     groups = _dominant_groups(p)
-    assert (groups is not None) == p.is_symmetric()
+    assert (groups is not None) == is_symmetric(p)
     if groups is not None:
         dominant = {k: c for k, c in p.terms.items()
                     if (xe := _x_exponent(p, k)) == tuple(sorted(xe, reverse=True))}
@@ -359,7 +451,7 @@ def test_orbit_check_needs_more_than_one_swap():
     n = 3
     x1, x2, x3 = (Poly.x(i, n) for i in (1, 2, 3))
     p = x1 * x2 + x1 * x3
-    assert p.swap_x(2, 3) == p and not p.is_symmetric()
+    assert swap_x(p, 2, 3) == p and not is_symmetric(p)
     assert _dominant_groups(p) is None
     with pytest.raises(ValueError, match="^polynomial is not symmetric$"):
         expand_in_double_schur(p, n)
