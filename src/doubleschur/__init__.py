@@ -12,7 +12,6 @@ from .poly import (
     NotDivisible,
     NotShiftInvariant,
     Poly,
-    from_difference_basis,
     poly_from_obj,
     poly_to_obj,
     to_difference_basis,

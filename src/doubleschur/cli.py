@@ -16,9 +16,9 @@ import sys
 from .grass import (
     GrassContext,
     SizeGuardExceeded,
-    check_graham_positivity,
+    _certified_product,
+    _products_to_obj,
     full_structure_table,
-    schubert_product,
     u_str,
 )
 from .poly import poly_to_obj
@@ -76,30 +76,19 @@ def cmd_product(args):
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     try:
-        ctx = GrassContext(args.n, args.m)
-        prod = schubert_product(lam, mu, ctx)
+        products = _certified_product(lam, mu, GrassContext(args.n, args.m))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    products = []
-    for nu, coeff in prod.items():
-        report = check_graham_positivity(coeff, ctx)
-        products.append((nu, coeff, report))
     if args.format == "text":
         if not products:
             print("0")
-        for nu, coeff, report in products:
+        for nu, (coeff, report) in products.items():
             cert = u_str(report.certificate) if report.positive else \
                 f"VIOLATION: {report.reason} ({report.offender})"
             print(f"nu={list(nu)}  coeff: {coeff}  certificate: {cert}")
     else:
-        _emit({
-            "n": args.n, "m": args.m,
-            "lambda": list(lam), "mu": list(mu),
-            "products": [
-                report.annotate({"nu": list(nu), "coeff": poly_to_obj(coeff)})
-                for nu, coeff, report in products
-            ],
-        })
+        _emit({"n": args.n, "m": args.m, "lambda": list(lam), "mu": list(mu),
+               "products": _products_to_obj(products)})
     return EXIT_OK
 
 

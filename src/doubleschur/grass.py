@@ -322,19 +322,23 @@ class StructureTable:
                    for _, report in products.values())
 
     def to_obj(self):
-        items = []
-        for (lam, mu) in sorted(self.entries):
-            products = self.entries[(lam, mu)]
-            items.append({
-                "lambda": list(lam),
-                "mu": list(mu),
-                "products": [
-                    products[nu][1].annotate(
-                        {"nu": list(nu), "coeff": poly_to_obj(products[nu][0])})
-                    for nu in sorted(products)
-                ],
-            })
-        return {"n": self.context.n, "m": self.context.m, "entries": items}
+        return {"n": self.context.n, "m": self.context.m, "entries": [
+            {"lambda": list(lam), "mu": list(mu),
+             "products": _products_to_obj(self.entries[(lam, mu)])}
+            for (lam, mu) in sorted(self.entries)]}
+
+
+def _certified_product(lam, mu, ctx):
+    """`schubert_product` with every nonzero constant certified:
+    nu -> (constant, PositivityReport), nu in lexicographic order."""
+    return {nu: (c, check_graham_positivity(c, ctx))
+            for nu, c in schubert_product(lam, mu, ctx).items()}
+
+
+def _products_to_obj(products):
+    """JSON form of a `_certified_product` map, nu in lexicographic order."""
+    return [report.annotate({"nu": list(nu), "coeff": poly_to_obj(c)})
+            for nu, (c, report) in sorted(products.items())]
 
 
 def full_structure_table(ctx):
@@ -346,9 +350,5 @@ def full_structure_table(ctx):
     entries = {}
     for i, lam in enumerate(box):
         for mu in box[i:]:
-            prod = schubert_product(lam, mu, ctx)
-            entries[(lam, mu)] = entries[(mu, lam)] = {
-                nu: (c, check_graham_positivity(c, ctx))
-                for nu, c in prod.items()
-            }
+            entries[(lam, mu)] = entries[(mu, lam)] = _certified_product(lam, mu, ctx)
     return StructureTable(ctx, entries)

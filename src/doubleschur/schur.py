@@ -131,52 +131,33 @@ def alternant(nu, n):
     return minors[tuple(range(1, n + 1))]
 
 
-class _SchurPoly(Poly):
-    """A memoized s_lam held as its dominant groups, which nothing writes.
-    The flat `terms` (every orbit member of every group) is written out the
-    first time a caller reads it, and kept."""
-
-    __slots__ = ("dominant",)
-
-    def __init__(self, nx, tw, dominant):
-        self.nx, self.tw, self.dominant = nx, tw, dominant
-
-    def __getattr__(self, name):
-        # reached only while the `terms` slot is unset
-        if name != "terms":
-            raise AttributeError(name)
-        n, sh = self.nx, F * self.tw
-        self.terms = {y | k: c for x, g in self.dominant.items()
-                      for y in _orbit_members(x, n, sh) for k, c in g.items()}
-        return self.terms
-
-
 @lru_cache(maxsize=None)
-def _orbit(x, n, sh):
-    """S_n-orbit data of a packed x-field x (n fields above bit sh): its
+def _orbit(x, n):
+    """S_n-orbit data of a packed x-exponent x (n fields, x_n lowest): its
     sorted (dominant) form, its number of members n!/prod(m_i!) (m_i the
     multiplicities of the parts, zeros included), and its number of members
     with x1..x_{n-1} weakly decreasing, one per distinct part (the part left
     to x_n)."""
-    parts = sorted((x >> sh + F * i) & FIELD for i in range(n))
+    parts = sorted((x >> F * i) & FIELD for i in range(n))
     mult = Counter(parts)
-    return (sum(e << sh + F * i for i, e in enumerate(parts)),
+    return (sum(e << F * i for i, e in enumerate(parts)),
             factorial(n) // prod(map(factorial, mult.values())), len(mult))
 
 
 @lru_cache(maxsize=None)
-def _orbit_members(x, n, sh):
-    """Every packed x-field whose exponents rearrange those of x."""
-    parts = [(x >> sh + F * i) & FIELD for i in range(n)]
-    return tuple({sum(e << sh + F * i for i, e in enumerate(perm))
+def _orbit_members(x, n):
+    """Every packed x-exponent whose parts rearrange those of x."""
+    parts = [(x >> F * i) & FIELD for i in range(n)]
+    return tuple({sum(e << F * i for i, e in enumerate(perm))
                   for perm in permutations(parts)})
 
 
 def _dominant_groups(p, representatives=False):
-    """Group p's terms by packed x-field, x-fields cleared.  None if p is not
+    """Group p's terms by x-exponent, x-fields cleared.  None if p is not
     symmetric (some group differs from its sorted exponent's, or an orbit
     lacks some of its n!/prod(m_i!) members), else the groups with a weakly
-    decreasing ("dominant") exponent.
+    decreasing ("dominant") exponent, keyed by that exponent shifted down
+    to bit 0.
 
     With `representatives`, p holds only the terms with x1..x_{n-1} weakly
     decreasing of a polynomial already symmetric in x1..x_{n-1}.  Every
@@ -192,38 +173,34 @@ def _dominant_groups(p, representatives=False):
         groups[x][k ^ x] = c
     dominant, members, sizes = {}, {}, {}
     for x, g in groups.items():
-        d, size, distinct = _orbit(x, n, sh)
-        if d == x:
-            dominant[x] = g
-            sizes[x] = distinct if representatives else size
-        elif groups.get(d) != g:
+        d, size, distinct = _orbit(x >> sh, n)
+        if d << sh == x:
+            dominant[d] = g
+            sizes[d] = distinct if representatives else size
+        elif groups.get(d << sh) != g:
             return None
         members[d] = members.get(d, 0) + 1
     return dominant if members == sizes else None
 
 
 @lru_cache(maxsize=None)
-def double_schur(lam, n):
-    """The double Schur polynomial of lam in x1..xn, by branching on x_n
-    (Macdonald 1992, 6th variation; Molev-Sagan, Trans. AMS 351, 1999):
-    s_lam = sum over mu with lam_{i+1} <= mu_i <= lam_i of s_mu(x1..x_{n-1})
-    times prod over boxes (i,j) of lam/mu of (x_n + t_{n+j-i}).
+def _schur_groups(lam, n):
+    """The double Schur polynomial of a partition lam with at most n parts,
+    as its t-width and its dominant groups (`_dominant_groups`), built by
+    branching on x_n (Macdonald 1992, 6th variation; Molev-Sagan, Trans.
+    AMS 351, 1999): s_lam = sum over mu with lam_{i+1} <= mu_i <= lam_i of
+    s_mu(x1..x_{n-1}) times prod over boxes (i,j) of lam/mu of
+    (x_n + t_{n+j-i}).
 
     Only the terms with x1..x_{n-1} weakly decreasing are formed.  A term
     (a_1..a_{n-1}, k) of the sum comes from a term (a_1..a_{n-1}) of some
     s_mu and a strip term in x_n^k, so those terms are exactly the sum over
     mu of s_mu's dominant groups, lifted to arity n at the build's t-width,
-    times the strip; they are summed in one pass.  Each memoized s_mu was
-    checked symmetric when it was built (n = 1 trivially) and the strip
-    involves x_n and t only, so the sum is symmetric in x1..x_{n-1}, and
+    times the strip; they are summed in one pass.  Each s_mu was checked
+    symmetric when it was built (n = 1 trivially) and the strip involves
+    x_n and t only, so the sum is symmetric in x1..x_{n-1}, and
     `_dominant_groups` on these representatives checks symmetry under all
-    of S_n.  Only the dominant groups are memoized; `expand_in_double_schur`
-    peels against them, and the flat terms are written out when read."""
-    if n < 1:
-        raise ValueError("arity must be at least 1")
-    lam = partition(lam)
-    if len(lam) > n:
-        raise ValueError(f"partition {lam} has more than {n} parts")
+    of S_n."""
     if n == 1:
         reps = double_monomial(sum(lam))
     else:
@@ -235,21 +212,38 @@ def double_schur(lam, n):
             for i, (lo, hi) in enumerate(zip(mu + (0,), padded), 1):
                 for j in range(lo + 1, hi + 1):
                     strip = strip * (xn + Poly.t(n + j - i, n))
-            parents.append((double_schur(partition(mu), n - 1), strip))
-        tw = max(max(s.tw, strip.tw) for s, strip in parents)
+            parents.append((_schur_groups(partition(mu), n - 1), strip))
+        tw = max(max(stw, strip.tw) for (stw, _), strip in parents)
         summands = []
-        for s, strip in parents:
+        for (stw, groups), strip in parents:
             # insert a zero x_n field above the t-fields, pad the t-fields to tw
-            sh, up = F * s.tw, F * (tw - s.tw)
+            sh, up = F * stw, F * (tw - stw)
             hi, tmask = F * (tw + 1), (1 << sh) - 1
-            lifted = {((x | k) >> sh << hi) | ((k & tmask) << up): c
-                      for x, g in s.dominant.items() for k, c in g.items()}
+            lifted = {(x | k >> sh) << hi | (k & tmask) << up: c
+                      for x, g in groups.items() for k, c in g.items()}
             summands.append((1, Poly(n, tw, lifted), strip))
         reps = Poly.sum_of_products(summands)
     dominant = _dominant_groups(reps, representatives=True)
     if dominant is None:
         raise RuntimeError(f"double Schur polynomial of {lam} came out asymmetric")
-    return _SchurPoly(n, reps.tw, dominant)
+    return reps.tw, dominant
+
+
+@lru_cache(maxsize=None)
+def double_schur(lam, n):
+    """The double Schur polynomial of lam in x1..xn: every orbit member of
+    every dominant group of `_schur_groups`.  The build and
+    `expand_in_double_schur` read the groups alone; this flat form is
+    written out only for a caller that asks for it."""
+    if n < 1:
+        raise ValueError("arity must be at least 1")
+    lam = partition(lam)
+    if len(lam) > n:
+        raise ValueError(f"partition {lam} has more than {n} parts")
+    tw, dominant = _schur_groups(lam, n)
+    sh = F * tw
+    return Poly(n, tw, {y << sh | k: c for x, g in dominant.items()
+                        for y in _orbit_members(x, n) for k, c in g.items()})
 
 
 def expand_in_double_schur(p, n):
@@ -272,23 +266,23 @@ def expand_in_double_schur(p, n):
     rem = _dominant_groups(p)
     if rem is None:
         raise ValueError("polynomial is not symmetric")
-    tw = max(p.tw, n - 1 + (max(rem, default=0) >> F * (p.tw + n - 1)))
+    tw = max(p.tw, n - 1 + (max(rem, default=0) >> F * (n - 1)))
     up = F * (tw - p.tw)
     if up:
-        rem = {x << up: {k << up: c for k, c in g.items()} for x, g in rem.items()}
+        rem = {x: {k << up: c for k, c in g.items()} for x, g in rem.items()}
     sh, shift, tmask = F * tw, F * (n + tw), (1 << F * tw) - 1
     out = {}
     while rem:
         x = max(rem)
-        lam = partition((x >> sh + F * (n - i)) & FIELD for i in range(1, n + 1))
+        lam = partition((x >> F * (n - i)) & FIELD for i in range(1, n + 1))
         deg = sum(lam) << shift
         c = {k - deg: v for k, v in rem[x].items()}
         out[lam] = Poly(0, tw, {(k >> shift << sh) | (k & tmask): v for k, v in c.items()})
-        s = double_schur(lam, n)
-        up = F * (tw - s.tw)
-        for sx, sg in s.dominant.items():
+        stw, groups = _schur_groups(lam, n)
+        up = F * (tw - stw)
+        for sx, sg in groups.items():
             if up:
-                sx, sg = sx << up, {k << up: v for k, v in sg.items()}
+                sg = {k << up: v for k, v in sg.items()}
             r = rem.setdefault(sx, {})
             _multiply_into(r, -1, c, sg, shift)
             if not r:

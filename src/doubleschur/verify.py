@@ -128,13 +128,16 @@ def verify_intertwine(n, m):
     return _report("intertwine", n, m, cases, failures)
 
 
-def verify_syt(n, m, kmax=6):
+SYT_KMAX = 6
+
+
+def verify_syt(n, m):
     """Top-degree coefficients of the k-th power of x1+...+xn are the
-    standard tableau counts, for k up to kmax."""
+    standard tableau counts, for k up to SYT_KMAX."""
     ctx = GrassContext(n, m)
     failures = []
     cases = 0
-    for k in range(kmax + 1):
+    for k in range(SYT_KMAX + 1):
         expansion = sigma1_power_expansion(k, ctx)
         got = {}
         bad_coeff = None
@@ -155,7 +158,7 @@ def verify_syt(n, m, kmax=6):
                 "got": {str(k_): v for k_, v in sorted(got.items())},
                 "expected": {str(k_): v for k_, v in sorted(expected.items())},
             })
-    return _report("syt", n, m, cases, failures, kmax=kmax)
+    return _report("syt", n, m, cases, failures, kmax=SYT_KMAX)
 
 
 def verify_routes(n, m):

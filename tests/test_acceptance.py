@@ -114,7 +114,7 @@ def test_c06_projective_line_square():
 def test_c07_syt_identity():
     failures = []
     for n, m in ((2, 5), (3, 6)):
-        report = verify_syt(n, m, kmax=6)
+        report = verify_syt(n, m)
         if not report["ok"]:
             failures.extend({"n": n, "m": m, **f} for f in report["failures"])
     _report(7, "top coefficients of the k-th power expansion are SYT "

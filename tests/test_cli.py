@@ -178,6 +178,8 @@ PINNED_OUTPUTS = [
      "074dd6b3490f24c3ab9387c029e5a0cc5ac35244e8392ca6c01dec070a57c0d6"),
     (("verify", "--suite", "pieri", "--n", "5", "--m", "8"),
      "639e9bd9a6064d65bf86a7187545286bd0c06de4d840d91738040db8083fed32"),
+    (("schur", "--n", "5", "--lambda", "3,2,1"),
+     "caf6ac52803396c0bba0694635343b02d97c66c3c31f1d64b62d3d7b5e7fbff8"),
 ]
 
 
@@ -188,7 +190,8 @@ PINNED_OUTPUTS = [
                               "schur-n4-text", "verify-pieri-g36",
                               "verify-pieri-g47", "product-g36-json",
                               "product-g36-json-swapped",
-                              "verify-positivity-g36", "verify-pieri-g58"])
+                              "verify-positivity-g36", "verify-pieri-g58",
+                              "schur-n5-json"])
 def test_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -248,6 +251,7 @@ def test_verify_syt(capsys):
                        "--n", "2", "--m", "5")
     assert code == 0
     assert json.loads(out)["ok"] is True
+    assert json.loads(out)["kmax"] == 6
 
 
 def test_verify_intertwine(capsys):

@@ -20,7 +20,7 @@ from doubleschur.grass import (
     truncate,
 )
 from doubleschur.oracles import lr_coefficient, syt_count
-from doubleschur.poly import Poly, from_difference_basis
+from doubleschur.poly import Poly
 from doubleschur.schur import (
     SchurExpansion,
     expand_in_double_schur,
@@ -28,6 +28,7 @@ from doubleschur.schur import (
     partition,
     pieri_multiply,
 )
+from difference_basis import from_difference_basis
 
 
 def t(j):

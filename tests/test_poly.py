@@ -9,11 +9,11 @@ from doubleschur.poly import (
     NotDivisible,
     NotShiftInvariant,
     Poly,
-    from_difference_basis,
     poly_from_obj,
     poly_to_obj,
     to_difference_basis,
 )
+from difference_basis import from_difference_basis
 from xstructure import coefficient_of_x, is_symmetric, leading_x, swap_x
 
 

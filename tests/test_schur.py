@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from doubleschur.grass import GrassContext
-from doubleschur.poly import Poly, poly_to_obj
+from doubleschur.poly import F, Poly, poly_to_obj
 from doubleschur.schur import (
     SchurExpansion,
     _dominant_groups,
+    _orbit,
+    _schur_groups,
     add_staircase,
     alternant,
     double_monomial,
@@ -211,6 +213,11 @@ def test_branching_matches_alternant_ratio(case):
     assert poly_to_obj(got) == poly_to_obj(ratio)
 
 
+def _clear_schur_memos():
+    double_schur.cache_clear()
+    _schur_groups.cache_clear()
+
+
 def test_one_swap_check_catches_an_asymmetric_build(monkeypatch):
     # s_(1,1,1)(x1..x3) = s_(1,1)(x1, x2) * (x3 + t1); building it with
     # x3 + t2 instead gives (x1 + t1)(x2 + t1)(x3 + t2), which is symmetric
@@ -220,14 +227,14 @@ def test_one_swap_check_catches_an_asymmetric_build(monkeypatch):
     def wrong_t(j, nx=0):
         return real_t(2 if (j, nx) == (1, 3) else j, nx)
 
-    double_schur.cache_clear()
+    _clear_schur_memos()
     try:
         with monkeypatch.context() as patch:
             patch.setattr(Poly, "t", staticmethod(wrong_t))
             with pytest.raises(RuntimeError, match="came out asymmetric"):
                 double_schur((1, 1, 1), 3)
     finally:
-        double_schur.cache_clear()
+        _clear_schur_memos()
     assert is_symmetric(double_schur((1, 1, 1), 3))
 
 
@@ -270,7 +277,8 @@ def box_shapes(draw):
 def test_representative_build_matches_flat_build(case):
     lam, n = case
     got, want = double_schur(lam, n), _reference_double_schur(lam, n)
-    assert got.dominant == _dominant_groups(want)
+    assert _schur_groups(lam, n) == (want.tw, _dominant_groups(want))
+    assert type(got) is Poly
     assert got == want
     assert poly_to_obj(got) == poly_to_obj(want)
 
@@ -287,37 +295,36 @@ def test_representative_check_counts_one_member_per_distinct_part():
     assert _dominant_groups(x1 * x2 + x1 * x3 * Poly.t(1, n), representatives=True) is None
 
 
-def _flat_terms_written(s):
-    # object.__getattribute__ does not fall back on __getattr__, so it only
-    # reads the slot
-    try:
-        object.__getattribute__(s, "terms")
-    except AttributeError:
-        return False
-    return True
-
-
 def test_peel_and_parent_builds_write_out_no_flat_terms():
     n = 3
     box = GrassContext(n, 6).box_partitions()
-    double_schur.cache_clear()
+    _clear_schur_memos()
     try:
         met = set()
         for lam in box:
             met |= set(expand_in_double_schur(x_sum(n) * double_schur(lam, n), n).coeffs)
         peel_only = met - set(box)
         assert peel_only
-        for mu in peel_only:
-            assert not _flat_terms_written(double_schur(mu, n)), mu
-        for mu in box_partitions(2, 4):
-            assert not _flat_terms_written(double_schur(mu, 2)), mu
-        assert all(_flat_terms_written(double_schur(lam, n)) for lam in box)
-        s = double_schur(max(peel_only), n)
-        terms = s.terms
-        assert s.terms is terms
-        assert s == _reference_double_schur(max(peel_only), n)
+        # the flat memo holds the shapes read directly and nothing else: no
+        # peel-only shape and no parent at arity n - 1, though all were built
+        assert double_schur.cache_info().currsize == len(box)
+        built = _schur_groups.cache_info().misses
+        for mu in met:
+            _schur_groups(mu, n)
+        for mu in box_partitions(2, 3):
+            _schur_groups(mu, 2)
+        assert _schur_groups.cache_info().misses == built
+        misses = double_schur.cache_info().misses
+        for lam in box:
+            double_schur(lam, n)
+        assert double_schur.cache_info().misses == misses
+        mu = max(peel_only)
+        s = double_schur(mu, n)
+        assert double_schur.cache_info().misses == misses + 1
+        assert double_schur(mu, n).terms is s.terms
+        assert s == _reference_double_schur(mu, n)
     finally:
-        double_schur.cache_clear()
+        _clear_schur_memos()
 
 
 def test_schur_rejects_too_many_parts():
@@ -443,7 +450,8 @@ def test_orbit_check_matches_is_symmetric(case):
     if groups is not None:
         dominant = {k: c for k, c in p.terms.items()
                     if (xe := _x_exponent(p, k)) == tuple(sorted(xe, reverse=True))}
-        assert {x | k: c for x, g in groups.items() for k, c in g.items()} == dominant
+        sh = F * p.tw
+        assert {x << sh | k: c for x, g in groups.items() for k, c in g.items()} == dominant
 
 
 def test_orbit_check_needs_more_than_one_swap():
@@ -493,11 +501,21 @@ def test_peel_writes_into_no_cached_group():
         s = double_schur(lam, n)
         inputs += [s, x_sum(n) * s, Poly.t(5, n) * s + 3 * double_schur((1,), n)]
     # every shape these peels can meet lies in the n x 4 box
-    memo = {mu: copy.deepcopy(double_schur(mu, n).dominant) for mu in box_partitions(n, 4)}
+    memo = {mu: copy.deepcopy(_schur_groups(mu, n)) for mu in box_partitions(n, 4)}
     for p in inputs:
         assert set(expand_in_double_schur(p, n).coeffs) <= set(memo)
     for mu, groups in memo.items():
-        assert double_schur(mu, n).dominant == groups, mu
+        assert _schur_groups(mu, n) == groups, mu
+
+
+def test_orbit_memo_is_keyed_by_exponent_alone():
+    n = 3
+    p = x_sum(n) * double_schur((2, 1), n) + Poly.t(5, n) * double_schur((1, 1), n)
+    want = expand_in_double_schur(p, n)
+    before = _orbit.cache_info().currsize
+    padded = Poly(n, p.tw + 2, p._widened(p.tw + 2))
+    assert expand_in_double_schur(padded, n) == want
+    assert _orbit.cache_info().currsize == before
 
 
 def test_expansion_bytes_are_pinned():
