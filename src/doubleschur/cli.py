@@ -99,9 +99,12 @@ def cmd_table(args):
         raise UsageError(str(exc)) from exc
     table = full_structure_table(ctx)
     payload = json.dumps(table.to_obj(), separators=(",", ":"))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-        fh.write("\n")
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+            fh.write("\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
     _emit({"command": "table", "n": args.n, "m": args.m, "out": args.out,
            "entries": len(table.entries), "all_positive": table.all_positive})
     return EXIT_OK

@@ -18,10 +18,12 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .poly import (F, Poly, NotShiftInvariant, _decoded_terms, poly_to_obj,
+from .poly import (Poly, NotShiftInvariant, _decoded_terms, poly_to_obj,
                    to_difference_basis)
 from .schur import (
     SchurExpansion,
+    _addable,
+    _pieri_diagonal,
     double_schur,
     expand_in_double_schur,
     partition,
@@ -95,8 +97,7 @@ class GrassContext:
                 prefix.pop()
 
         grow([], self.cols, self.n)
-        seen = sorted(set(out))
-        return seen
+        return sorted(out)
 
 
 def truncate(expansion, ctx):
@@ -164,23 +165,6 @@ def _removable(nu):
     return out
 
 
-def _addable(lam, n):
-    """Partitions obtained from lam by adding one box, at most n rows."""
-    row = lam + (0,)
-    return [lam[:r] + (row[r] + 1,) + lam[r + 1:]
-            for r in range(min(len(lam) + 1, n)) if r == 0 or row[r - 1] > row[r]]
-
-
-def _divisor(lam, nu, n):
-    """d(nu) - d(lam) = sum over rows i <= n of t_{lam_i+n-i+1} - t_{nu_i+n-i+1},
-    from t-keys; the t-indices that lam and nu share cancel."""
-    up, down = ({a + n - i for i, a in enumerate(p + (0,) * (n - len(p)))}
-                for p in (lam, nu))
-    w = max(up | down)
-    return Poly(0, w, {(1 << F * w) | (1 << F * (w - j)): 1 if j in up else -1
-                       for j in up ^ down})
-
-
 @lru_cache(maxsize=None)
 def _structure_constant(lam, mu, nu, n):
     """The coefficient c_{lam,mu}^nu of s_nu in s_lam * s_mu (n x-variables).
@@ -194,12 +178,12 @@ def _structure_constant(lam, mu, nu, n):
               - sum over nu- = nu - box of c_{lam,mu}^{nu-},
 
     and d(nu) - d(lam) is a nonzero linear form whenever nu strictly
-    contains lam, so one exact division yields c.  The divisor comes from
-    the rows of lam and nu, the grown shapes from lam's corners, and no
-    Pieri expansion is built.  Only partitions inside nu contribute, so
-    the Grassmannian's m does not enter.  At nu = lam and mu != lam,
-    commutativity turns c into c_{mu,lam}^lam, an ordinary step since lam
-    strictly contains mu.  The one base case is the diagonal: the
+    contains lam, so one exact division yields c.  The divisor and the
+    grown shapes are the two halves of the Pieri step, `_pieri_diagonal`
+    and `_addable`, and no Pieri expansion is built.  Only partitions
+    inside nu contribute, so the Grassmannian's m does not enter.  At
+    nu = lam and mu != lam, commutativity turns c into c_{mu,lam}^lam, an
+    ordinary step since lam strictly contains mu.  The one base case is the diagonal: the
     restriction of a Schubert class to its own fixed point is the product
     of the tangent weights there (Knutson-Tao, Duke Math. J. 119, 2003;
     Molev-Sagan, Trans. AMS 351, 1999), c_{lam,lam}^lam = product over
@@ -221,7 +205,7 @@ def _structure_constant(lam, mu, nu, n):
         acc = acc + _structure_constant(grown, mu, nu, n)
     for shrunk in _removable(nu):
         acc = acc - _structure_constant(lam, mu, shrunk, n)
-    return acc.exact_div(_divisor(lam, nu, n))
+    return acc.exact_div(_pieri_diagonal(nu, n) - _pieri_diagonal(lam, n))
 
 
 @dataclass

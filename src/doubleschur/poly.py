@@ -442,17 +442,17 @@ def _pack(nx, tw, xe, te):
 
 
 @lru_cache(maxsize=None)
-def _shear_row(e, sign):
-    """The coefficients C(e, a) sign^(e-a) of _shear, for a = 0 .. e."""
-    return tuple(comb(e, a) * sign ** (e - a) for a in range(e + 1))
+def _shear_row(e):
+    """The binomial coefficients C(e, a) of _shear, for a = 0 .. e."""
+    return tuple(comb(e, a) for a in range(e + 1))
 
 
-def _shear(p, i, sign):
-    """Substitute slot_i -> slot_i + sign * slot_{i+1} in an arity-0
-    polynomial: slot_i^e slot_{i+1}^f becomes the binomial sum over a of
-    C(e, a) sign^(e-a) slot_i^a slot_{i+1}^(f+e-a).  The total degree of
-    every term is unchanged, so only the two fields move; a term without
-    slot_i is carried over as it is."""
+def _shear(p, i):
+    """Substitute slot_i -> slot_i + slot_{i+1} in an arity-0 polynomial:
+    slot_i^e slot_{i+1}^f becomes the binomial sum over a of
+    C(e, a) slot_i^a slot_{i+1}^(f+e-a).  The total degree of every term
+    is unchanged, so only the two fields move; a term without slot_i is
+    carried over as it is."""
     hi = F * (p.tw - i)
     lo = hi - F
     step = (1 << hi) - (1 << lo)
@@ -464,7 +464,7 @@ def _shear(p, i, sign):
             out[k] = get(k, 0) + c
             continue
         nk = k - (e << hi) + (e << lo)
-        for b in _shear_row(e, sign):
+        for b in _shear_row(e):
             out[nk] = get(nk, 0) + c * b
             nk += step
     return Poly(0, p.tw, {k: c for k, c in out.items() if c})
@@ -488,7 +488,7 @@ def to_difference_basis(p, m):
     # carries u_j and slot m, the lowest field, the residual t_m
     p = Poly(0, m, p.kill_t_above(m)._widened(m))
     for i in range(1, m):
-        p = _shear(p, i, 1)
+        p = _shear(p, i)
     bad = [k for k in p.terms if k & FIELD]
     if bad:
         offender = Poly(0, m, {max(bad): p.terms[max(bad)]})

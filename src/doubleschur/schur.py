@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial, prod
 
-from .poly import F, FIELD, Poly, _multiply_into
+from .poly import F, FIELD, Poly, _multiply_into, poly_from_obj, poly_to_obj
 
 __all__ = [
     "partition",
@@ -290,24 +290,31 @@ def expand_in_double_schur(p, n):
     return SchurExpansion(n, out)
 
 
+def _addable(lam, n):
+    """Partitions obtained from lam by adding one box, at most n rows."""
+    row = lam + (0,)
+    return [lam[:r] + (row[r] + 1,) + lam[r + 1:]
+            for r in range(min(len(lam) + 1, n)) if r == 0 or row[r - 1] > row[r]]
+
+
+@lru_cache(maxsize=None)
+def _pieri_diagonal(lam, n):
+    """d(lam) = -(t_{lam_1+n} + t_{lam_2+n-1} + ... + t_{lam_n+1}), the
+    coefficient of s_lam in (x1 + ... + xn) * s_lam."""
+    diag = Poly.zero(0)
+    for a in add_staircase(lam, n):
+        diag = diag - Poly.t(a + 1)
+    return diag
+
+
 def pieri_multiply(lam, n):
     """Expansion of (x1 + ... + xn) times the double Schur polynomial of lam:
-    coefficient -(t_{lam_1+n} + t_{lam_2+n-1} + ... + t_{lam_n+1}) on lam
-    itself and coefficient 1 on every partition obtained by adding one box
-    (keeping at most n rows)."""
+    coefficient `_pieri_diagonal` d(lam) on lam itself and coefficient 1 on
+    each of the `_addable` partitions, lam plus one box in at most n rows."""
     lam = partition(lam)
-    if len(lam) > n:
-        raise ValueError(f"partition {lam} has more than {n} parts")
-    padded = lam + (0,) * (n - len(lam))
-    diag = Poly.zero(0)
-    for i, part in enumerate(padded, 1):
-        diag = diag - Poly.t(part + n - i + 1)
-    coeffs = {lam: diag}
-    for r in range(n):
-        grown = list(padded)
-        grown[r] += 1
-        if r == 0 or grown[r] <= grown[r - 1]:
-            coeffs[partition(grown)] = Poly.one()
+    coeffs = {lam: _pieri_diagonal(lam, n)}
+    for grown in _addable(lam, n):
+        coeffs[grown] = Poly.one()
     return SchurExpansion(n, coeffs)
 
 
@@ -363,7 +370,6 @@ class SchurExpansion:
         return f"SchurExpansion(n={self.n}, {{{body}}})"
 
     def to_obj(self):
-        from .poly import poly_to_obj
         return {
             "n": self.n,
             "terms": [{"lambda": list(lam), "coeff": poly_to_obj(c)}
@@ -372,7 +378,6 @@ class SchurExpansion:
 
     @classmethod
     def from_obj(cls, obj):
-        from .poly import poly_from_obj
         return cls(obj["n"], {tuple(item["lambda"]): poly_from_obj(item["coeff"], nx=0)
                               for item in obj["terms"]})
 

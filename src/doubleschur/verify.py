@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from .grass import (
     GrassContext,
+    SizeGuardExceeded,
     full_structure_table,
     rank_guard,
     schubert_product,
     schubert_product_by_expansion,
     sigma1_power_expansion,
 )
-from .oracles import lr_coefficient, syt_count
+from .oracles import LR_ENUMERATION_LIMIT, lr_coefficient, syt_count
 from .schur import (
     double_schur,
     expand_in_double_schur,
@@ -78,8 +79,12 @@ def verify_positivity(n, m):
 
 def verify_specialize(n, m):
     """Setting every t to zero turns the structure constants into classical
-    Littlewood-Richardson coefficients."""
+    Littlewood-Richardson coefficients.  Refused before any product when
+    the box has more cells than `lr_coefficient` admits in one nu."""
     ctx = GrassContext(n, m)
+    if n * ctx.cols > LR_ENUMERATION_LIMIT:
+        raise SizeGuardExceeded(f"the {n} x {ctx.cols} box exceeds the LR "
+                                f"enumeration guard of {LR_ENUMERATION_LIMIT}")
     box = ctx.box_partitions()
     failures = []
     cases = 0

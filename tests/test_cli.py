@@ -120,6 +120,16 @@ def test_table_writes_file(tmp_path, capsys):
     assert len(payload["entries"]) == 4
 
 
+def test_table_unwritable_out_exits_2(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "t.json"
+    code, out, err = run(capsys, "table", "--n", "1", "--m", "2",
+                         "--out", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+    assert not out_file.parent.exists()
+
+
 def test_table_deterministic_bytes(tmp_path, capsys):
     blobs = []
     for name in ("a.json", "b.json"):
@@ -244,6 +254,19 @@ def test_verify_specialize(capsys):
                        "--n", "2", "--m", "4")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_verify_specialize_past_lr_guard_exits_3_before_any_product(
+        capsys, monkeypatch):
+    def refuse(*args):
+        pytest.fail("schubert_product ran past the enumeration guard")
+
+    monkeypatch.setattr(verify, "schubert_product", refuse)
+    # G(2,8) passes the rank guard (rank 28), but its box holds 12 cells
+    code, _, err = run(capsys, "verify", "--suite", "specialize",
+                       "--n", "2", "--m", "8")
+    assert code == 3
+    assert "guard" in err
 
 
 def test_verify_syt(capsys):

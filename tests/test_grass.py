@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from doubleschur import grass
 from doubleschur.grass import (
     GrassContext,
-    _addable,
-    _divisor,
     _in_support,
     _structure_constant,
     SizeGuardExceeded,
@@ -23,10 +21,13 @@ from doubleschur.oracles import lr_coefficient, syt_count
 from doubleschur.poly import Poly
 from doubleschur.schur import (
     SchurExpansion,
+    _addable,
+    _pieri_diagonal,
+    double_schur,
     expand_in_double_schur,
     expansion_to_poly,
-    partition,
     pieri_multiply,
+    x_sum,
 )
 from difference_basis import from_difference_basis
 
@@ -151,29 +152,22 @@ def test_structure_constant_commutes_in_both_recursion_orders(n, m):
             _structure_constant(mu, lam, nu, n), (lam, mu, nu)
 
 
-@st.composite
-def nested_partitions(draw):
-    """(n, lam, nu) with lam inside nu inside the n x 4 box, n <= 5."""
-    n = draw(st.integers(1, 5))
-    nu = sorted(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)),
-                reverse=True)
-    lam, cap = [], 4
-    for part in nu:
-        cap = draw(st.integers(0, min(part, cap)))
-        lam.append(cap)
-    return n, partition(lam), partition(nu)
-
-
-@settings(max_examples=150, deadline=None)
-@given(nested_partitions())
-def test_recursion_steps_match_pieri_multiply(case):
-    # the grown shapes and the divisor of one step of _structure_constant,
-    # read off the Pieri expansions they replace
-    n, lam, nu = case
-    assert sorted(_addable(lam, n)) == \
-        sorted(k for k in pieri_multiply(lam, n).coeffs if k != lam)
-    assert _divisor(lam, nu, n) == \
-        pieri_multiply(nu, n).get(nu) - pieri_multiply(lam, n).get(lam)
+def test_pieri_step_matches_oracles():
+    # the two halves of the Pieri step that pieri_multiply and
+    # _structure_constant share: the grown shapes against a brute force
+    # over a box one column wider than lam, the diagonal d(lam) against
+    # the coefficient of s_lam in the expansion of (x1 + ... + xn) * s_lam
+    for n in range(1, 6):
+        for lam in GrassContext(n, n + 3).box_partitions():
+            wider = GrassContext(n, n + (lam[0] if lam else 0) + 1)
+            assert sorted(_addable(lam, n)) == [
+                nu for nu in wider.box_partitions()
+                if sum(nu) == sum(lam) + 1 and len(lam) <= len(nu)
+                and all(a <= b for a, b in zip(lam, nu))
+            ], (n, lam)
+            if n <= 3:
+                expansion = expand_in_double_schur(x_sum(n) * double_schur(lam, n), n)
+                assert _pieri_diagonal(lam, n) == expansion.get(lam), (n, lam)
 
 
 def test_product_associative_sampled():
