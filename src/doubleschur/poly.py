@@ -443,31 +443,53 @@ def _pack(nx, tw, xe, te):
 
 @lru_cache(maxsize=None)
 def _shear_row(e):
-    """The binomial coefficients C(e, a) of _shear, for a = 0 .. e."""
-    return tuple(comb(e, a) for a in range(e + 1))
+    """The binomial coefficients C(e, a) of _shear_into, for a = 0 .. e-1."""
+    return tuple(comb(e, a) for a in range(e))
 
 
-def _shear(p, i):
-    """Substitute slot_i -> slot_i + slot_{i+1} in an arity-0 polynomial:
+def _shear_into(terms, tw, i):
+    """Substitute slot_i -> slot_i + slot_{i+1} in place in the term dict
+    of an arity-0 polynomial packed at t-width tw.
+
     slot_i^e slot_{i+1}^f becomes the binomial sum over a of
     C(e, a) slot_i^a slot_{i+1}^(f+e-a).  The total degree of every term
-    is unchanged, so only the two fields move; a term without slot_i is
-    carried over as it is."""
-    hi = F * (p.tw - i)
+    is unchanged, so only the two fields move.  The a = e summand is the
+    term itself, so a term without slot_i is left as it is and a term with
+    it only adds its a < e summands.  Those read the coefficients of a
+    snapshot taken before the pass: a summand may land on another term
+    that holds slot_i and has not been read yet."""
+    hi = F * (tw - i)
     lo = hi - F
     step = (1 << hi) - (1 << lo)
-    out = {}
-    get = out.get
-    for k, c in p.terms.items():
-        e = (k >> hi) & FIELD
-        if not e:
-            out[k] = get(k, 0) + c
-            continue
+    sources = [(k, c, e) for k, c in terms.items() if (e := (k >> hi) & FIELD)]
+    get = terms.get
+    for k, c, e in sources:
         nk = k - (e << hi) + (e << lo)
         for b in _shear_row(e):
-            out[nk] = get(nk, 0) + c * b
+            v = get(nk, 0) + c * b
+            if v:
+                terms[nk] = v
+            else:
+                del terms[nk]
             nk += step
-    return Poly(0, p.tw, {k: c for k, c in out.items() if c})
+
+
+def _shift_derivative_vanishes(p, slots):
+    """Whether D p = 0, D = d/dt_1 + ... + d/dt_m, for an arity-0 p whose
+    t-indices present are `slots`.  One pass over the terms of p: a term
+    with e > 0 in slot j adds e times its coefficient to the key one lower
+    in slot j and in the total degree."""
+    deg = 1 << (F * p.tw)
+    steps = [(F * (p.tw - j), deg + (1 << F * (p.tw - j))) for j in slots]
+    d = {}
+    get = d.get
+    for k, c in p.terms.items():
+        for sh, drop in steps:
+            e = (k >> sh) & FIELD
+            if e:
+                nk = k - drop
+                d[nk] = get(nk, 0) + c * e
+    return not any(d.values())
 
 
 def to_difference_basis(p, m):
@@ -478,25 +500,39 @@ def to_difference_basis(p, m):
     under the simultaneous shift t_i -> t_i + c of all m parameters.  The
     result is returned as an arity-0 polynomial whose t-slots are read as
     u_1, ..., u_{m-1}.
+
+    The derivative of the image in t_m is the image of D p, where
+    D = d/dt_1 + ... + d/dt_m, and the substitution is invertible, so p
+    is shift-invariant exactly when D p = 0; that is checked first, in one
+    pass.  An invariant p has an image free of t_m, so t_m may be set to 0
+    in it, and so in p, before substituting: the terms of p that hold t_m
+    are dropped, t_i -> u_i + t_{i+1} runs for i = 1 .. m-2 only, and the
+    residual t_{m-1} is u_{m-1} itself.  Otherwise all m-1 substitutions
+    run and the largest term left holding t_m is reported.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     p = p.t_only()
-    if p.max_t_index() > m:
+    slots = p._t_indices()
+    if slots and slots[-1] > m:
         raise ValueError(f"polynomial involves t-indices beyond t{m}")
-    # t_i -> u_i + t_{i+1} for i = 1 .. m-1 in turn; afterwards slot j < m
-    # carries u_j and slot m, the lowest field, the residual t_m
-    p = Poly(0, m, p.kill_t_above(m)._widened(m))
-    for i in range(1, m):
-        p = _shear(p, i)
-    bad = [k for k in p.terms if k & FIELD]
-    if bad:
-        offender = Poly(0, m, {max(bad): p.terms[max(bad)]})
-        raise NotShiftInvariant(
-            "polynomial is not invariant under a simultaneous t-shift",
-            offender=offender.render(lambda j: f"t{m}" if j == m else f"u{j}"),
-        )
-    return p.kill_t_above(m - 1)
+    invariant = _shift_derivative_vanishes(p, slots)
+    # slot j < m carries u_j after the substitutions; width w = m - 1
+    # drops every term holding t_m.  The substitutions run on a copy.
+    w = m - 1 if invariant else m
+    terms = p.kill_t_above(w)._widened(w)
+    if terms is p.terms:
+        terms = dict(terms)
+    for i in range(1, w):
+        _shear_into(terms, w, i)
+    if invariant:
+        return Poly(0, w, terms)
+    worst = max(k for k in terms if k & FIELD)
+    raise NotShiftInvariant(
+        "polynomial is not invariant under a simultaneous t-shift",
+        offender=Poly(0, m, {worst: terms[worst]}).render(
+            lambda j: f"t{m}" if j == m else f"u{j}"),
+    )
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ from doubleschur.grass import (
     truncate,
 )
 from doubleschur.oracles import lr_coefficient, syt_count
-from doubleschur.poly import Poly
+from doubleschur.poly import Poly, to_difference_basis
 from doubleschur.schur import (
     SchurExpansion,
     _addable,
@@ -29,7 +29,7 @@ from doubleschur.schur import (
     pieri_multiply,
     x_sum,
 )
-from difference_basis import from_difference_basis
+from difference_basis import from_difference_basis, reference_to_difference_basis
 
 
 def t(j):
@@ -375,6 +375,19 @@ def test_certificate_reconstructs_constant():
     rep = check_graham_positivity(c, ctx)
     assert rep.positive
     assert from_difference_basis(rep.certificate, ctx.m) == c
+
+
+def test_certificates_match_reference_on_g26_and_g36():
+    # every constant, over unordered pairs: (lam, mu) and (mu, lam) share it
+    for n in (2, 3):
+        ctx = GrassContext(n, 6)
+        box = ctx.box_partitions()
+        for i, lam in enumerate(box):
+            for mu in box[i:]:
+                for nu, c in schubert_product(lam, mu, ctx).items():
+                    cert = to_difference_basis(c, ctx.m)
+                    assert cert == reference_to_difference_basis(c, ctx.m), (n, lam, mu, nu)
+                    assert from_difference_basis(cert, ctx.m) == c
 
 
 def test_positivity_across_small_grassmannians():

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from doubleschur import poly
 from doubleschur.poly import (
     ArityMismatch,
     DegreeOverflow,
@@ -13,7 +14,7 @@ from doubleschur.poly import (
     poly_to_obj,
     to_difference_basis,
 )
-from difference_basis import from_difference_basis
+from difference_basis import from_difference_basis, reference_to_difference_basis
 from xstructure import coefficient_of_x, is_symmetric, leading_x, swap_x
 
 
@@ -181,6 +182,11 @@ def test_difference_basis_rejects_shift_variant():
         to_difference_basis(t(3, 0) ** 2 - t(1, 0), 4)
     # the largest surviving term that still contains t_m
     assert info.value.offender == "2*u3*t4"
+    # D = 1 - 1 + 1: a shift derivative that left out slot m would call it
+    # invariant
+    with pytest.raises(NotShiftInvariant) as info:
+        to_difference_basis(t(1, 0) - t(2, 0) + t(3, 0), 3)
+    assert info.value.offender == "t3"
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,33 +210,6 @@ def test_difference_round_trip_reproduces_input():
     p = (t(1, 0) - t(3, 0)) * (t(2, 0) - t(3, 0)) + 2 * (t(1, 0) - t(2, 0))
     u = to_difference_basis(p, 3)
     assert from_difference_basis(u, 3) == p
-
-
-def _reference_to_difference_basis(p, m):
-    """Oracle: substitute t_i -> u_i + ... + u_{m-1} + t_m term by term with
-    Poly arithmetic (slot j < m is u_j, slot m the residual t_m)."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    p = p.t_only()
-    if p.max_t_index() > m:
-        raise ValueError(f"polynomial involves t-indices beyond t{m}")
-    images = {i: sum((Poly.t(j) for j in range(i, m)), Poly.t(m))
-              for i in range(1, m + 1)}
-    result = Poly.zero(0)
-    for _, te, c in p.iter_terms():
-        term = Poly.const(c)
-        for j, e in te.items():
-            term = term * images[j] ** e
-        result = result + term
-    for _, te, c in result.iter_terms():
-        if m in te:
-            # largest first, so this is the largest term that keeps t_m
-            body = "*".join((f"t{m}" if j == m else f"u{j}") + (f"^{e}" if e > 1 else "")
-                            for j, e in sorted(te.items()))
-            text = body if abs(c) == 1 else f"{abs(c)}*{body}"
-            raise NotShiftInvariant("not shift-invariant",
-                                    offender=text if c > 0 else f"-{text}")
-    return result.kill_t_above(m - 1)
 
 
 def _outcome(fn, *args):
@@ -264,11 +243,58 @@ def test_difference_basis_matches_reference(case):
     # term pads p beyond t-width m without using t_{m+pad}.
     p = p + Poly.t(m + pad) - Poly.t(m + pad)
     assert _outcome(to_difference_basis, p, m) == \
-        _outcome(_reference_to_difference_basis, p, m)
+        _outcome(reference_to_difference_basis, p, m)
     # shift-invariant input: the image of u
     invariant = from_difference_basis(u, m)
     assert _outcome(to_difference_basis, invariant, m) == \
-        _outcome(_reference_to_difference_basis, invariant, m)
+        _outcome(reference_to_difference_basis, invariant, m)
+
+
+@st.composite
+def near_invariant(draw):
+    """(m, the image of a random u plus one monomial c * t^a): the monomial
+    is often t_m alone, and exponents reach 3."""
+    m = draw(st.integers(1, 6))
+    u = draw(t_polys(m - 1))
+    exps = draw(st.one_of(st.integers(1, 3).map(lambda e: {m: e}),
+                          st.dictionaries(st.integers(1, m), st.integers(1, 3),
+                                          max_size=3)))
+    mono = Poly.const(draw(st.sampled_from([-2, -1, 1, 2])))
+    for j, e in exps.items():
+        mono = mono * Poly.t(j) ** e
+    return m, from_difference_basis(u, m) + mono
+
+
+@settings(max_examples=80, deadline=None)
+@given(near_invariant())
+def test_difference_basis_near_invariant_matches_reference(case):
+    m, p = case
+    assert _outcome(to_difference_basis, p, m) == \
+        _outcome(reference_to_difference_basis, p, m)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_difference_basis_substitutes_invariant_input_at_t_m_zero(monkeypatch, m):
+    # an invariant input takes m - 2 substitution passes, any other m - 1
+    passes = []
+    shear = poly._shear_into
+
+    def counted(terms, tw, i):
+        passes.append(i)
+        shear(terms, tw, i)
+
+    monkeypatch.setattr(poly, "_shear_into", counted)
+    # squares, so that D weighs each term by its exponent
+    u = Poly.const(5)
+    for j in range(1, m):
+        u = u + (j + 1) * Poly.t(j) ** 2 - Poly.t(1) * Poly.t(j) ** 3
+    p = from_difference_basis(u, m)
+    assert to_difference_basis(p, m) == u
+    assert passes == list(range(1, m - 1))
+    passes.clear()
+    with pytest.raises(NotShiftInvariant):
+        to_difference_basis(p + Poly.t(m) ** 2, m)
+    assert passes == list(range(1, m))
 
 
 # -- serialization ---------------------------------------------------------
