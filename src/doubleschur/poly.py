@@ -221,8 +221,9 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         tw, a, b = self._aligned(other)
+        _check_degree(self, other)
         out = {}
-        _multiply_into(out, 1, a, b, F * (self.nx + tw))
+        _multiply_into(((out, 1, a, b),))
         return Poly(self.nx, tw, out)
 
     __rmul__ = __mul__
@@ -254,11 +255,10 @@ class Poly:
         for _, p, q in pairs:
             if p.nx != nx or q.nx != nx:
                 raise ArityMismatch("mixed arities in sum_of_products")
+            _check_degree(p, q)
             tw = max(tw, p.tw, q.tw)
-        shift = F * (nx + tw)
         out = {}
-        for c, p, q in pairs:
-            _multiply_into(out, c, p._widened(tw), q._widened(tw), shift)
+        _multiply_into((out, c, p._widened(tw), q._widened(tw)) for c, p, q in pairs)
         return cls(nx, tw, out)
 
     def exact_div(self, d):
@@ -411,25 +411,40 @@ class Poly:
         return f"Poly[{self.nx}]({self})"
 
 
-def _multiply_into(out, c, a, b, shift):
-    """Accumulate c * a * b into the term dict out; a and b are term dicts
-    packed at one width, shift is the bit offset of the degree field."""
-    if not (c and a and b):
-        return
-    if (max(a) >> shift) + (max(b) >> shift) >= DEG_LIMIT:
+def _check_degree(p, q):
+    """Raise DegreeOverflow if the product p * q could overflow a packed
+    field: its total degree must stay below DEG_LIMIT."""
+    if p.terms and q.terms and ((max(p.terms) >> F * (p.nx + p.tw))
+                                + (max(q.terms) >> F * (q.nx + q.tw))) >= DEG_LIMIT:
         raise DegreeOverflow("product degree exceeds the packed monomial bound")
-    if len(a) < len(b):
-        a, b = b, a
-    get = out.get
-    for k2, c2 in b.items():
-        cc = c * c2
-        for k1, c1 in a.items():
-            k = k1 + k2
-            v = get(k, 0) + c1 * cc
-            if v:
-                out[k] = v
-            else:
-                del out[k]
+
+
+def _multiply_into(products):
+    """For each (out, c, a, b) of `products`, accumulate c * a * b into the
+    term dict out; a and b are term dicts packed at one width, c an
+    integer.  The caller bounds the degree of every product (DEG_LIMIT).
+
+    Each term of the smaller operand gives one row, the larger operand
+    shifted by that term.  The keys of a row are distinct, so a row written
+    into an empty out collides with nothing and is one dict comprehension."""
+    for out, c, a, b in products:
+        if not c:
+            continue
+        if len(a) < len(b):
+            a, b = b, a
+        get = out.get
+        for k2, c2 in b.items():
+            cc = c * c2
+            if not out:
+                out.update({k1 + k2: c1 * cc for k1, c1 in a.items()})
+                continue
+            for k1, c1 in a.items():
+                k = k1 + k2
+                v = get(k, 0) + c1 * cc
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
 
 
 def _pack(nx, tw, xe, te):

@@ -19,7 +19,8 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial, prod
 
-from .poly import F, FIELD, Poly, _multiply_into, poly_from_obj, poly_to_obj
+from .poly import (DEG_LIMIT, F, FIELD, DegreeOverflow, Poly, _multiply_into,
+                   poly_from_obj, poly_to_obj)
 
 __all__ = [
     "partition",
@@ -134,13 +135,13 @@ def alternant(nu, n):
 @lru_cache(maxsize=None)
 def _orbit(x, n):
     """S_n-orbit data of a packed x-exponent x (n fields, x_n lowest): its
-    sorted (dominant) form, its number of members n!/prod(m_i!) (m_i the
-    multiplicities of the parts, zeros included), and its number of members
-    with x1..x_{n-1} weakly decreasing, one per distinct part (the part left
-    to x_n)."""
+    sorted (dominant) form, its degree, its number of members
+    n!/prod(m_i!) (m_i the multiplicities of the parts, zeros included),
+    and its number of members with x1..x_{n-1} weakly decreasing, one per
+    distinct part (the part left to x_n)."""
     parts = sorted((x >> F * i) & FIELD for i in range(n))
     mult = Counter(parts)
-    return (sum(e << F * i for i, e in enumerate(parts)),
+    return (sum(e << F * i for i, e in enumerate(parts)), sum(parts),
             factorial(n) // prod(map(factorial, mult.values())), len(mult))
 
 
@@ -152,98 +153,136 @@ def _orbit_members(x, n):
                   for perm in permutations(parts)})
 
 
-def _dominant_groups(p, representatives=False):
-    """Group p's terms by x-exponent, x-fields cleared.  None if p is not
-    symmetric (some group differs from its sorted exponent's, or an orbit
-    lacks some of its n!/prod(m_i!) members), else the groups with a weakly
-    decreasing ("dominant") exponent, keyed by that exponent shifted down
-    to bit 0.
+def _dominant(groups, n, representatives=False):
+    """The groups of a polynomial in x1..xn, given as a map from packed
+    x-exponents to their coefficients, that have a weakly decreasing
+    ("dominant") exponent; None if the polynomial is not symmetric (some
+    group differs from its sorted exponent's, or an orbit lacks some of its
+    n!/prod(m_i!) members).
 
-    With `representatives`, p holds only the terms with x1..x_{n-1} weakly
-    decreasing of a polynomial already symmetric in x1..x_{n-1}.  Every
-    term of that polynomial is then an S_{n-1}-rearrangement of one in p
-    with the same coefficient, and each orbit has one such member per
-    distinct part, so the same two checks with that count in place of
+    With `representatives`, the groups are only those with x1..x_{n-1}
+    weakly decreasing of a polynomial already symmetric in x1..x_{n-1}.
+    Every group of that polynomial is then the group of an
+    S_{n-1}-rearrangement of one given, and each orbit has one such member
+    per distinct part, so the same two checks with that count in place of
     n!/prod(m_i!) are symmetry under all of S_n."""
-    n, sh = p.nx, F * p.tw
-    xmask = ((1 << F * n) - 1) << sh
-    groups = defaultdict(dict)
-    for k, c in p.terms.items():
-        x = k & xmask
-        groups[x][k ^ x] = c
     dominant, members, sizes = {}, {}, {}
     for x, g in groups.items():
-        d, size, distinct = _orbit(x >> sh, n)
-        if d << sh == x:
+        d, _, size, distinct = _orbit(x, n)
+        if d == x:
             dominant[d] = g
             sizes[d] = distinct if representatives else size
-        elif groups.get(d << sh) != g:
+        elif groups.get(d) != g:
             return None
         members[d] = members.get(d, 0) + 1
     return dominant if members == sizes else None
 
 
+def _dominant_groups(p):
+    """The dominant groups of p (`_dominant`) as elements of Z[t]: the
+    coefficient of x^a, an arity-0 term dict at p's t-width, keyed by the
+    packed exponent a at bit 0.  None if p is not symmetric.
+
+    One pass groups every term by x-exponent with the x-fields cleared, so
+    that the groups of one orbit compare equal; only the dominant groups are
+    then rewritten, their degree fields lowered by the x-degree."""
+    n, sh = p.nx, F * p.tw
+    hi, tmask = sh + F * n, (1 << sh) - 1
+    xmask = ((1 << F * n) - 1) << sh
+    flat = defaultdict(dict)
+    for k, c in p.terms.items():
+        x = k & xmask
+        flat[x][k ^ x] = c
+    dominant = _dominant({x >> sh: g for x, g in flat.items()}, n)
+    if dominant is None:
+        return None
+    return {x: {((k >> hi) - deg) << sh | k & tmask: c for k, c in g.items()}
+            for x, g in dominant.items() for deg in [_orbit(x, n)[1]]}
+
+
+def _strip_indices(lam, mu, n):
+    """The t-indices n + j - i of the boxes (i, j) of the horizontal strip
+    lam/mu, lam padded to n parts and mu to n - 1.  No two boxes of a
+    horizontal strip lie on one diagonal, so the indices are distinct."""
+    return [n + j - i for i, (lo, hi) in enumerate(zip(mu + (0,), lam), 1)
+            for j in range(lo + 1, hi + 1)]
+
+
+def _strip_coefficients(indices, tw):
+    """The coefficients of x_n^0, x_n^1, ..., x_n^r in the product over the
+    r distinct `indices` c of (x_n + t_c): the elementary symmetric
+    polynomials e_r, ..., e_0 of those t_c, as arity-0 term dicts at t-width
+    tw."""
+    units = [1 << F * (tw - c) for c in indices]
+    r = len(units)
+    return [{(r - k) << F * tw | sum(s): 1 for s in combinations(units, r - k)}
+            for k in range(r + 1)]
+
+
 @lru_cache(maxsize=None)
 def _schur_groups(lam, n):
     """The double Schur polynomial of a partition lam with at most n parts,
-    as its t-width and its dominant groups (`_dominant_groups`), built by
-    branching on x_n (Macdonald 1992, 6th variation; Molev-Sagan, Trans.
-    AMS 351, 1999): s_lam = sum over mu with lam_{i+1} <= mu_i <= lam_i of
-    s_mu(x1..x_{n-1}) times prod over boxes (i,j) of lam/mu of
-    (x_n + t_{n+j-i}).
+    as its t-width and its dominant groups: the Z[t] coefficient of each
+    dominant x^a, an arity-0 term dict at that t-width keyed by the packed
+    a (`_dominant_groups`).  Built by branching on x_n (Macdonald 1992, 6th
+    variation; Molev-Sagan, Trans. AMS 351, 1999): s_lam = sum over mu with
+    lam_{i+1} <= mu_i <= lam_i of s_mu(x1..x_{n-1}) times the product over
+    the boxes (i,j) of lam/mu of (x_n + t_{n+j-i}); at n = 0 only the empty
+    partition, s = 1.
 
-    Only the terms with x1..x_{n-1} weakly decreasing are formed.  A term
-    (a_1..a_{n-1}, k) of the sum comes from a term (a_1..a_{n-1}) of some
-    s_mu and a strip term in x_n^k, so those terms are exactly the sum over
-    mu of s_mu's dominant groups, lifted to arity n at the build's t-width,
-    times the strip; they are summed in one pass.  Each s_mu was checked
-    symmetric when it was built (n = 1 trivially) and the strip involves
-    x_n and t only, so the sum is symmetric in x1..x_{n-1}, and
-    `_dominant_groups` on these representatives checks symmetry under all
-    of S_n."""
-    if n == 1:
-        reps = double_monomial(sum(lam))
-    else:
-        padded = lam + (0,) * (n - len(lam))
-        xn = Poly.x(n, n)
-        parents = []
-        for mu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(n - 1))):
-            strip = Poly.one(n)
-            for i, (lo, hi) in enumerate(zip(mu + (0,), padded), 1):
-                for j in range(lo + 1, hi + 1):
-                    strip = strip * (xn + Poly.t(n + j - i, n))
-            parents.append((_schur_groups(partition(mu), n - 1), strip))
-        tw = max(max(stw, strip.tw) for (stw, _), strip in parents)
-        summands = []
-        for (stw, groups), strip in parents:
-            # insert a zero x_n field above the t-fields, pad the t-fields to tw
-            sh, up = F * stw, F * (tw - stw)
-            hi, tmask = F * (tw + 1), (1 << sh) - 1
-            lifted = {(x | k >> sh) << hi | (k & tmask) << up: c
-                      for x, g in groups.items() for k, c in g.items()}
-            summands.append((1, Poly(n, tw, lifted), strip))
-        reps = Poly.sum_of_products(summands)
-    dominant = _dominant_groups(reps, representatives=True)
+    Only the groups with x1..x_{n-1} weakly decreasing are formed.  The
+    group of x^a x_n^k gathers, over mu, s_mu's dominant group of x^a times
+    the x_n^k-coefficient of mu's strip (`_strip_coefficients`), all in one
+    `_multiply_into` batch.  Each s_mu was checked symmetric when it was
+    built and the strip involves x_n and t only, so the sum is symmetric in
+    x1..x_{n-1}, and `_dominant` on these representatives checks symmetry
+    under all of S_n.  Every product has degree at most |lam|."""
+    if n == 0:
+        return 0, {0: {0: 1}}
+    if sum(lam) >= DEG_LIMIT:
+        raise DegreeOverflow("product degree exceeds the packed monomial bound")
+    padded = lam + (0,) * (n - len(lam))
+    parents = [(_schur_groups(partition(mu), n - 1), _strip_indices(padded, mu, n))
+               for mu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(n - 1)))]
+    tw = max(max([stw, *indices]) for (stw, _), indices in parents)
+    groups = defaultdict(dict)
+    products = []
+    for (stw, parent), indices in parents:
+        strip = _strip_coefficients(indices, tw)
+        up = F * (tw - stw)
+        for a, g in parent.items():
+            if up:
+                g = {k << up: c for k, c in g.items()}
+            products += [(groups[a << F | k], 1, g, e) for k, e in enumerate(strip)]
+    _multiply_into(products)
+    dominant = _dominant(groups, n, representatives=True)
     if dominant is None:
         raise RuntimeError(f"double Schur polynomial of {lam} came out asymmetric")
-    return reps.tw, dominant
+    return tw, dominant
 
 
 @lru_cache(maxsize=None)
 def double_schur(lam, n):
-    """The double Schur polynomial of lam in x1..xn: every orbit member of
-    every dominant group of `_schur_groups`.  The build and
-    `expand_in_double_schur` read the groups alone; this flat form is
-    written out only for a caller that asks for it."""
+    """The double Schur polynomial of lam in x1..xn, written out from the
+    dominant groups of `_schur_groups`: the Z[t] coefficient of x^a goes to
+    every rearrangement of a.  The build and `expand_in_double_schur` read
+    the groups alone; this flat form is written out only for a caller that
+    asks for it."""
     if n < 1:
         raise ValueError("arity must be at least 1")
     lam = partition(lam)
     if len(lam) > n:
         raise ValueError(f"partition {lam} has more than {n} parts")
     tw, dominant = _schur_groups(lam, n)
-    sh = F * tw
-    return Poly(n, tw, {y << sh | k: c for x, g in dominant.items()
-                        for y in _orbit_members(x, n) for k, c in g.items()})
+    sh, size = F * tw, sum(lam)
+    # s_lam is homogeneous of degree |lam|, so the group of x^a holds t-degree
+    # |lam| - |a| in every key; adding `off` sets the degree to |lam| and the
+    # x-fields to the rearrangement y of a
+    top = size << sh + F * n
+    return Poly(n, tw, {k + off: c for x, g in dominant.items()
+                        for off in [top + ((y - size + _orbit(x, n)[1]) << sh)
+                                    for y in _orbit_members(x, n)]
+                        for k, c in g.items()})
 
 
 def expand_in_double_schur(p, n):
@@ -255,37 +294,44 @@ def expand_in_double_schur(p, n):
     recurse.  The leading x-monomial strictly decreases and the total
     x-degree never grows, so this terminates.
 
-    Only dominant groups (`_dominant_groups`) are kept: dropping the others
-    is linear, the leading exponent of a symmetric polynomial is dominant,
-    and one with no dominant term is zero.  No x-exponent of s_lam exceeds
+    Only the dominant groups of p are kept (`_dominant_groups`): dropping
+    the others is linear, the leading exponent of a symmetric polynomial is
+    dominant, and one with no dominant term is zero.  The remainder and each
+    s_lam (`_schur_groups`) are then maps from dominant x-exponents to Z[t]
+    coefficients.  A step pops the leading group, which is the coefficient
+    of s_lam as it stands; s_lam's own group of x^lam is 1, so every other
+    group of s_lam is subtracted times it.  No x-exponent of s_lam exceeds
     lam_1 <= p's largest x1-exponent, so every s_lam fits p's t-width
-    widened to n + lam_1 - 1.
+    widened to n + lam_1 - 1, and no product exceeds p's degree.
     """
     if p.nx != n:
         raise ValueError(f"expected a polynomial in x1..x{n}, got arity {p.nx}")
     rem = _dominant_groups(p)
     if rem is None:
         raise ValueError("polynomial is not symmetric")
+    if p.terms and max(p.terms) >> F * (n + p.tw) >= DEG_LIMIT:
+        raise DegreeOverflow("product degree exceeds the packed monomial bound")
     tw = max(p.tw, n - 1 + (max(rem, default=0) >> F * (n - 1)))
     up = F * (tw - p.tw)
     if up:
         rem = {x: {k << up: c for k, c in g.items()} for x, g in rem.items()}
-    sh, shift, tmask = F * tw, F * (n + tw), (1 << F * tw) - 1
     out = {}
     while rem:
         x = max(rem)
         lam = partition((x >> F * (n - i)) & FIELD for i in range(1, n + 1))
-        deg = sum(lam) << shift
-        c = {k - deg: v for k, v in rem[x].items()}
-        out[lam] = Poly(0, tw, {(k >> shift << sh) | (k & tmask): v for k, v in c.items()})
+        c = rem.pop(x)
+        out[lam] = Poly(0, tw, c)
         stw, groups = _schur_groups(lam, n)
         up = F * (tw - stw)
+        products = []
         for sx, sg in groups.items():
-            if up:
-                sg = {k << up: v for k, v in sg.items()}
-            r = rem.setdefault(sx, {})
-            _multiply_into(r, -1, c, sg, shift)
-            if not r:
+            if sx != x:
+                if up:
+                    sg = {k << up: v for k, v in sg.items()}
+                products.append((rem.setdefault(sx, {}), -1, c, sg))
+        _multiply_into(products)
+        for sx in groups:
+            if sx in rem and not rem[sx]:
                 del rem[sx]
     return SchurExpansion(n, out)
 

@@ -117,17 +117,19 @@ def verify_intertwine(n, m):
     """Wedge-side action of each double-monomial multiplication operator
     against polynomial-side multiplication, on every basis class."""
     from .schur import SchurExpansion
-    from .wedge import PathDisagreement, StandardVector, centralizer_action
+    from .wedge import (PathDisagreement, StandardVector, _centralizer_action,
+                        multiplication_matrix, symmetric_multiplier)
 
     ctx = GrassContext(n, m)
     failures = []
     cases = 0
     for k in range(m):
         f = StandardVector.basis(k, m)
+        matrix, multiplier = multiplication_matrix(f), symmetric_multiplier(f, n)
         for lam in ctx.box_partitions():
             cases += 1
             try:
-                centralizer_action(f, SchurExpansion.unit(lam, n), ctx)
+                _centralizer_action(matrix, multiplier, SchurExpansion.unit(lam, n), ctx)
             except PathDisagreement as exc:
                 failures.append({"k": k, "lambda": list(lam), "error": str(exc)})
     return _report("intertwine", n, m, cases, failures)

@@ -404,11 +404,17 @@ def centralizer_action(f, expansion, ctx):
     """
     if f.m != ctx.m:
         raise ValueError("shape mismatch")
+    return _centralizer_action(multiplication_matrix(f), symmetric_multiplier(f, ctx.n),
+                               expansion, ctx)
+
+
+def _centralizer_action(matrix, multiplier, expansion, ctx):
+    """`centralizer_action` for an operator given as its matrix on V and its
+    symmetric multiplier f(x1) + ... + f(xn), so that a caller acting on
+    many classes builds both once."""
     via_wedge = from_wedge_coordinates(
-        gl_action_on_wedge(multiplication_matrix(f),
-                           to_wedge_coordinates(expansion, ctx)),
-        ctx)
-    poly_side = expansion_to_poly(expansion) * symmetric_multiplier(f, ctx.n)
+        gl_action_on_wedge(matrix, to_wedge_coordinates(expansion, ctx)), ctx)
+    poly_side = expansion_to_poly(expansion) * multiplier
     via_poly = truncate(expand_in_double_schur(poly_side, ctx.n), ctx)
     if via_wedge != via_poly:
         raise PathDisagreement(

@@ -379,6 +379,62 @@ def test_degree_overflow_guard():
     giant = Poly.x(1, 1) ** 16384
     with pytest.raises(DegreeOverflow):
         giant * giant
+    with pytest.raises(DegreeOverflow):
+        Poly.sum_of_products([(1, Poly.one(1), Poly.one(1)), (1, giant, giant)])
+
+
+def _naive_products(outs, products):
+    """Oracle for _multiply_into: every term pair of every product, summed
+    into a copy of its out, zeros dropped at the end."""
+    acc = [dict(out) for out in outs]
+    for i, c, a, b in products:
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                acc[i][k1 + k2] = acc[i].get(k1 + k2, 0) + c * c1 * c2
+    return [{k: v for k, v in out.items() if v} for out in acc]
+
+
+# small keys, so that term pairs collide often
+term_dicts = st.dictionaries(st.integers(0, 12), st.integers(-3, 3).filter(bool), max_size=5)
+
+
+@st.composite
+def product_batches(draw):
+    """Two outs and a batch of products into them.  Each out starts empty,
+    random, or as minus the whole batch's sum into it, so that it cancels
+    exactly to zero."""
+    products = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(-2, 2),
+                                       term_dicts, term_dicts), max_size=4))
+    outs = []
+    for i in range(2):
+        start = draw(st.sampled_from(["empty", "random", "cancel"]))
+        if start == "random":
+            outs.append(draw(term_dicts))
+        elif start == "cancel":
+            total = _naive_products([{}], [(0, c, a, b) for j, c, a, b in products if j == i])
+            outs.append({k: -v for k, v in total[0].items()})
+        else:
+            outs.append({})
+    return outs, products
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_batches())
+def test_multiply_into_matches_naive_double_loop(case):
+    outs, products = case
+    want = _naive_products(outs, products)
+    a_before = [(dict(a), dict(b)) for _, _, a, b in products]
+    poly._multiply_into([(outs[i], c, a, b) for i, c, a, b in products])
+    assert outs == want
+    assert [(a, b) for _, _, a, b in products] == a_before
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), polys(), polys())
+def test_sum_of_products_sums_to_zero(p, q, r):
+    assert Poly.sum_of_products([(1, p, q), (-1, q, p)]).terms == {}
+    assert Poly.sum_of_products([(2, p, q + r), (-2, p, q), (1, -p, r + r)]).terms == {}
+    assert Poly.sum_of_products([(0, p, q), (1, p, r)]) == p * r
 
 
 def test_str_rendering():

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from doubleschur.grass import GrassContext
-from doubleschur.poly import F, Poly, poly_to_obj
+from doubleschur import schur
+from doubleschur.poly import DEG_LIMIT, F, FIELD, DegreeOverflow, Poly, poly_to_obj
 from doubleschur.schur import (
     SchurExpansion,
+    _dominant,
     _dominant_groups,
     _orbit,
     _schur_groups,
@@ -222,19 +224,21 @@ def test_one_swap_check_catches_an_asymmetric_build(monkeypatch):
     # s_(1,1,1)(x1..x3) = s_(1,1)(x1, x2) * (x3 + t1); building it with
     # x3 + t2 instead gives (x1 + t1)(x2 + t1)(x3 + t2), which is symmetric
     # in x1, x2 but not under x2 <-> x3
-    real_t = Poly.t
+    real_strip = schur._strip_indices
 
-    def wrong_t(j, nx=0):
-        return real_t(2 if (j, nx) == (1, 3) else j, nx)
+    def wrong_strip(lam, mu, n):
+        indices = real_strip(lam, mu, n)
+        return [2] if (lam, mu, n) == ((1, 1, 1), (1, 1), 3) else indices
 
     _clear_schur_memos()
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(Poly, "t", staticmethod(wrong_t))
+            patch.setattr(schur, "_strip_indices", wrong_strip)
             with pytest.raises(RuntimeError, match="came out asymmetric"):
                 double_schur((1, 1, 1), 3)
     finally:
         _clear_schur_memos()
+    assert real_strip((1, 1, 1), (1, 1), 3) == [1]
     assert is_symmetric(double_schur((1, 1, 1), 3))
 
 
@@ -283,16 +287,41 @@ def test_representative_build_matches_flat_build(case):
     assert poly_to_obj(got) == poly_to_obj(want)
 
 
+def _groups(p):
+    """Every x-exponent group of p, in the form of `_schur_groups`: packed
+    exponent (x_n lowest) -> its Z[t] coefficient, an arity-0 term dict at
+    p's t-width."""
+    n, sh = p.nx, F * p.tw
+    out = {}
+    for k, c in p.terms.items():
+        xe = _x_exponent(p, k)
+        x = sum(e << F * (n - i) for i, e in enumerate(xe, 1))
+        out.setdefault(x, {})[((k >> sh + F * n) - sum(xe)) << sh | k & ((1 << sh) - 1)] = c
+    return out
+
+
+def _representatives(p):
+    """The groups of p with x1..x_{n-1} weakly decreasing."""
+    n = p.nx
+    return {x: g for x, g in _groups(p).items()
+            if all((x >> F * i) & FIELD <= (x >> F * (i + 1)) & FIELD
+                   for i in range(1, n - 1))}
+
+
 def test_representative_check_counts_one_member_per_distinct_part():
     # the members of x1x2 + x1x3 + x2x3 with x1 >= x2 are x1x2 and x1x3:
     # one per distinct part of (1, 1, 0), not all three orbit members
     n = 3
     x1, x2, x3 = (Poly.x(i, n) for i in (1, 2, 3))
-    e2 = _dominant_groups(x1 * x2 + x1 * x3 + x2 * x3)
-    assert _dominant_groups(x1 * x2 + x1 * x3, representatives=True) == e2
-    assert _dominant_groups(x1 * x2, representatives=True) is None
-    assert _dominant_groups(x1 * x2 + 2 * x1 * x3, representatives=True) is None
-    assert _dominant_groups(x1 * x2 + x1 * x3 * Poly.t(1, n), representatives=True) is None
+    e2 = x1 * x2 + x1 * x3 + x2 * x3
+    assert _representatives(e2) == _groups(x1 * x2 + x1 * x3)
+    assert _dominant(_representatives(e2), n, representatives=True) == _dominant_groups(e2)
+    assert _dominant(_groups(e2), n) == _dominant_groups(e2)
+    assert _dominant(_groups(x1 * x2 + x1 * x3), n) is None
+    assert _dominant(_groups(x1 * x2), n, representatives=True) is None
+    assert _dominant(_groups(x1 * x2 + 2 * x1 * x3), n, representatives=True) is None
+    assert _dominant(_groups(x1 * x2 + x1 * x3 * Poly.t(1, n)), n,
+                     representatives=True) is None
 
 
 def test_peel_and_parent_builds_write_out_no_flat_terms():
@@ -325,6 +354,15 @@ def test_peel_and_parent_builds_write_out_no_flat_terms():
         assert s == _reference_double_schur(mu, n)
     finally:
         _clear_schur_memos()
+
+
+def test_build_and_peel_refuse_degrees_past_the_packed_bound():
+    # x1^(2^15) at n = 1: its s_lam would overflow a packed field
+    with pytest.raises(DegreeOverflow):
+        double_schur((DEG_LIMIT,), 1)
+    with pytest.raises(DegreeOverflow):
+        expand_in_double_schur(Poly(1, 0, {DEG_LIMIT << F | DEG_LIMIT: 1}), 1)
+    assert expand_in_double_schur(Poly.x(1, 1) ** 3, 1).get((3,)) == Poly.one()
 
 
 def test_schur_rejects_too_many_parts():
@@ -450,8 +488,8 @@ def test_orbit_check_matches_is_symmetric(case):
     if groups is not None:
         dominant = {k: c for k, c in p.terms.items()
                     if (xe := _x_exponent(p, k)) == tuple(sorted(xe, reverse=True))}
-        sh = F * p.tw
-        assert {x << sh | k: c for x, g in groups.items() for k, c in g.items()} == dominant
+        assert groups == _groups(Poly(n, p.tw, dominant))
+        assert groups == _dominant(_groups(p), n)
 
 
 def test_orbit_check_needs_more_than_one_swap():
