@@ -15,7 +15,6 @@ on the diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .poly import (Poly, NotShiftInvariant, _decoded_terms, poly_to_obj,
@@ -23,7 +22,7 @@ from .poly import (Poly, NotShiftInvariant, _decoded_terms, poly_to_obj,
 from .schur import (
     SchurExpansion,
     _addable,
-    _pieri_diagonal,
+    _pieri_step,
     double_schur,
     expand_in_double_schur,
     partition,
@@ -64,16 +63,47 @@ def rank_guard(ctx):
             f"of {TABLE_GUARD}")
 
 
-@dataclass(frozen=True)
-class GrassContext:
-    """The Grassmannian of n-dimensional subspaces of m-dimensional space."""
+class _Record:
+    """Field-wise equality and a `Name(field=value, ...)` repr over the
+    names in `_fields`, for the small value classes below."""
 
-    n: int
-    m: int
+    _fields = ()
 
-    def __post_init__(self):
-        if not 1 <= self.n <= self.m:
-            raise ValueError(f"need 1 <= n <= m, got n={self.n}, m={self.m}")
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({body})"
+
+
+class GrassContext(_Record):
+    """The Grassmannian of n-dimensional subspaces of m-dimensional space.
+    Immutable and hashable."""
+
+    _fields = ("n", "m")
+
+    def __init__(self, n, m):
+        if not 1 <= n <= m:
+            raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
 
     @property
     def cols(self):
@@ -179,8 +209,9 @@ def _structure_constant(lam, mu, nu, n):
 
     and d(nu) - d(lam) is a nonzero linear form whenever nu strictly
     contains lam, so one exact division yields c.  The divisor and the
-    grown shapes are the two halves of the Pieri step, `_pieri_diagonal`
-    and `_addable`, and no Pieri expansion is built.  Only partitions
+    grown shapes are the two halves of the Pieri step: d(nu) and d(lam)
+    are read off the memoized expansions `_pieri_step` of nu and lam, and
+    the grown shapes are `_addable`.  Only partitions
     inside nu contribute, so the Grassmannian's m does not enter.  At
     nu = lam and mu != lam, commutativity turns c into c_{mu,lam}^lam, an
     ordinary step since lam strictly contains mu.  The one base case is the diagonal: the
@@ -205,21 +236,24 @@ def _structure_constant(lam, mu, nu, n):
         acc = acc + _structure_constant(grown, mu, nu, n)
     for shrunk in _removable(nu):
         acc = acc - _structure_constant(lam, mu, shrunk, n)
-    return acc.exact_div(_pieri_diagonal(nu, n) - _pieri_diagonal(lam, n))
+    return acc.exact_div(_pieri_step(nu, n).coeffs[nu] - _pieri_step(lam, n).coeffs[lam])
 
 
-@dataclass
-class PositivityReport:
+class PositivityReport(_Record):
     """Outcome of a Graham-positivity check.  When positive, `certificate`
     holds the expansion in the difference variables u_i = t_i - t_{i+1}
     (all coefficients nonnegative integers) and `differences_used` lists
     which u_i actually occur."""
 
-    positive: bool
-    certificate: Poly | None = None
-    differences_used: tuple = ()
-    reason: str | None = None
-    offender: str | None = None
+    _fields = ("positive", "certificate", "differences_used", "reason", "offender")
+
+    def __init__(self, positive, certificate=None, differences_used=(),
+                 reason=None, offender=None):
+        self.positive = positive
+        self.certificate = certificate
+        self.differences_used = differences_used
+        self.reason = reason
+        self.offender = offender
 
     def to_obj(self):
         obj = {"positive": self.positive}
@@ -291,13 +325,15 @@ def sigma1_power_expansion(k, ctx):
     return acc
 
 
-@dataclass
-class StructureTable:
+class StructureTable(_Record):
     """All pairwise Schubert products of a context, with certificates."""
 
-    context: GrassContext
-    entries: dict = field(default_factory=dict)
-    # entries: (lam, mu) -> {nu: (coefficient, PositivityReport)}
+    _fields = ("context", "entries")
+
+    def __init__(self, context, entries=None):
+        self.context = context
+        # entries: (lam, mu) -> {nu: (coefficient, PositivityReport)}
+        self.entries = {} if entries is None else entries
 
     @property
     def all_positive(self):

@@ -212,19 +212,30 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return Poly(self.nx)
-            if other == 1:
-                return self
-            return Poly(self.nx, self.tw, {k: c * other for k, c in self.terms.items()})
-        if not isinstance(other, Poly):
+        """Product with a Poly or an int.  A constant polynomial (one term,
+        at key 0, at any t-width) is read as its integer, so a product by
+        it only scales the other operand, and one by 1 returns that operand
+        as it is; operands of different arity still raise ArityMismatch."""
+        if isinstance(other, Poly):
+            if self.nx != other.nx:
+                raise ArityMismatch(f"x-arity mismatch: {self.nx} vs {other.nx}")
+            if len(other.terms) == 1 and 0 in other.terms:
+                other = other.terms[0]
+            elif len(self.terms) == 1 and 0 in self.terms:
+                self, other = other, self.terms[0]
+            else:
+                tw, a, b = self._aligned(other)
+                _check_degree(self, other)
+                out = {}
+                _multiply_into(((out, 1, a, b),))
+                return Poly(self.nx, tw, out)
+        elif not isinstance(other, int):
             return NotImplemented
-        tw, a, b = self._aligned(other)
-        _check_degree(self, other)
-        out = {}
-        _multiply_into(((out, 1, a, b),))
-        return Poly(self.nx, tw, out)
+        if other == 0:
+            return Poly(self.nx)
+        if other == 1:
+            return self
+        return Poly(self.nx, self.tw, {k: c * other for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 

@@ -178,14 +178,25 @@ def _dominant(groups, n, representatives=False):
     return dominant if members == sizes else None
 
 
-def _dominant_groups(p):
+def _peel_width(p, x):
+    """The t-width of the peel of p whose largest x-exponent is x (packed,
+    x_n lowest): wide enough for every s_lam with lam_1 at most x1's
+    exponent, whose largest t-index is n + lam_1 - 1."""
+    n = p.nx
+    return max(p.tw, n - 1 + (x >> F * (n - 1)))
+
+
+def _dominant_groups(p, peel=False):
     """The dominant groups of p (`_dominant`) as elements of Z[t]: the
-    coefficient of x^a, an arity-0 term dict at p's t-width, keyed by the
-    packed exponent a at bit 0.  None if p is not symmetric.
+    coefficient of x^a, an arity-0 term dict at p's t-width (at
+    `_peel_width` with `peel`), keyed by the packed exponent a at bit 0.
+    None if p is not symmetric.
 
     One pass groups every term by x-exponent with the x-fields cleared, so
     that the groups of one orbit compare equal; only the dominant groups are
-    then rewritten, their degree fields lowered by the x-degree."""
+    then rewritten, their degree fields lowered by the x-degree.  The
+    largest x-exponent of a symmetric polynomial is dominant, so the
+    largest key among the groups gives the peel's width."""
     n, sh = p.nx, F * p.tw
     hi, tmask = sh + F * n, (1 << sh) - 1
     xmask = ((1 << F * n) - 1) << sh
@@ -196,7 +207,8 @@ def _dominant_groups(p):
     dominant = _dominant({x >> sh: g for x, g in flat.items()}, n)
     if dominant is None:
         return None
-    return {x: {((k >> hi) - deg) << sh | k & tmask: c for k, c in g.items()}
+    up = F * (_peel_width(p, max(dominant, default=0)) - p.tw) if peel else 0
+    return {x: {(((k >> hi) - deg) << sh | k & tmask) << up: c for k, c in g.items()}
             for x, g in dominant.items() for deg in [_orbit(x, n)[1]]}
 
 
@@ -302,19 +314,17 @@ def expand_in_double_schur(p, n):
     of s_lam as it stands; s_lam's own group of x^lam is 1, so every other
     group of s_lam is subtracted times it.  No x-exponent of s_lam exceeds
     lam_1 <= p's largest x1-exponent, so every s_lam fits p's t-width
-    widened to n + lam_1 - 1, and no product exceeds p's degree.
+    widened to n + lam_1 - 1 (`_peel_width`), the width the groups of p are
+    written at, and no product exceeds p's degree.
     """
     if p.nx != n:
         raise ValueError(f"expected a polynomial in x1..x{n}, got arity {p.nx}")
-    rem = _dominant_groups(p)
+    rem = _dominant_groups(p, peel=True)
     if rem is None:
         raise ValueError("polynomial is not symmetric")
     if p.terms and max(p.terms) >> F * (n + p.tw) >= DEG_LIMIT:
         raise DegreeOverflow("product degree exceeds the packed monomial bound")
-    tw = max(p.tw, n - 1 + (max(rem, default=0) >> F * (n - 1)))
-    up = F * (tw - p.tw)
-    if up:
-        rem = {x: {k << up: c for k, c in g.items()} for x, g in rem.items()}
+    tw = _peel_width(p, max(rem, default=0))
     out = {}
     while rem:
         x = max(rem)
@@ -343,7 +353,6 @@ def _addable(lam, n):
             for r in range(min(len(lam) + 1, n)) if r == 0 or row[r - 1] > row[r]]
 
 
-@lru_cache(maxsize=None)
 def _pieri_diagonal(lam, n):
     """d(lam) = -(t_{lam_1+n} + t_{lam_2+n-1} + ... + t_{lam_n+1}), the
     coefficient of s_lam in (x1 + ... + xn) * s_lam."""
@@ -353,15 +362,23 @@ def _pieri_diagonal(lam, n):
     return diag
 
 
-def pieri_multiply(lam, n):
-    """Expansion of (x1 + ... + xn) times the double Schur polynomial of lam:
-    coefficient `_pieri_diagonal` d(lam) on lam itself and coefficient 1 on
-    each of the `_addable` partitions, lam plus one box in at most n rows."""
-    lam = partition(lam)
+@lru_cache(maxsize=None)
+def _pieri_step(lam, n):
+    """`pieri_multiply` of a normalized partition lam, memoized per (lam, n)."""
     coeffs = {lam: _pieri_diagonal(lam, n)}
     for grown in _addable(lam, n):
         coeffs[grown] = Poly.one()
     return SchurExpansion(n, coeffs)
+
+
+def pieri_multiply(lam, n):
+    """Expansion of (x1 + ... + xn) times the double Schur polynomial of lam:
+    coefficient `_pieri_diagonal` d(lam) on lam itself and coefficient 1 on
+    each of the `_addable` partitions, lam plus one box in at most n rows.
+
+    Memoized per normalized (lam, n): the result is shared between callers
+    and must not be mutated (copy `.coeffs` before editing it)."""
+    return _pieri_step(partition(lam), n)
 
 
 class SchurExpansion:

@@ -12,7 +12,7 @@ ring; `centralizer_action` computes both sides and insists they agree.
 
 from __future__ import annotations
 
-from .poly import Poly
+from .poly import DEG_LIMIT, F, DegreeOverflow, Poly, _multiply_into
 from .schur import (
     SchurExpansion,
     add_staircase,
@@ -308,43 +308,50 @@ class WedgeVector:
                     for item in obj["terms"]})
 
 
-def _sort_signed(seq):
-    """Sort a sequence into strictly decreasing order, tracking the sign of
-    the permutation; returns (None, 0) when two entries collide."""
-    lst = list(seq)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j and lst[j - 1] < lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(len(lst) - 1):
-        if lst[i] == lst[i + 1]:
-            return None, 0
-    return tuple(lst), sign
-
-
 def gl_action_on_wedge(X, w):
-    """Leibniz action of a matrix on a wedge vector: act in each slot, then
-    re-sort each resulting sequence with its sign, dropping collisions."""
+    """Leibniz action of a matrix on a wedge vector: X acts in each slot of
+    each basis wedge nu, and each resulting sequence is re-sorted with its
+    sign, collisions dropped.
+
+    nu is strictly decreasing, so putting r in place of nu[slot] either
+    collides (r != nu[slot] and r is in nu) or lands at position pos, the
+    number of the other entries that exceed r, with sign (-1)^(pos - slot).
+    Every nonzero entry and every coordinate is widened once to one t-width,
+    and every product sign * entry * coordinate goes into its output term
+    dict in one `_multiply_into` batch.  DegreeOverflow is raised for a
+    product that does not collide and whose degree reaches DEG_LIMIT, as
+    the product of the two polynomials would raise it."""
     if X.m != w.m:
         raise ValueError("shape mismatch")
+    tw = max([e.tw for row in X.entries for e in row] + [c.tw for c in w.coords.values()])
+    sh = F * tw
+    # cols[src]: (r, entry terms, entry degree) of each nonzero entry of column src
+    cols = [[] for _ in range(X.m)]
+    for r, row in enumerate(X.entries):
+        for src, e in enumerate(row):
+            if e:
+                a = e._widened(tw)
+                cols[src].append((r, a, max(a) >> sh))
     out = {}
+    products = []
     for nu, c in w.coords.items():
-        for slot in range(w.n):
-            src = nu[slot]
-            for r in range(X.m):
-                a = X.entries[r][src]
-                if not a:
+        c = c._widened(tw)
+        dc = max(c) >> sh
+        for slot, src in enumerate(nu):
+            others = nu[:slot] + nu[slot + 1:]
+            for r, a, da in cols[src]:
+                if r == src:
+                    key, pos = nu, slot
+                elif r in others:
                     continue
-                key, sign = _sort_signed(nu[:slot] + (r,) + nu[slot + 1:])
-                if key is None:
-                    continue
-                contrib = a * c if sign == 1 else -(a * c)
-                prev = out.get(key)
-                out[key] = contrib if prev is None else prev + contrib
-    return WedgeVector(w.n, w.m, out)
+                else:
+                    pos = sum(e > r for e in others)
+                    key = others[:pos] + (r,) + others[pos:]
+                if dc + da >= DEG_LIMIT:
+                    raise DegreeOverflow("product degree exceeds the packed monomial bound")
+                products.append((out.setdefault(key, {}), -1 if (pos - slot) & 1 else 1, a, c))
+    _multiply_into(products)
+    return WedgeVector(w.n, w.m, {key: Poly(0, tw, d) for key, d in out.items() if d})
 
 
 def lambda_to_coweight(lam, ctx):

@@ -430,6 +430,33 @@ def test_multiply_into_matches_naive_double_loop(case):
 
 
 @settings(max_examples=100, deadline=None)
+@given(polys(), st.integers(0, 3))
+def test_product_by_a_constant_is_the_general_product(p, pad):
+    # a constant polynomial scales the other operand, on either side, at
+    # any stored t-width, including one wider than p
+    for c in range(-2, 3):
+        tw = p.tw + pad
+        const = Poly(2, tw, Poly.const(c, 2)._widened(tw))
+        want = _naive_products([{}], [(0, 1, p._widened(tw), const.terms)])[0]
+        for got in (p * const, const * p):
+            assert got == Poly(2, tw, want)
+            assert poly_to_obj(got) == poly_to_obj(Poly(2, tw, want))
+    assert p * Poly.one(2) is p and Poly(2, 3, {0: 1}) * p == p
+
+
+def test_product_by_one_returns_the_other_operand():
+    q = x(1) + t(1)
+    assert q * Poly.one(2) is q and Poly(2, 3, {0: 1}) * q is q
+
+
+def test_product_by_a_constant_checks_arity():
+    with pytest.raises(ArityMismatch):
+        Poly.const(2, 1) * x(1)
+    with pytest.raises(ArityMismatch):
+        x(1) * Poly.one(1)
+
+
+@settings(max_examples=100, deadline=None)
 @given(polys(), polys(), polys())
 def test_sum_of_products_sums_to_zero(p, q, r):
     assert Poly.sum_of_products([(1, p, q), (-1, q, p)]).terms == {}

@@ -490,6 +490,10 @@ def test_orbit_check_matches_is_symmetric(case):
                     if (xe := _x_exponent(p, k)) == tuple(sorted(xe, reverse=True))}
         assert groups == _groups(Poly(n, p.tw, dominant))
         assert groups == _dominant(_groups(p), n)
+        # the peel's groups: the same, written once at the peel's width
+        up = F * (schur._peel_width(p, max(groups, default=0)) - p.tw)
+        assert _dominant_groups(p, peel=True) == {
+            x: {k << up: c for k, c in g.items()} for x, g in groups.items()}
 
 
 def test_orbit_check_needs_more_than_one_swap():
@@ -624,6 +628,17 @@ def test_pieri_no_colliding_shapes():
     assert set(got.coeffs) == {(1, 1), (2, 1)}
     got = pieri_multiply((2, 2), 2)
     assert set(got.coeffs) == {(2, 2), (3, 2)}
+
+
+def test_pieri_memo_matches_a_fresh_construction():
+    # one shared expansion per normalized (lam, n), equal to one built anew
+    for n in (1, 2, 3):
+        for lam in box_partitions(n, 3):
+            coeffs = {lam: schur._pieri_diagonal(lam, n)}
+            coeffs.update((grown, Poly.one()) for grown in schur._addable(lam, n))
+            got = pieri_multiply(lam, n)
+            assert got == SchurExpansion(n, coeffs)
+            assert pieri_multiply(list(lam) + [0], n) is got
 
 
 def test_pieri_agrees_with_expansion_small():

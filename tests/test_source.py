@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "doubleschur"
@@ -12,3 +14,14 @@ def test_no_assert_statements_in_library():
         found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                      if isinstance(node, ast.Assert))
     assert SOURCE.is_dir() and found == []
+
+
+def test_cold_import_leaves_out_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize at import time;
+    # -I ignores PYTHONPATH, so the source directory goes on sys.path here
+    probe = (f"import sys; sys.path.insert(0, {str(SOURCE.parent)!r}); "
+             "import doubleschur; print('dataclasses' in sys.modules)")
+    done = subprocess.run([sys.executable, "-I", "-c", probe],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

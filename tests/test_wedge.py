@@ -2,9 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doubleschur.grass import GrassContext, truncate
-from doubleschur.poly import Poly
+from doubleschur.poly import DegreeOverflow, Poly
 from doubleschur.schur import SchurExpansion, pieri_multiply
 from doubleschur.wedge import (
     GLMatrix,
@@ -125,6 +126,101 @@ def test_action_sorts_with_sign():
     n, m = 2, 3
     got = gl_action_on_wedge(GLMatrix.unit(3, 1, m), WedgeVector.basis((1, 0), n, m))
     assert got == WedgeVector(n, m, {(2, 1): -1})
+
+
+def _sort_signed(seq):
+    """Sort a sequence into strictly decreasing order, tracking the sign of
+    the permutation; returns (None, 0) when two entries collide."""
+    lst = list(seq)
+    sign = 1
+    for i in range(1, len(lst)):
+        j = i
+        while j and lst[j - 1] < lst[j]:
+            lst[j - 1], lst[j] = lst[j], lst[j - 1]
+            sign = -sign
+            j -= 1
+    for i in range(len(lst) - 1):
+        if lst[i] == lst[i + 1]:
+            return None, 0
+    return tuple(lst), sign
+
+
+def _reference_gl_action(X, w):
+    """Oracle for gl_action_on_wedge: act in each slot, insertion-sort the
+    sequence with its sign, and add each contribution as a polynomial."""
+    out = {}
+    for nu, c in w.coords.items():
+        for slot in range(w.n):
+            src = nu[slot]
+            for r in range(X.m):
+                a = X.entries[r][src]
+                if not a:
+                    continue
+                key, sign = _sort_signed(nu[:slot] + (r,) + nu[slot + 1:])
+                if key is None:
+                    continue
+                contrib = a * c if sign == 1 else -(a * c)
+                prev = out.get(key)
+                out[key] = contrib if prev is None else prev + contrib
+    return WedgeVector(w.n, w.m, out)
+
+
+@st.composite
+def t_coefficients(draw, m):
+    """A t-only coefficient in t1..tm (often 0 or 1), stored at a t-width
+    up to two slots wider than it needs."""
+    kind = draw(st.sampled_from(["zero", "one", "const", "poly"]))
+    if kind == "zero":
+        p = Poly.zero(0)
+    elif kind == "one":
+        p = Poly.one()
+    elif kind == "const":
+        p = Poly.const(draw(st.integers(-3, 3)))
+    else:
+        p = Poly.zero(0)
+        for _ in range(draw(st.integers(1, 3))):
+            mono = Poly.const(draw(st.integers(-3, 3)))
+            for j in draw(st.lists(st.integers(1, m), max_size=3)):
+                mono = mono * Poly.t(j)
+            p = p + mono
+    tw = p.tw + draw(st.integers(0, 2))
+    return Poly(0, tw, p._widened(tw))
+
+
+@st.composite
+def wedge_cases(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, min(3, m)))
+    X = GLMatrix(m, [[draw(t_coefficients(m)) for _ in range(m)] for _ in range(m)])
+    keys = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=n, max_size=n,
+                                  unique=True), max_size=4))
+    w = WedgeVector(n, m, {tuple(sorted(nu, reverse=True)): draw(t_coefficients(m))
+                           for nu in keys})
+    return X, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(wedge_cases())
+def test_gl_action_matches_sorting_oracle(case):
+    X, w = case
+    assert gl_action_on_wedge(X, w) == _reference_gl_action(X, w)
+
+
+def test_gl_action_degree_guard_matches_oracle():
+    # degree 2^14 twice reaches the packed bound 2^15, but only a product
+    # that survives the re-sort is formed: E_12 sends slot 0 of (1, 0) onto
+    # the 0 already in slot 1
+    n, m = 2, 3
+    giant = Poly.t(1) ** (1 << 14)
+    w = WedgeVector(n, m, {(1, 0): giant})
+    collides = GLMatrix(m, [[0, giant, 0], [0, 1, 0], [0, 0, 0]])
+    assert gl_action_on_wedge(collides, w) == _reference_gl_action(collides, w)
+    for X in (GLMatrix.diagonal([giant] * m),
+              GLMatrix(m, [[0, 0, 0], [0, 1, 0], [giant, 0, 0]])):
+        with pytest.raises(DegreeOverflow):
+            _reference_gl_action(X, w)
+        with pytest.raises(DegreeOverflow):
+            gl_action_on_wedge(X, w)
 
 
 def test_lie_bracket_compatibility():
