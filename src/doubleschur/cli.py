@@ -19,9 +19,8 @@ from .grass import (
     _certified_product,
     _products_to_obj,
     full_structure_table,
-    u_str,
 )
-from .poly import poly_to_obj
+from .poly import DegreeOverflow, poly_to_obj
 from .schur import double_schur
 from .verify import SUITES, run_suite
 
@@ -83,7 +82,7 @@ def cmd_product(args):
         if not products:
             print("0")
         for nu, (coeff, report) in products.items():
-            cert = u_str(report.certificate) if report.positive else \
+            cert = report.certificate.render("u{}".format) if report.positive else \
                 f"VIOLATION: {report.reason} ({report.offender})"
             print(f"nu={list(nu)}  coeff: {coeff}  certificate: {cert}")
     else:
@@ -168,7 +167,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SizeGuardExceeded as exc:
+    except (SizeGuardExceeded, DegreeOverflow) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
 

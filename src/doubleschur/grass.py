@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .poly import (Poly, NotShiftInvariant, _decoded_terms, poly_to_obj,
                    to_difference_basis)
@@ -114,20 +115,10 @@ class GrassContext(_Record):
         return len(lam) <= self.n and (not lam or lam[0] <= self.cols)
 
     def box_partitions(self):
-        """All partitions in the n x (m-n) box, lexicographically sorted."""
-        out = []
-
-        def grow(prefix, cap, rows):
-            out.append(tuple(prefix))
-            if rows == 0:
-                return
-            for part in range(1, cap + 1):
-                prefix.append(part)
-                grow(prefix, part, rows - 1)
-                prefix.pop()
-
-        grow([], self.cols, self.n)
-        return sorted(out)
+        """All partitions in the n x (m-n) box, lexicographically sorted: the
+        weakly decreasing n-tuples of 0..m-n, zeros dropped."""
+        return sorted(tuple(filter(None, p)) for p in
+                      combinations_with_replacement(range(self.cols, -1, -1), self.n))
 
 
 def truncate(expansion, ctx):
@@ -284,11 +275,6 @@ def certificate_to_obj(cert):
     """Canonical JSON form of a difference-basis expansion: term list with
     sparse u-exponent maps."""
     return [{"u": t, "c": str(c)} for _, t, c in _decoded_terms(cert, str)]
-
-
-def u_str(cert):
-    """Human-readable difference-basis polynomial, slots rendered as u_j."""
-    return cert.render("u{}".format)
 
 
 def check_graham_positivity(c, ctx):

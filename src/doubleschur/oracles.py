@@ -10,6 +10,7 @@ exhaustive enumeration.  Used by tests to pin down expected values.
 from __future__ import annotations
 
 import math
+from itertools import combinations_with_replacement
 
 from .poly import Poly
 from .schur import partition
@@ -29,30 +30,16 @@ SYT_ENUMERATION_LIMIT = 12
 
 
 def _ssyt_fillings(shape, n):
-    """Yield semistandard fillings (rows weakly increase, columns strictly
-    increase, entries 1..n) as row tuples."""
-    def rows(r, above):
-        if r == len(shape):
-            yield ()
-            return
-        width = shape[r]
-
-        def cells(c, prev_row):
-            if c == width:
-                yield ()
-                return
-            low = prev_row[-1] if prev_row else 1
-            if above is not None and c < len(above):
-                low = max(low, above[c] + 1)
-            for v in range(low, n + 1):
-                for rest in cells(c + 1, prev_row + (v,)):
-                    yield (v,) + rest
-
-        for row in cells(0, ()):
-            for rest in rows(r + 1, row):
-                yield (row,) + rest
-
-    yield from rows(0, None)
+    """Semistandard fillings (rows weakly increase, columns strictly
+    increase, entries 1..n) as row tuples, built row by row: each row is a
+    weakly increasing tuple of 1..n, kept when each of its entries exceeds
+    the entry above it."""
+    fillings = [()]
+    for width in shape:
+        fillings = [f + (row,) for f in fillings
+                    for row in combinations_with_replacement(range(1, n + 1), width)
+                    if not f or all(a > b for a, b in zip(row, f[-1]))]
+    return fillings
 
 
 def classical_schur_ssyt(lam, n):
@@ -145,9 +132,7 @@ def syt_count_hook(lam):
     """Standard tableau count by the hook length formula."""
     lam = partition(lam)
     size = sum(lam)
-    denom = 1
-    for h in _hooks(lam):
-        denom *= h
+    denom = math.prod(_hooks(lam))
     count, rem = divmod(math.factorial(size), denom)
     if rem:
         raise RuntimeError(f"hook product of {lam} does not divide {size}!")

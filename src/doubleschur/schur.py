@@ -186,11 +186,11 @@ def _peel_width(p, x):
     return max(p.tw, n - 1 + (x >> F * (n - 1)))
 
 
-def _dominant_groups(p, peel=False):
+def _dominant_groups(p):
     """The dominant groups of p (`_dominant`) as elements of Z[t]: the
-    coefficient of x^a, an arity-0 term dict at p's t-width (at
-    `_peel_width` with `peel`), keyed by the packed exponent a at bit 0.
-    None if p is not symmetric.
+    coefficient of x^a, an arity-0 term dict at the peel's t-width
+    (`_peel_width`), keyed by the packed exponent a at bit 0.  None if p is
+    not symmetric.
 
     One pass groups every term by x-exponent with the x-fields cleared, so
     that the groups of one orbit compare equal; only the dominant groups are
@@ -207,7 +207,7 @@ def _dominant_groups(p, peel=False):
     dominant = _dominant({x >> sh: g for x, g in flat.items()}, n)
     if dominant is None:
         return None
-    up = F * (_peel_width(p, max(dominant, default=0)) - p.tw) if peel else 0
+    up = F * (_peel_width(p, max(dominant, default=0)) - p.tw)
     return {x: {(((k >> hi) - deg) << sh | k & tmask) << up: c for k, c in g.items()}
             for x, g in dominant.items() for deg in [_orbit(x, n)[1]]}
 
@@ -319,7 +319,7 @@ def expand_in_double_schur(p, n):
     """
     if p.nx != n:
         raise ValueError(f"expected a polynomial in x1..x{n}, got arity {p.nx}")
-    rem = _dominant_groups(p, peel=True)
+    rem = _dominant_groups(p)
     if rem is None:
         raise ValueError("polynomial is not symmetric")
     if p.terms and max(p.terms) >> F * (n + p.tw) >= DEG_LIMIT:

@@ -18,11 +18,14 @@ from .grass import (
 )
 from .oracles import LR_ENUMERATION_LIMIT, lr_coefficient, syt_count
 from .schur import (
+    SchurExpansion,
     double_schur,
     expand_in_double_schur,
     pieri_multiply,
     x_sum,
 )
+from .wedge import (PathDisagreement, StandardVector, _centralizer_action,
+                    multiplication_matrix, symmetric_multiplier)
 
 __all__ = ["SUITES", "run_suite", "verify_pieri", "verify_positivity",
            "verify_specialize", "verify_intertwine", "verify_syt",
@@ -116,10 +119,6 @@ def verify_specialize(n, m):
 def verify_intertwine(n, m):
     """Wedge-side action of each double-monomial multiplication operator
     against polynomial-side multiplication, on every basis class."""
-    from .schur import SchurExpansion
-    from .wedge import (PathDisagreement, StandardVector, _centralizer_action,
-                        multiplication_matrix, symmetric_multiplier)
-
     ctx = GrassContext(n, m)
     failures = []
     cases = 0

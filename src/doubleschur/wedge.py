@@ -12,18 +12,18 @@ ring; `centralizer_action` computes both sides and insists they agree.
 
 from __future__ import annotations
 
-from .poly import DEG_LIMIT, F, DegreeOverflow, Poly, _multiply_into
+from .poly import (DEG_LIMIT, F, DegreeOverflow, Poly, _multiply_into, poly_from_obj,
+                   poly_to_obj)
 from .schur import (
     SchurExpansion,
     add_staircase,
     double_monomial,
     expand_in_double_schur,
     expansion_to_poly,
-    partition,
     remove_staircase,
     strict_sequence,
 )
-from .grass import truncate
+from .grass import _check_in_box, truncate
 
 __all__ = [
     "StandardVector",
@@ -52,7 +52,8 @@ def _t_coeff(c, m, what):
     if isinstance(c, int):
         c = Poly.const(c)
     c = c.t_only()
-    if c.max_t_index() > m:
+    # the t-width bounds the largest t-index, so only a wider c is scanned
+    if c.tw > m and c.max_t_index() > m:
         raise ValueError(f"{what} involves t-indices beyond t{m}")
     return c
 
@@ -126,11 +127,11 @@ class GLMatrix:
 
     @classmethod
     def zero(cls, m):
-        return cls(m, [[0] * m for _ in range(m)])
+        return cls.diagonal([0] * m)
 
     @classmethod
     def identity(cls, m):
-        return cls(m, [[1 if r == c else 0 for c in range(m)] for r in range(m)])
+        return cls.diagonal([1] * m)
 
     @classmethod
     def unit(cls, i, j, m):
@@ -147,16 +148,15 @@ class GLMatrix:
                        for r in range(m)])
 
     def __add__(self, other):
-        self._check(other)
-        return GLMatrix(self.m, [
-            [self.entries[r][c] + other.entries[r][c] for c in range(self.m)]
-            for r in range(self.m)])
+        return self._entrywise(other, Poly.__add__)
 
     def __sub__(self, other):
+        return self._entrywise(other, Poly.__sub__)
+
+    def _entrywise(self, other, op):
         self._check(other)
-        return GLMatrix(self.m, [
-            [self.entries[r][c] - other.entries[r][c] for c in range(self.m)]
-            for r in range(self.m)])
+        return GLMatrix(self.m, [list(map(op, a, b))
+                                 for a, b in zip(self.entries, other.entries)])
 
     def __matmul__(self, other):
         self._check(other)
@@ -292,7 +292,6 @@ class WedgeVector:
         return f"WedgeVector(n={self.n}, m={self.m}, {{{body}}})"
 
     def to_obj(self):
-        from .poly import poly_to_obj
         return {
             "n": self.n,
             "m": self.m,
@@ -302,7 +301,6 @@ class WedgeVector:
 
     @classmethod
     def from_obj(cls, obj):
-        from .poly import poly_from_obj
         return cls(obj["n"], obj["m"],
                    {tuple(item["nu"]): poly_from_obj(item["coeff"], nx=0)
                     for item in obj["terms"]})
@@ -358,9 +356,7 @@ def lambda_to_coweight(lam, ctx):
     """The 0/1 weight of the basis class of lam: ones exactly in positions
     lam_i + n - i + 1 (1-based), i.e. one step above each entry of
     lam + staircase."""
-    lam = partition(lam)
-    if not ctx.in_box(lam):
-        raise ValueError(f"partition {lam} does not fit the {ctx.n} x {ctx.cols} box")
+    _check_in_box(ctx, lam)
     bits = [0] * ctx.m
     for entry in add_staircase(lam, ctx.n):
         bits[entry] = 1
@@ -383,8 +379,7 @@ def to_wedge_coordinates(expansion, ctx):
         raise ValueError("arity mismatch")
     coords = {}
     for lam, c in expansion.coeffs.items():
-        if not ctx.in_box(lam):
-            raise ValueError(f"partition {lam} does not fit the box")
+        _check_in_box(ctx, lam)
         coords[add_staircase(lam, ctx.n)] = c
     return WedgeVector(ctx.n, ctx.m, coords)
 

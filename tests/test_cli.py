@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +217,20 @@ def test_table_guard_exits_3(tmp_path, capsys):
                        "--out", str(tmp_path / "t.json"))
     assert code == 3
     assert "guard" in err
+
+
+def test_degree_overflow_exits_3_without_a_traceback():
+    # a part of 2**15 reaches the packed degree bound; the build refuses it
+    # before doing any work
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "doubleschur", "schur", "--n", "1", "--lambda", "32768"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 3
+    assert "refused" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
 
 
 def test_verify_guard_exits_3_before_any_suite_runs(capsys, monkeypatch):

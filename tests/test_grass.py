@@ -52,6 +52,30 @@ def test_box_partitions():
     assert not ctx.in_box((1, 1, 1))
 
 
+def _grown_box_partitions(n, cols):
+    """The box's partitions by growing each prefix one part at a time, no
+    part above the one before it."""
+    out = []
+
+    def grow(prefix, cap, rows):
+        out.append(tuple(prefix))
+        if rows == 0:
+            return
+        for part in range(1, cap + 1):
+            prefix.append(part)
+            grow(prefix, part, rows - 1)
+            prefix.pop()
+
+    grow([], cols, n)
+    return sorted(out)
+
+
+def test_box_partitions_match_grown_prefixes():
+    for m in range(1, 11):
+        for n in range(1, m + 1):
+            assert GrassContext(n, m).box_partitions() == _grown_box_partitions(n, m - n)
+
+
 # -- truncation ---------------------------------------------------------------
 
 def test_truncate_drops_wide_partitions():

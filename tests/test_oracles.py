@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 
 from doubleschur.oracles import (
+    _ssyt_fillings,
     classical_schur_ssyt,
     enumerate_syt,
     lr_coefficient,
@@ -30,6 +33,48 @@ def test_schur_two_one_has_eight_tableaux():
 
 def test_schur_more_parts_than_variables_vanishes():
     assert classical_schur_ssyt((1, 1, 1), 2).is_zero()
+
+
+def _nested_ssyt_fillings(shape, n):
+    """Semistandard fillings cell by cell, each entry at least the one to
+    its left and above the one over it."""
+    def rows(r, above):
+        if r == len(shape):
+            yield ()
+            return
+        width = shape[r]
+
+        def cells(c, prev_row):
+            if c == width:
+                yield ()
+                return
+            low = prev_row[-1] if prev_row else 1
+            if above is not None and c < len(above):
+                low = max(low, above[c] + 1)
+            for v in range(low, n + 1):
+                for rest in cells(c + 1, prev_row + (v,)):
+                    yield (v,) + rest
+
+        for row in cells(0, ()):
+            for rest in rows(r + 1, row):
+                yield (row,) + rest
+
+    yield from rows(0, None)
+
+
+def test_ssyt_fillings_match_nested_generators():
+    # every partition with at most 4 rows and 4 columns, 1 <= n <= 4
+    shapes = {tuple(p for p in parts if p)
+              for parts in product(range(5), repeat=4)
+              if list(parts) == sorted(parts, reverse=True)}
+    cases = 0
+    for shape in shapes:
+        for n in range(1, 5):
+            got = _ssyt_fillings(shape, n)
+            assert len(got) == len(set(got))
+            assert set(got) == set(_nested_ssyt_fillings(shape, n))
+            cases += 1
+    assert cases == 280
 
 
 def test_lr_pieri_cases():

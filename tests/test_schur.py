@@ -281,7 +281,7 @@ def box_shapes(draw):
 def test_representative_build_matches_flat_build(case):
     lam, n = case
     got, want = double_schur(lam, n), _reference_double_schur(lam, n)
-    assert _schur_groups(lam, n) == (want.tw, _dominant_groups(want))
+    assert _schur_groups(lam, n) == (want.tw, _dominant(_groups(want), n))
     assert type(got) is Poly
     assert got == want
     assert poly_to_obj(got) == poly_to_obj(want)
@@ -315,8 +315,9 @@ def test_representative_check_counts_one_member_per_distinct_part():
     x1, x2, x3 = (Poly.x(i, n) for i in (1, 2, 3))
     e2 = x1 * x2 + x1 * x3 + x2 * x3
     assert _representatives(e2) == _groups(x1 * x2 + x1 * x3)
-    assert _dominant(_representatives(e2), n, representatives=True) == _dominant_groups(e2)
-    assert _dominant(_groups(e2), n) == _dominant_groups(e2)
+    assert _dominant(_representatives(e2), n, representatives=True) == _dominant(_groups(e2), n)
+    # its one dominant group: x1 x2 (x_n in the lowest field), coefficient 1
+    assert _dominant(_groups(e2), n) == {1 << 2 * F | 1 << F: {0: 1}}
     assert _dominant(_groups(x1 * x2 + x1 * x3), n) is None
     assert _dominant(_groups(x1 * x2), n, representatives=True) is None
     assert _dominant(_groups(x1 * x2 + 2 * x1 * x3), n, representatives=True) is None
@@ -483,16 +484,18 @@ def orbit_cases(draw):
 @given(orbit_cases())
 def test_orbit_check_matches_is_symmetric(case):
     p, n = case
-    groups = _dominant_groups(p)
+    groups = _dominant(_groups(p), n)
     assert (groups is not None) == is_symmetric(p)
+    assert (_dominant_groups(p) is not None) == is_symmetric(p)
     if groups is not None:
         dominant = {k: c for k, c in p.terms.items()
                     if (xe := _x_exponent(p, k)) == tuple(sorted(xe, reverse=True))}
         assert groups == _groups(Poly(n, p.tw, dominant))
-        assert groups == _dominant(_groups(p), n)
-        # the peel's groups: the same, written once at the peel's width
-        up = F * (schur._peel_width(p, max(groups, default=0)) - p.tw)
-        assert _dominant_groups(p, peel=True) == {
+        # the peel's groups: the same, written once at the peel's width, wide
+        # enough for t_{n + lam_1 - 1} with lam_1 the largest x1-exponent
+        x1 = max((_x_exponent(p, k)[0] for k in p.terms), default=0)
+        up = F * (max(p.tw, n - 1 + x1) - p.tw)
+        assert _dominant_groups(p) == {
             x: {k << up: c for k, c in g.items()} for x, g in groups.items()}
 
 

@@ -250,6 +250,15 @@ def test_lambda_to_coweight_examples():
     assert lambda_to_coweight((2, 2), ctx) == (0, 0, 1, 1)
 
 
+def test_out_of_box_shapes_are_rejected_with_the_box_size():
+    ctx = GrassContext(2, 4)
+    message = r"^partition \(3,\) does not fit the 2 x 2 box$"
+    with pytest.raises(ValueError, match=message):
+        lambda_to_coweight((3,), ctx)
+    with pytest.raises(ValueError, match=message):
+        to_wedge_coordinates(SchurExpansion.unit((3,), 2), ctx)
+
+
 def test_coweight_bijection():
     ctx = GrassContext(2, 4)
     seen = set()
