@@ -43,7 +43,7 @@ def parse_partition(text):
     parts = []
     for piece in text.split(","):
         piece = piece.strip()
-        if not piece.isdigit():
+        if not piece.isdecimal():
             raise UsageError(f"malformed partition entry {piece!r} in {text!r}")
         parts.append(int(piece))
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -167,7 +167,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SizeGuardExceeded, DegreeOverflow) as exc:
+    except (SizeGuardExceeded, DegreeOverflow, RecursionError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
 

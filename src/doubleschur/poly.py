@@ -29,7 +29,6 @@ Z[t1, t2, ...] itself and is used for t-only coefficients.
 
 from __future__ import annotations
 
-import heapq
 from functools import lru_cache
 from math import comb
 from operator import neg
@@ -55,7 +54,8 @@ class ArityMismatch(ValueError):
 
 
 class NotDivisible(ArithmeticError):
-    """exact_div was asked for a quotient that does not exist in the ring."""
+    """exact_div was asked to divide by a linear form that does not divide
+    the dividend in the polynomial ring."""
 
 
 class NotShiftInvariant(ValueError):
@@ -69,14 +69,6 @@ class NotShiftInvariant(ValueError):
 
 class DegreeOverflow(OverflowError):
     """Total degree exceeded the packed-field safety bound."""
-
-
-@lru_cache(maxsize=None)
-def _high_bits(nfields):
-    h = 0
-    for i in range(nfields):
-        h |= 1 << (F * i + F - 1)
-    return h
 
 
 class Poly:
@@ -273,52 +265,48 @@ class Poly:
         return cls(nx, tw, out)
 
     def exact_div(self, d):
-        """Exact quotient self / d in the polynomial ring.
+        """Exact quotient self / d, for d a nonzero linear form: every term
+        of d has degree 1.
 
-        Runs ordinary leading-term division under the canonical graded
-        lexicographic order; the loop draining the remainder to zero is
-        itself the verification that d divides exactly.  Raises
-        NotDivisible otherwise and ZeroDivisionError for d = 0.
+        Write d = a*v + R, with a*v the leading term of d, so that R does
+        not involve the variable v, and group self by the exponent of v:
+        self = sum of p_e v^e.  From the top exponent down, the quotient
+        has q_{e-1} = (p_e - R*q_e) / a, and d divides exactly when
+        p_0 = R*q_0.  Raises NotDivisible when a does not divide a
+        coefficient or that last check fails, ZeroDivisionError for d = 0
+        and ValueError for any other d that is not a linear form (an int,
+        a constant, x1^2, x1 + 1).
         """
         if isinstance(d, int):
             d = Poly.const(d, self.nx)
         if d.is_zero():
             raise ZeroDivisionError("exact_div by the zero polynomial")
-        tw, r, dterms = self._aligned(d)
-        r = dict(r)
-        high = _high_bits(1 + self.nx + tw)
-        ltd = max(dterms)
-        cd = dterms[ltd]
-        tail = [(k, c) for k, c in dterms.items() if k != ltd]
+        tw, terms, dterms = self._aligned(d)
+        deg = F * (self.nx + tw)
+        if any(k >> deg != 1 for k in dterms):
+            raise ValueError("exact_div divides by a linear form only")
+        lead = max(dterms)
+        a = dterms[lead]
+        rest = {k: c for k, c in dterms.items() if k != lead}
+        sh = (lead - (1 << deg)).bit_length() - 1     # v's field
+        groups = {}
+        for k, c in terms.items():
+            e = (k >> sh) & FIELD
+            groups.setdefault(e, {})[k - e * lead] = c
         quotient = {}
-        heap = [-k for k in r]
-        heapq.heapify(heap)
-        push, pop = heapq.heappush, heapq.heappop
-        while heap:
-            k = -pop(heap)
-            c = r.get(k)
-            if c is None:
-                continue
-            qk = k - ltd
-            if qk < 0 or qk & high:
-                raise NotDivisible("leading term not divisible")
-            qc, rem = divmod(c, cd)
-            if rem:
-                raise NotDivisible("leading coefficient not divisible")
-            quotient[qk] = qc
-            del r[k]
-            for dk, dc in tail:
-                nk = qk + dk
-                v = r.get(nk)
-                if v is None:
-                    r[nk] = -qc * dc
-                    push(heap, -nk)
-                else:
-                    v -= qc * dc
-                    if v:
-                        r[nk] = v
-                    else:
-                        del r[nk]
+        q = {}
+        for e in range(max(groups, default=0), 0, -1):
+            r = groups.get(e, {})
+            _multiply_into(((r, -1, rest, q),))
+            q = {}
+            for k, c in r.items():
+                qc, rem = divmod(c, a)
+                if rem:
+                    raise NotDivisible("coefficient not divisible by the leading one")
+                q[k] = qc
+                quotient[k + (e - 1) * lead] = qc
+        r = groups.get(0, {})
+        _multiply_into(((r, -1, rest, q),))
         if r:
             raise NotDivisible("nonzero remainder")
         return Poly(self.nx, tw, quotient)

@@ -27,6 +27,9 @@ def test_parse_partition():
         parse_partition("1,2")
     with pytest.raises(UsageError):
         parse_partition("-1")
+    with pytest.raises(UsageError):
+        # a digit to str.isdigit, but not a decimal that int() reads
+        parse_partition("2,\u00b2")
 
 
 def test_schur_text(capsys):
@@ -54,6 +57,13 @@ def test_schur_json(capsys):
 def test_schur_malformed_partition_exits_2(capsys):
     code, _, err = run(capsys, "schur", "--n", "2", "--lambda", "1,,2")
     assert code == 2
+    assert "malformed" in err
+
+
+def test_schur_superscript_digit_exits_2(capsys):
+    code, out, err = run(capsys, "schur", "--n", "2", "--lambda", "\u00b2")
+    assert code == 2
+    assert out == ""
     assert "malformed" in err
 
 
@@ -194,6 +204,8 @@ PINNED_OUTPUTS = [
      "639e9bd9a6064d65bf86a7187545286bd0c06de4d840d91738040db8083fed32"),
     (("schur", "--n", "5", "--lambda", "3,2,1"),
      "caf6ac52803396c0bba0694635343b02d97c66c3c31f1d64b62d3d7b5e7fbff8"),
+    (("product", "--n", "3", "--m", "8", "--lambda", "4,3,2", "--mu", "3,2,1"),
+     "a54d46d556c999a39038b88bbdb699c26ef70ea4d127507acee07c2c02973524"),
 ]
 
 
@@ -205,7 +217,7 @@ PINNED_OUTPUTS = [
                               "verify-pieri-g47", "product-g36-json",
                               "product-g36-json-swapped",
                               "verify-positivity-g36", "verify-pieri-g58",
-                              "schur-n5-json"])
+                              "schur-n5-json", "product-g38-json"])
 def test_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -229,6 +241,32 @@ def test_degree_overflow_exits_3_without_a_traceback():
         capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 3
     assert "refused" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
+def test_recursion_depth_exits_3_without_a_traceback():
+    # The recursion for c_{(12),(1)} on G(1,14) runs about 25 Python frames
+    # below cmd_product; the limit is set there, 12 frames deeper than the
+    # stack at that point, so that it is hit inside the product on every
+    # Python version, whatever each counts as a frame.  Its constants have
+    # at most 2**13 terms, so the run stays cheap even if it is not hit.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import sys, traceback\n"
+        "from doubleschur import cli\n"
+        "product = cli.cmd_product\n"
+        "def shallow(args):\n"
+        "    sys.setrecursionlimit(len(traceback.extract_stack()) + 12)\n"
+        "    return product(args)\n"
+        "cli.cmd_product = shallow\n"
+        "sys.exit(cli.main(['product', '--n', '1', '--m', '14',"
+        " '--lambda', '12', '--mu', '1']))\n")
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 3
+    assert done.stderr.startswith("refused: maximum recursion depth exceeded")
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
 

@@ -15,7 +15,7 @@ from doubleschur.poly import (
     to_difference_basis,
 )
 from difference_basis import from_difference_basis, reference_to_difference_basis
-from xstructure import coefficient_of_x, is_symmetric, leading_x, swap_x
+from xstructure import coefficient_of_x, heap_exact_div, is_symmetric, leading_x, swap_x
 
 
 def x(i, nx=2):
@@ -103,7 +103,7 @@ def test_exact_div_round_trip(p, d):
         with pytest.raises(ZeroDivisionError):
             (p * d).exact_div(d)
     else:
-        assert (p * d).exact_div(d) == p
+        assert heap_exact_div(p * d, d) == p
 
 
 # -- exact division --------------------------------------------------------
@@ -126,14 +126,71 @@ def test_exact_div_detects_nondivisibility():
         (x(1) + t(1)).exact_div(x(2))
     with pytest.raises(NotDivisible):
         # divisible over Q but not over Z
-        x(1).exact_div(Poly.const(2, 2))
+        heap_exact_div(x(1), Poly.const(2, 2))
     with pytest.raises(NotDivisible):
-        (x(1) ** 2 + Poly.one(2)).exact_div(x(1) + Poly.one(2))
+        heap_exact_div(x(1) ** 2 + Poly.one(2), x(1) + Poly.one(2))
 
 
 def test_exact_div_by_zero():
     with pytest.raises(ZeroDivisionError):
         x(1).exact_div(Poly.zero(2))
+    with pytest.raises(ZeroDivisionError):
+        x(1).exact_div(0)
+
+
+def test_exact_div_refuses_a_divisor_that_is_not_a_linear_form():
+    for d in (2, Poly.const(2, 2), x(1) ** 2, x(1) + Poly.one(2), x(1) * t(1)):
+        with pytest.raises(ValueError):
+            (x(1) * x(1)).exact_div(d)
+
+
+@st.composite
+def linear_forms(draw, nx):
+    """A nonzero linear form over x1..x_nx and t1..t4, coefficients +-1..+-3."""
+    variables = [Poly.x(i, nx) for i in range(1, nx + 1)] + [Poly.t(j, nx) for j in range(1, 5)]
+    picks = draw(st.dictionaries(st.integers(0, len(variables) - 1),
+                                 st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                                 min_size=1, max_size=4))
+    form = Poly.zero(nx)
+    for i, c in picks.items():
+        form = form + c * variables[i]
+    return form
+
+
+def _quotient_or_error(divide, p, d):
+    try:
+        return divide(p, d)
+    except NotDivisible:
+        return NotDivisible
+
+
+@st.composite
+def division_cases(draw):
+    """(p, L, stray term) at one arity 0..2; p is stored padded to a wider
+    t-width than its terms need, as the recursion's sums can be."""
+    nx = draw(st.integers(0, 2))
+    p = draw(polys(nx))
+    pad = draw(st.integers(0, 2))
+    p = Poly(nx, p.tw + pad, p._widened(p.tw + pad))
+    stray = draw(polys(nx))
+    c = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    stray = Poly(nx, stray.tw, {max(stray.terms): c}) if stray else None
+    return p, draw(linear_forms(nx)), stray
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_cases())
+def test_exact_div_matches_the_general_division(case):
+    # p * L divides back to p; p * L plus a stray term divides, or fails
+    # to, exactly as the general division does
+    p, form, stray = case
+    product = p * form
+    assert product.exact_div(form) == p
+    assert heap_exact_div(product, form) == p
+    if stray is not None:
+        perturbed = product + stray
+        assert _quotient_or_error(Poly.exact_div, perturbed, form) == \
+            _quotient_or_error(heap_exact_div, perturbed, form)
 
 
 # -- kill_t_above ----------------------------------------------------------

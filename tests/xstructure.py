@@ -1,9 +1,14 @@
 """Per-x-exponent queries on a Poly, read off the packed keys: the lex-leading
 x-exponent, the coefficient of one x-monomial, a swap of two x-variables and
 symmetry under all of them.  The library works on x-orbit groups instead;
-these plain forms serve the tests and their reference routes."""
+these plain forms serve the tests and their reference routes.  Also the
+general exact division by any nonzero polynomial, the oracle of
+Poly.exact_div, which divides by a linear form only."""
 
-from doubleschur.poly import F, FIELD, ArityMismatch, Poly
+import heapq
+from functools import lru_cache
+
+from doubleschur.poly import F, FIELD, ArityMismatch, NotDivisible, Poly
 
 
 def coefficient_of_x(p, xe):
@@ -65,3 +70,63 @@ def is_symmetric(p):
     """Invariance under all adjacent transpositions of the x-variables
     (these generate the full symmetric group)."""
     return all(swap_x(p, i, i + 1) == p for i in range(1, p.nx))
+
+
+@lru_cache(maxsize=None)
+def _high_bits(nfields):
+    h = 0
+    for i in range(nfields):
+        h |= 1 << (F * i + F - 1)
+    return h
+
+
+def heap_exact_div(p, d):
+    """Exact quotient p / d in the polynomial ring.
+
+    Runs ordinary leading-term division under the canonical graded
+    lexicographic order; the loop draining the remainder to zero is
+    itself the verification that d divides exactly.  Raises
+    NotDivisible otherwise and ZeroDivisionError for d = 0.
+    """
+    if isinstance(d, int):
+        d = Poly.const(d, p.nx)
+    if d.is_zero():
+        raise ZeroDivisionError("exact_div by the zero polynomial")
+    tw, r, dterms = p._aligned(d)
+    r = dict(r)
+    high = _high_bits(1 + p.nx + tw)
+    ltd = max(dterms)
+    cd = dterms[ltd]
+    tail = [(k, c) for k, c in dterms.items() if k != ltd]
+    quotient = {}
+    heap = [-k for k in r]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        k = -pop(heap)
+        c = r.get(k)
+        if c is None:
+            continue
+        qk = k - ltd
+        if qk < 0 or qk & high:
+            raise NotDivisible("leading term not divisible")
+        qc, rem = divmod(c, cd)
+        if rem:
+            raise NotDivisible("leading coefficient not divisible")
+        quotient[qk] = qc
+        del r[k]
+        for dk, dc in tail:
+            nk = qk + dk
+            v = r.get(nk)
+            if v is None:
+                r[nk] = -qc * dc
+                push(heap, -nk)
+            else:
+                v -= qc * dc
+                if v:
+                    r[nk] = v
+                else:
+                    del r[nk]
+    if r:
+        raise NotDivisible("nonzero remainder")
+    return Poly(p.nx, tw, quotient)
