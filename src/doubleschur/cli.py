@@ -4,7 +4,7 @@ Subcommands: `schur` prints a double Schur polynomial, `product` prints
 the structure constants of one Schubert product with certificates,
 `table` writes a full structure table to a file, `verify` runs a property
 suite.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 resource guard.
+3 refused: a resource guard, the recursion depth or memory ran out.
 """
 
 from __future__ import annotations
@@ -169,6 +169,10 @@ def main(argv=None):
         return EXIT_USAGE
     except (SizeGuardExceeded, DegreeOverflow, RecursionError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except MemoryError:
+        print("refused: out of memory; the result does not fit in the memory "
+              "this process may use", file=sys.stderr)
         return EXIT_GUARD
 
 

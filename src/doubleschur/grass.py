@@ -18,8 +18,8 @@ import math
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .poly import (Poly, NotShiftInvariant, _decoded_terms, poly_to_obj,
-                   to_difference_basis)
+from .poly import (Poly, NotShiftInvariant, _check_degree, _decoded_monomials,
+                   _multiply_into, _poly_obj, _term_objs, to_difference_basis)
 from .schur import (
     SchurExpansion,
     _addable,
@@ -133,7 +133,7 @@ def truncate(expansion, ctx):
         ck = c.kill_t_above(ctx.m)
         if ck:
             out[lam] = ck
-    return SchurExpansion(ctx.n, out)
+    return SchurExpansion._trusted(ctx.n, out)
 
 
 def _check_in_box(ctx, *parts):
@@ -247,9 +247,13 @@ class PositivityReport(_Record):
         self.offender = offender
 
     def to_obj(self):
+        """JSON form of the report, fresh objects on each call."""
+        return self._obj(None)
+
+    def _obj(self, memo):
         obj = {"positive": self.positive}
         if self.positive:
-            obj["certificate"] = certificate_to_obj(self.certificate)
+            obj["certificate"] = _certificate_obj(self.certificate, memo)
             obj["differences_used"] = list(self.differences_used)
         else:
             obj["certificate"] = None
@@ -261,7 +265,10 @@ class PositivityReport(_Record):
         """Attach this report to a serialized product entry: `certificate`
         holds the u-expansion itself, remaining fields ride alongside (nested
         under `violation` when the check failed)."""
-        obj = self.to_obj()
+        return self._annotate(product_obj, None)
+
+    def _annotate(self, product_obj, memo):
+        obj = self._obj(memo)
         product_obj["certificate"] = obj.pop("certificate")
         product_obj["positive"] = obj.pop("positive")
         if self.positive:
@@ -273,8 +280,17 @@ class PositivityReport(_Record):
 
 def certificate_to_obj(cert):
     """Canonical JSON form of a difference-basis expansion: term list with
-    sparse u-exponent maps."""
-    return [{"u": t, "c": str(c)} for _, t, c in _decoded_terms(cert, str)]
+    sparse u-exponent maps.  Each call returns fresh objects."""
+    return _certificate_obj(cert, None)
+
+
+def _certificate_term(x, t, c):
+    return {"u": t, "c": c}
+
+
+def _certificate_obj(cert, memo):
+    """`certificate_to_obj` through the memo of `poly._term_objs`."""
+    return _term_objs(cert, _certificate_term, memo)
 
 
 def check_graham_positivity(c, ctx):
@@ -288,26 +304,36 @@ def check_graham_positivity(c, ctx):
     negative = [k for k, coeff in cert.terms.items() if coeff < 0]
     if negative:
         k = max(negative)  # the first negative term in canonical order
-        _, mono, coeff = next(_decoded_terms(Poly(0, cert.tw, {k: cert.terms[k]}), str))
+        _, _, mono = next(_decoded_monomials(0, cert.tw, str, [k]))
         return PositivityReport(False, reason="negative coefficient",
-                                offender=f"{coeff} on u-monomial {mono}")
+                                offender=f"{cert.terms[k]} on u-monomial {mono}")
     return PositivityReport(True, cert, cert._t_indices())
 
 
 def sigma1_power_expansion(k, ctx):
     """Expansion of (x1 + ... + xn)^k in the truncated ring, computed by
     iterating the Pieri rule and truncating.  The coefficients in top
-    degree |lam| = k are plain integers (standard tableau counts)."""
+    degree |lam| = k are plain integers (standard tableau counts).
+
+    Each step widens every coefficient c and every Pieri coefficient d to
+    one t-width and accumulates each product c * d into its target's term
+    dict in one `_multiply_into` batch."""
     if k < 0:
         raise ValueError("power must be nonnegative")
-    acc = SchurExpansion(ctx.n, {(): Poly.one()})
+    acc = SchurExpansion.unit((), ctx.n)
     for _ in range(k):
-        nxt = {}
-        for lam, c in acc.coeffs.items():
-            for mu, d in pieri_multiply(lam, ctx.n).coeffs.items():
-                prev = nxt.get(mu)
-                nxt[mu] = c * d if prev is None else prev + c * d
-        acc = truncate(SchurExpansion(ctx.n, nxt), ctx)
+        steps = [(c, pieri_multiply(lam, ctx.n).coeffs) for lam, c in acc.coeffs.items()]
+        tw = max((p.tw for c, step in steps for p in (c, *step.values())), default=0)
+        out = {}
+        products = []
+        for c, step in steps:
+            a = c._widened(tw)
+            for mu, d in step.items():
+                _check_degree(c, d)
+                products.append((out.setdefault(mu, {}), 1, a, d._widened(tw)))
+        _multiply_into(products)
+        acc = truncate(SchurExpansion._trusted(
+            ctx.n, {mu: Poly(0, tw, terms) for mu, terms in out.items() if terms}), ctx)
     return acc
 
 
@@ -328,10 +354,24 @@ class StructureTable(_Record):
                    for _, report in products.values())
 
     def to_obj(self):
-        return {"n": self.context.n, "m": self.context.m, "entries": [
-            {"lambda": list(lam), "mu": list(mu),
-             "products": _products_to_obj(self.entries[(lam, mu)])}
-            for (lam, mu) in sorted(self.entries)]}
+        """JSON form of the table, entries in lexicographic (lam, mu) order.
+
+        One call keeps one memo (`poly._term_objs`), which decodes each
+        distinct monomial once, and renders each product map once: an entry
+        whose map is the very object of an entry already rendered (the
+        mirror entries of `full_structure_table`) gets the same list.  So
+        terms and entries within the returned tree share objects: treat it
+        as read-only."""
+        memo = {}
+        rendered = {}   # id(product map) -> its list; the table keeps each map alive
+        entries = []
+        for lam, mu in sorted(self.entries):
+            products = self.entries[(lam, mu)]
+            obj = rendered.get(id(products))
+            if obj is None:
+                obj = rendered[id(products)] = _products_to_obj(products, memo)
+            entries.append({"lambda": list(lam), "mu": list(mu), "products": obj})
+        return {"n": self.context.n, "m": self.context.m, "entries": entries}
 
 
 def _certified_product(lam, mu, ctx):
@@ -341,9 +381,11 @@ def _certified_product(lam, mu, ctx):
             for nu, c in schubert_product(lam, mu, ctx).items()}
 
 
-def _products_to_obj(products):
-    """JSON form of a `_certified_product` map, nu in lexicographic order."""
-    return [report.annotate({"nu": list(nu), "coeff": poly_to_obj(c)})
+def _products_to_obj(products, memo=None):
+    """JSON form of a `_certified_product` map, nu in lexicographic order.
+    With a `memo` (see `poly._term_objs`) its terms share objects, and the
+    list is read-only."""
+    return [report._annotate({"nu": list(nu), "coeff": _poly_obj(c, memo)}, memo)
             for nu, (c, report) in sorted(products.items())]
 
 

@@ -152,8 +152,10 @@ class Poly:
     def iter_terms(self):
         """Yield (x_exponents, t_exponents, coefficient) in canonical order:
         graded lexicographic, largest first."""
-        for xe, te, c in _decoded_terms(self, int):
-            yield tuple(xe), te, c
+        terms = self.terms
+        for k, xe, te in _decoded_monomials(self.nx, self.tw, int,
+                                            sorted(terms, reverse=True)):
+            yield tuple(xe), te, terms[k]
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -556,21 +558,62 @@ def _slot_table(nx, tw, name):
             tuple((name(j), F * (tw - j)) for j in range(1, tw + 1)))
 
 
-def _decoded_terms(p, name):
-    """(x-exponent list, sparse t-exponent map keyed name(j) for slot j,
-    slot 1 first, coefficient) of each term of p in canonical order, read
-    straight off the packed keys."""
-    xs, ts = _slot_table(p.nx, p.tw, name)
+def _decoded_monomials(nx, tw, name, keys):
+    """(key, x-exponent list, sparse t-exponent map keyed name(j) for slot
+    j, slot 1 first) of each packed key in `keys`, in the order given, read
+    straight off the packed fields."""
+    xs, ts = _slot_table(nx, tw, name)
+    for k in keys:
+        yield (k, [(k >> sh) & FIELD for sh in xs],
+               {s: e for s, sh in ts if (e := (k >> sh) & FIELD)})
+
+
+def _term_objs(p, render, memo):
+    """The JSON term objects of p in canonical order: render(x, t, c) for
+    each term, with x its x-exponent list, t its sparse t-exponent map
+    keyed by the decimal slot index and c its coefficient in decimal.
+
+    `memo` is None or a dict owned by one serializer call.  With None,
+    every term is rendered afresh.  With a memo, each distinct (arity,
+    t-width, render, packed key) is decoded once, and each coefficient met
+    on it is rendered once: terms with one monomial share its x list and
+    t map, and terms with one monomial and one coefficient are one object.
+    So a tree built through a memo is read-only."""
     terms = p.terms
+    if memo is None:
+        return [render(x, t, str(terms[k])) for k, x, t in
+                _decoded_monomials(p.nx, p.tw, str, sorted(terms, reverse=True))]
+    seen = memo.setdefault((p.nx, p.tw, render), {})
+    for k, x, t in _decoded_monomials(p.nx, p.tw, str, [k for k in terms if k not in seen]):
+        seen[k] = (x, t, {})
+    out = []
     for k in sorted(terms, reverse=True):
-        yield ([(k >> sh) & FIELD for sh in xs],
-               {s: e for s, sh in ts if (e := (k >> sh) & FIELD)}, terms[k])
+        x, t, rendered = seen[k]
+        c = terms[k]
+        obj = rendered.get(c)
+        if obj is None:
+            obj = rendered[c] = render(x, t, str(c))
+        out.append(obj)
+    return out
+
+
+def _poly_term(x, t, c):
+    return {"x": x, "t": t, "c": c}
+
+
+def _poly_obj(p, memo):
+    """`poly_to_obj` through the memo of `_term_objs`."""
+    return _term_objs(p, _poly_term, memo)
 
 
 def poly_to_obj(p):
     """Canonical JSON form: a list of term objects in canonical order, the
-    coefficient as a decimal string."""
-    return [{"x": x, "t": t, "c": str(c)} for x, t, c in _decoded_terms(p, str)]
+    coefficient as a decimal string.  Each call returns fresh objects.  The
+    serializers of many polynomials (tables, expansions, reports) share one
+    memo per call (`_term_objs`), so the terms within one tree they return
+    share their exponent objects, and equal terms are one object: treat
+    such a tree as read-only."""
+    return _poly_obj(p, None)
 
 
 def poly_from_obj(obj, nx=None):

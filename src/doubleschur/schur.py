@@ -20,7 +20,7 @@ from itertools import combinations, permutations, product
 from math import factorial, prod
 
 from .poly import (DEG_LIMIT, F, FIELD, DegreeOverflow, Poly, _multiply_into,
-                   poly_from_obj, poly_to_obj)
+                   _poly_obj, poly_from_obj)
 
 __all__ = [
     "partition",
@@ -343,7 +343,7 @@ def expand_in_double_schur(p, n):
         for sx in groups:
             if sx in rem and not rem[sx]:
                 del rem[sx]
-    return SchurExpansion(n, out)
+    return SchurExpansion._trusted(n, out)
 
 
 def _addable(lam, n):
@@ -368,7 +368,7 @@ def _pieri_step(lam, n):
     coeffs = {lam: _pieri_diagonal(lam, n)}
     for grown in _addable(lam, n):
         coeffs[grown] = Poly.one()
-    return SchurExpansion(n, coeffs)
+    return SchurExpansion._trusted(n, coeffs)
 
 
 def pieri_multiply(lam, n):
@@ -405,6 +405,16 @@ class SchurExpansion:
         self.coeffs = clean
 
     @classmethod
+    def _trusted(cls, n, coeffs):
+        """An expansion whose map the caller built already clean: normalized
+        partitions of at most n parts to nonzero arity-0 coefficients.  The
+        constructor of the internal producers, which skips the re-check."""
+        self = object.__new__(cls)
+        self.n = n
+        self.coeffs = coeffs
+        return self
+
+    @classmethod
     def unit(cls, lam, n):
         return cls(n, {partition(lam): Poly.one()})
 
@@ -433,9 +443,13 @@ class SchurExpansion:
         return f"SchurExpansion(n={self.n}, {{{body}}})"
 
     def to_obj(self):
+        """JSON form, partitions in lexicographic order.  The coefficients
+        share one memo (`poly._term_objs`), so terms within the returned
+        tree share their exponent objects: treat it as read-only."""
+        memo = {}
         return {
             "n": self.n,
-            "terms": [{"lambda": list(lam), "coeff": poly_to_obj(c)}
+            "terms": [{"lambda": list(lam), "coeff": _poly_obj(c, memo)}
                       for lam, c in self.items()],
         }
 

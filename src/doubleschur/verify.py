@@ -61,18 +61,28 @@ def verify_pieri(n, m):
 
 def verify_positivity(n, m):
     """Graham positivity of every structure constant of the context, with
-    the certificates included in the report."""
+    the certificates included in the report.
+
+    The certificates share one memo (`poly._term_objs`), and a report met
+    twice (the mirror entries of the table hold the same report object) is
+    rendered once, so the returned tree shares objects: treat it as
+    read-only."""
     ctx = GrassContext(n, m)
     table = full_structure_table(ctx)
     failures = []
     certificates = []
     cases = 0
+    memo = {}
+    rendered = {}   # id(report) -> its JSON form; the table keeps each report alive
     for (lam, mu) in sorted(table.entries):
         for nu in sorted(table.entries[(lam, mu)]):
             coeff, report = table.entries[(lam, mu)][nu]
             cases += 1
+            obj = rendered.get(id(report))
+            if obj is None:
+                obj = rendered[id(report)] = report._obj(memo)
             record = {"lambda": list(lam), "mu": list(mu), "nu": list(nu),
-                      "certificate": report.to_obj()}
+                      "certificate": obj}
             certificates.append(record)
             if not report.positive:
                 failures.append(record)

@@ -12,8 +12,8 @@ ring; `centralizer_action` computes both sides and insists they agree.
 
 from __future__ import annotations
 
-from .poly import (DEG_LIMIT, F, DegreeOverflow, Poly, _multiply_into, poly_from_obj,
-                   poly_to_obj)
+from .poly import (DEG_LIMIT, F, DegreeOverflow, Poly, _multiply_into, _poly_obj,
+                   poly_from_obj)
 from .schur import (
     SchurExpansion,
     add_staircase,
@@ -292,10 +292,14 @@ class WedgeVector:
         return f"WedgeVector(n={self.n}, m={self.m}, {{{body}}})"
 
     def to_obj(self):
+        """JSON form, wedge indices in lexicographic order.  The coefficients
+        share one memo (`poly._term_objs`), so terms within the returned
+        tree share their exponent objects: treat it as read-only."""
+        memo = {}
         return {
             "n": self.n,
             "m": self.m,
-            "terms": [{"nu": list(nu), "coeff": poly_to_obj(self.coords[nu])}
+            "terms": [{"nu": list(nu), "coeff": _poly_obj(self.coords[nu], memo)}
                       for nu in sorted(self.coords)],
         }
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from doubleschur import verify
+from doubleschur import cli, verify
 from doubleschur.cli import main, parse_partition, UsageError
 
 
@@ -267,6 +267,47 @@ def test_recursion_depth_exits_3_without_a_traceback():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 3
     assert done.stderr.startswith("refused: maximum recursion depth exceeded")
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
+def test_out_of_memory_exits_3_without_a_traceback(capsys, monkeypatch):
+    def exhaust(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_schur", exhaust)
+    code, out, err = run(capsys, "schur", "--n", "2", "--lambda", "1")
+    assert code == 3
+    assert err.startswith("refused: out of memory")
+    assert out == ""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmSize from /proc/self/status")
+def test_address_space_cap_exits_3_without_a_traceback(tmp_path):
+    # The subprocess caps its own address space 32 MiB above its size once
+    # the package is loaded.  The G(3,7) table peaks about 125 MiB above
+    # that size, so it runs out of memory while the table is computed or
+    # serialized.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import resource, sys\n"
+        "from doubleschur import cli\n"
+        "table = cli.cmd_table\n"
+        "def capped(args):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        kib = next(int(line.split()[1]) for line in fh\n"
+        "                   if line.startswith('VmSize:'))\n"
+        "    cap = (kib + 32 * 1024) * 1024\n"
+        "    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "    return table(args)\n"
+        "cli.cmd_table = capped\n"
+        "sys.exit(cli.main(['table', '--n', '3', '--m', '7', '--out', sys.argv[1]]))\n")
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "g37.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 3
+    assert done.stderr.startswith("refused: out of memory")
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
 

@@ -445,6 +445,19 @@ def test_sigma1_power_three_has_syt_count():
         assert e.get((2, 1)) == 2  # two standard tableaux of shape (2,1)
 
 
+def test_sigma1_power_matches_the_pieri_fold():
+    # the step as a fold of Poly sums, one copy of the running sum per product
+    for ctx in (GrassContext(2, 5), GrassContext(3, 7)):
+        acc = SchurExpansion(ctx.n, {(): 1})
+        for k in range(1, 7):
+            nxt = {}
+            for lam, c in acc.coeffs.items():
+                for mu, d in pieri_multiply(lam, ctx.n).coeffs.items():
+                    nxt[mu] = nxt.get(mu, Poly.zero(0)) + c * d
+            acc = truncate(SchurExpansion(ctx.n, nxt), ctx)
+            assert sigma1_power_expansion(k, ctx) == acc, (ctx, k)
+
+
 def test_sigma1_top_degree_matches_syt():
     ctx = GrassContext(2, 5)
     for k in range(5):

@@ -661,6 +661,29 @@ def test_expansion_drops_zeros_and_validates():
         SchurExpansion(2, {(1, 1, 1): 1})
 
 
+def test_expansion_constructor_checks_every_key():
+    # the internal producers build through SchurExpansion._trusted; the
+    # public constructor keeps normalizing and rejecting keys
+    one = Poly.one()
+    assert SchurExpansion(2, {(1, 0): 1, (2, 0): 1}).coeffs == {(1,): one, (2,): one}
+    for bad in [(1, 2), (1, -1), (-1,), (1, 1, 1)]:
+        with pytest.raises(ValueError):
+            SchurExpansion(2, {bad: 1})
+    # a coefficient of arity 2 is dropped to arity 0
+    c = SchurExpansion(2, {(): Poly.const(2, 2)}).coeffs[()]
+    assert (c.nx, c) == (0, Poly.const(2))
+
+
+def test_internal_producers_build_clean_expansions():
+    n = 3
+    made = [pieri_multiply(lam, n) for lam in [(), (2,), (2, 2, 1)]]
+    made += [expand_in_double_schur(x_sum(n) * double_schur(lam, n), n)
+             for lam in [(), (2, 1), (3, 1, 1)]]
+    for e in made:
+        assert e.coeffs == SchurExpansion(n, e.coeffs).coeffs
+        assert all(c and c.nx == 0 for c in e.coeffs.values())
+
+
 def test_expansion_json_round_trip():
     e = SchurExpansion(2, {(2, 1): Poly.t(1) - Poly.t(4), (): 2})
     obj = e.to_obj()
