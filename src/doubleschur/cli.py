@@ -87,7 +87,7 @@ def cmd_product(args):
             print(f"nu={list(nu)}  coeff: {coeff}  certificate: {cert}")
     else:
         _emit({"n": args.n, "m": args.m, "lambda": list(lam), "mu": list(mu),
-               "products": _products_to_obj(products)})
+               "products": _products_to_obj(products, {})})
     return EXIT_OK
 
 
@@ -171,9 +171,10 @@ def main(argv=None):
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except MemoryError:
-        print("refused: out of memory; the result does not fit in the memory "
-              "this process may use", file=sys.stderr)
-        return EXIT_GUARD
+        pass    # report once the handler has let go of the frames that filled memory
+    print("refused: out of memory; the result does not fit in the memory "
+          "this process may use", file=sys.stderr)
+    return EXIT_GUARD
 
 
 if __name__ == "__main__":

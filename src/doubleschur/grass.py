@@ -248,7 +248,7 @@ class PositivityReport(_Record):
 
     def to_obj(self):
         """JSON form of the report, fresh objects on each call."""
-        return self._obj(None)
+        return self._obj({})
 
     def _obj(self, memo):
         obj = {"positive": self.positive}
@@ -265,7 +265,7 @@ class PositivityReport(_Record):
         """Attach this report to a serialized product entry: `certificate`
         holds the u-expansion itself, remaining fields ride alongside (nested
         under `violation` when the check failed)."""
-        return self._annotate(product_obj, None)
+        return self._annotate(product_obj, {})
 
     def _annotate(self, product_obj, memo):
         obj = self._obj(memo)
@@ -281,7 +281,7 @@ class PositivityReport(_Record):
 def certificate_to_obj(cert):
     """Canonical JSON form of a difference-basis expansion: term list with
     sparse u-exponent maps.  Each call returns fresh objects."""
-    return _certificate_obj(cert, None)
+    return _certificate_obj(cert, {})
 
 
 def _certificate_term(x, t, c):
@@ -381,9 +381,9 @@ def _certified_product(lam, mu, ctx):
             for nu, c in schubert_product(lam, mu, ctx).items()}
 
 
-def _products_to_obj(products, memo=None):
+def _products_to_obj(products, memo):
     """JSON form of a `_certified_product` map, nu in lexicographic order.
-    With a `memo` (see `poly._term_objs`) its terms share objects, and the
+    Its terms share objects through `memo` (see `poly._term_objs`), so the
     list is read-only."""
     return [report._annotate({"nu": list(nu), "coeff": _poly_obj(c, memo)}, memo)
             for nu, (c, report) in sorted(products.items())]

@@ -573,16 +573,13 @@ def _term_objs(p, render, memo):
     each term, with x its x-exponent list, t its sparse t-exponent map
     keyed by the decimal slot index and c its coefficient in decimal.
 
-    `memo` is None or a dict owned by one serializer call.  With None,
-    every term is rendered afresh.  With a memo, each distinct (arity,
-    t-width, render, packed key) is decoded once, and each coefficient met
-    on it is rendered once: terms with one monomial share its x list and
-    t map, and terms with one monomial and one coefficient are one object.
-    So a tree built through a memo is read-only."""
+    `memo` is a dict owned by one serializer call, `{}` for a single
+    polynomial.  Each distinct (arity, t-width, render, packed key) is
+    decoded once, and each coefficient met on it is rendered once: terms
+    with one monomial share its x list and t map, and terms with one
+    monomial and one coefficient are one object.  So a tree built through
+    a shared memo is read-only."""
     terms = p.terms
-    if memo is None:
-        return [render(x, t, str(terms[k])) for k, x, t in
-                _decoded_monomials(p.nx, p.tw, str, sorted(terms, reverse=True))]
     seen = memo.setdefault((p.nx, p.tw, render), {})
     for k, x, t in _decoded_monomials(p.nx, p.tw, str, [k for k in terms if k not in seen]):
         seen[k] = (x, t, {})
@@ -613,7 +610,7 @@ def poly_to_obj(p):
     memo per call (`_term_objs`), so the terms within one tree they return
     share their exponent objects, and equal terms are one object: treat
     such a tree as read-only."""
-    return _poly_obj(p, None)
+    return _poly_obj(p, {})
 
 
 def poly_from_obj(obj, nx=None):

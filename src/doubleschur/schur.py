@@ -317,6 +317,8 @@ def expand_in_double_schur(p, n):
     widened to n + lam_1 - 1 (`_peel_width`), the width the groups of p are
     written at, and no product exceeds p's degree.
     """
+    if n < 1:
+        raise ValueError("arity must be at least 1")
     if p.nx != n:
         raise ValueError(f"expected a polynomial in x1..x{n}, got arity {p.nx}")
     rem = _dominant_groups(p)
@@ -408,7 +410,9 @@ class SchurExpansion:
     def _trusted(cls, n, coeffs):
         """An expansion whose map the caller built already clean: normalized
         partitions of at most n parts to nonzero arity-0 coefficients.  The
-        constructor of the internal producers, which skips the re-check."""
+        constructor of the internal producers, which checks the arity only."""
+        if n < 1:
+            raise ValueError("arity must be at least 1")
         self = object.__new__(cls)
         self.n = n
         self.coeffs = coeffs

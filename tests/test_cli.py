@@ -285,10 +285,10 @@ def test_out_of_memory_exits_3_without_a_traceback(capsys, monkeypatch):
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads VmSize from /proc/self/status")
 def test_address_space_cap_exits_3_without_a_traceback(tmp_path):
-    # The subprocess caps its own address space 32 MiB above its size once
-    # the package is loaded.  The G(3,7) table peaks about 125 MiB above
-    # that size, so it runs out of memory while the table is computed or
-    # serialized.
+    # The subprocess caps its own address space 4 MiB above its size once
+    # the package is loaded: far less than any G(3,7) table can be computed
+    # and written in, so it runs out of memory while the table is computed
+    # or serialized.
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     script = (
@@ -299,7 +299,7 @@ def test_address_space_cap_exits_3_without_a_traceback(tmp_path):
         "    with open('/proc/self/status') as fh:\n"
         "        kib = next(int(line.split()[1]) for line in fh\n"
         "                   if line.startswith('VmSize:'))\n"
-        "    cap = (kib + 32 * 1024) * 1024\n"
+        "    cap = (kib + 4 * 1024) * 1024\n"
         "    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
         "    return table(args)\n"
         "cli.cmd_table = capped\n"

@@ -684,6 +684,15 @@ def test_internal_producers_build_clean_expansions():
         assert all(c and c.nx == 0 for c in e.coeffs.values())
 
 
+def test_internal_producers_reject_arity_below_one():
+    for _ in range(2):      # a refusal is not memoized as a result
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                pieri_multiply((), n)
+    with pytest.raises(ValueError, match="arity must be at least 1"):
+        expand_in_double_schur(Poly.one(), 0)
+
+
 def test_expansion_json_round_trip():
     e = SchurExpansion(2, {(2, 1): Poly.t(1) - Poly.t(4), (): 2})
     obj = e.to_obj()

@@ -333,7 +333,7 @@ def test_a_defaced_result_leaves_the_next_call_unchanged():
         lambda: certificate_to_obj(report.certificate),
         report.to_obj,
         lambda: report.annotate({}),
-        lambda: _products_to_obj(products),
+        lambda: _products_to_obj(products, {}),
         table.to_obj,
         _per_pair_table(ctx).to_obj,
         lambda: verify_positivity(2, 4),
