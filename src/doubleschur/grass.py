@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import le
 
 from .poly import (Poly, NotShiftInvariant, _check_degree, _decoded_monomials,
                    _multiply_into, _poly_obj, _term_objs, to_difference_basis)
@@ -115,10 +116,12 @@ class GrassContext(_Record):
         return len(lam) <= self.n and (not lam or lam[0] <= self.cols)
 
     def box_partitions(self):
-        """All partitions in the n x (m-n) box, lexicographically sorted: the
-        weakly decreasing n-tuples of 0..m-n, zeros dropped."""
-        return sorted(tuple(filter(None, p)) for p in
-                      combinations_with_replacement(range(self.cols, -1, -1), self.n))
+        """All partitions in the n x (m-n) box, lexicographically sorted.
+        The weakly decreasing n-tuples of m-n..0 come in descending
+        lexicographic order, and dropping their trailing zeros keeps that
+        order, so the list is reversed, not sorted."""
+        return [tuple(filter(None, p)) for p in
+                combinations_with_replacement(range(self.cols, -1, -1), self.n)][::-1]
 
 
 def truncate(expansion, ctx):
@@ -137,8 +140,9 @@ def truncate(expansion, ctx):
 
 
 def _check_in_box(ctx, *parts):
+    """Refuse any of `parts`, normalized partitions, that leaves the box."""
     for p in parts:
-        if not ctx.in_box(p):
+        if len(p) > ctx.n or p and p[0] > ctx.cols:
             raise ValueError(f"partition {p} does not fit the {ctx.n} x {ctx.cols} box")
 
 
@@ -148,13 +152,20 @@ def schubert_product(lam, mu, ctx):
     `_structure_constant`, whose only base case is the diagonal constant
     c_{lam,lam}^lam, a product of linear forms.  The product commutes, so
     (lam, mu) and (mu, lam) both run the recursion as (max, min) and share
-    its memo entries."""
+    its memo entries.  The map is built clean, in box order: a constant
+    that vanishes is left out."""
     lam, mu = partition(lam), partition(mu)
     _check_in_box(ctx, lam, mu)
     hi, lo = max(lam, mu), min(lam, mu)
-    return SchurExpansion(ctx.n, {
-        nu: _structure_constant(hi, lo, nu, ctx.n)
-        for nu in ctx.box_partitions() if _in_support(hi, lo, nu)})
+    coeffs = {}
+    size = sum(hi) + sum(lo)
+    for nu in ctx.box_partitions():
+        # `_in_support`, with |lam| + |mu| summed once
+        if sum(nu) <= size and _contains(nu, hi) and _contains(nu, lo):
+            c = _structure_constant(hi, lo, nu, ctx.n)
+            if c:
+                coeffs[nu] = c
+    return SchurExpansion._trusted(ctx.n, coeffs)
 
 
 def schubert_product_by_expansion(lam, mu, ctx):
@@ -168,21 +179,25 @@ def schubert_product_by_expansion(lam, mu, ctx):
 
 
 def _contains(outer, inner):
-    return len(inner) <= len(outer) and all(a <= b for a, b in zip(inner, outer))
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 def _in_support(lam, mu, nu):
     """c_{lam,mu}^nu vanishes unless lam and mu lie inside nu and
     |nu| <= |lam| + |mu| (the constant has degree |lam| + |mu| - |nu|)."""
-    return _contains(nu, lam) and _contains(nu, mu) and sum(nu) <= sum(lam) + sum(mu)
+    return sum(nu) <= sum(lam) + sum(mu) and _contains(nu, lam) and _contains(nu, mu)
 
 
 def _removable(nu):
-    """Partitions obtained from nu by removing one corner box."""
+    """Partitions obtained from nu by removing one corner box.  Only the
+    last row can shrink to 0, and is then dropped."""
     out = []
+    last = len(nu) - 1
     for r, part in enumerate(nu):
-        if r + 1 == len(nu) or nu[r + 1] < part:
-            out.append(partition(nu[:r] + (part - 1,) + nu[r + 1:]))
+        if r == last:
+            out.append(nu[:r] + (part - 1,) if part > 1 else nu[:r])
+        elif nu[r + 1] < part:
+            out.append(nu[:r] + (part - 1,) + nu[r + 1:])
     return out
 
 
@@ -301,12 +316,13 @@ def check_graham_positivity(c, ctx):
     except NotShiftInvariant as exc:
         return PositivityReport(False, reason="not shift-invariant",
                                 offender=exc.offender)
-    negative = [k for k, coeff in cert.terms.items() if coeff < 0]
-    if negative:
-        k = max(negative)  # the first negative term in canonical order
+    terms = cert.terms
+    if terms and min(terms.values()) < 0:
+        # the first negative term in canonical order
+        k = max(k for k, coeff in terms.items() if coeff < 0)
         _, _, mono = next(_decoded_monomials(0, cert.tw, str, [k]))
         return PositivityReport(False, reason="negative coefficient",
-                                offender=f"{cert.terms[k]} on u-monomial {mono}")
+                                offender=f"{terms[k]} on u-monomial {mono}")
     return PositivityReport(True, cert, cert._t_indices())
 
 

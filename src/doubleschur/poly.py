@@ -534,11 +534,20 @@ def to_difference_basis(p, m):
         raise ValueError(f"polynomial involves t-indices beyond t{m}")
     invariant = _shift_derivative_vanishes(p, slots)
     # slot j < m carries u_j after the substitutions; width w = m - 1
-    # drops every term holding t_m.  The substitutions run on a copy.
+    # drops every term holding t_m.  The substitutions run on a copy,
+    # repacked at width w in one pass: the fields above w are cut off,
+    # with every term that has one of them set, or zero fields are added.
+    # At width w the copy shares p's keys (a shift by 0 makes new ints).
     w = m - 1 if invariant else m
-    terms = p.kill_t_above(w)._widened(w)
-    if terms is p.terms:
-        terms = dict(terms)
+    if p.tw > w:
+        cut = F * (p.tw - w)
+        above = (1 << cut) - 1
+        terms = {k >> cut: c for k, c in p.terms.items() if not k & above}
+    elif p.tw == w:
+        terms = dict(p.terms)
+    else:
+        pad = F * (w - p.tw)
+        terms = {k << pad: c for k, c in p.terms.items()}
     for i in range(1, w):
         _shear_into(terms, w, i)
     if invariant:

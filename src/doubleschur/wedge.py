@@ -20,6 +20,7 @@ from .schur import (
     double_monomial,
     expand_in_double_schur,
     expansion_to_poly,
+    partition,
     remove_staircase,
     strict_sequence,
 )
@@ -360,6 +361,7 @@ def lambda_to_coweight(lam, ctx):
     """The 0/1 weight of the basis class of lam: ones exactly in positions
     lam_i + n - i + 1 (1-based), i.e. one step above each entry of
     lam + staircase."""
+    lam = partition(lam)
     _check_in_box(ctx, lam)
     bits = [0] * ctx.m
     for entry in add_staircase(lam, ctx.n):

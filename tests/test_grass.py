@@ -150,10 +150,36 @@ def test_product_classical_specialization():
 
 def test_product_rejects_out_of_box():
     ctx = GrassContext(2, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^partition \(3,\) does not fit the 2 x 2 box$"):
         schubert_product((3,), (1,), ctx)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^partition \(1, 1, 1\) does not fit the 2 x 2 box$"):
         schubert_product((1,), (1, 1, 1), ctx)
+    # the message names the normalized partition
+    with pytest.raises(ValueError, match=r"^partition \(3,\) does not fit the 2 x 2 box$"):
+        schubert_product([1], [3, 0], ctx)
+
+
+def test_product_normalizes_its_partitions():
+    ctx = GrassContext(2, 5)
+    # three parts as given, two once the trailing zero is dropped
+    assert schubert_product([2, 1, 0], (1,), ctx) == schubert_product((2, 1), (1,), ctx)
+    assert schubert_product((1,), [2, 1, 0], ctx) == schubert_product((2, 1), (1,), ctx)
+
+
+@pytest.mark.parametrize("n,m", [(2, 5), (3, 6)])
+def test_product_is_built_clean_in_box_order(n, m):
+    # the product map is built without the public constructor: it must be
+    # what that constructor would make of it, with no zero constant and
+    # its partitions in the box's order
+    ctx = GrassContext(n, m)
+    box = ctx.box_partitions()
+    for lam in box:
+        for mu in box:
+            got = schubert_product(lam, mu, ctx)
+            assert got == SchurExpansion(n, dict(got.coeffs)), (lam, mu)
+            assert all(c for c in got.coeffs.values()), (lam, mu)
+            assert list(got.coeffs) == [nu for nu in box if nu in got.coeffs], (lam, mu)
 
 
 def test_product_commutes():
@@ -363,6 +389,16 @@ def test_positivity_detects_negative():
     assert not rep.positive
     assert rep.reason == "negative coefficient"
     assert rep.offender == "-1 on u-monomial {'1': 1}"
+
+
+def test_positivity_reports_the_first_negative_term_in_canonical_order():
+    # u2^2 comes before u1 in the graded order, so it is the offender
+    u1, u2 = Poly.t(1), Poly.t(2)
+    c = from_difference_basis(-u1 - u2 ** 2 + 3 * u1 * u2, 3)
+    rep = check_graham_positivity(c, GrassContext(1, 3))
+    assert not rep.positive
+    assert rep.reason == "negative coefficient"
+    assert rep.offender == "-1 on u-monomial {'2': 2}"
 
 
 def test_positivity_detects_shift_variance():

@@ -330,6 +330,35 @@ def test_difference_basis_near_invariant_matches_reference(case):
         _outcome(reference_to_difference_basis, p, m)
 
 
+def _stored_at(p, tw):
+    """p with its terms packed at t-width tw >= p.tw (padding above)."""
+    return Poly(p.nx, tw, p._widened(tw))
+
+
+_U = Poly.t(1) ** 2 + 3 * Poly.t(1) * Poly.t(2) + 2      # u1..u2: t1..t3
+_UM = _U * Poly.t(4) + Poly.t(4) ** 2                    # u4 too: t5 = t_m
+
+
+@pytest.mark.parametrize("m,p,tw", [
+    # invariant, stored narrower than, at, one above and three above m - 1
+    *((5, from_difference_basis(_U, 5), tw) for tw in (3, 4, 5, 7)),
+    (5, from_difference_basis(_UM, 5), 5),
+    (5, from_difference_basis(_UM, 5), 7),
+    # not invariant, at the same widths
+    *((5, from_difference_basis(_U, 5) + Poly.t(2), tw) for tw in (3, 4, 5, 7)),
+    (5, from_difference_basis(_UM, 5) - 2 * Poly.t(5) ** 2, 5),
+    (5, from_difference_basis(_UM, 5) - 2 * Poly.t(5) ** 2, 7),
+    (2, Poly.t(1), 4),
+])
+def test_difference_basis_at_every_stored_width(m, p, tw):
+    p = _stored_at(p, tw)
+    assert p.tw == tw
+    got = _outcome(to_difference_basis, p, m)
+    assert got == _outcome(reference_to_difference_basis, p, m)
+    if got[0] == "value":
+        assert got[1].tw == m - 1
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_difference_basis_substitutes_invariant_input_at_t_m_zero(monkeypatch, m):
     # an invariant input takes m - 2 substitution passes, any other m - 1
