@@ -331,28 +331,40 @@ def test_peel_and_parent_builds_write_out_no_flat_terms():
     _clear_schur_memos()
     try:
         met = set()
+        first = double_schur(box[0], n)
         for lam in box:
             met |= set(expand_in_double_schur(x_sum(n) * double_schur(lam, n), n).coeffs)
+            # the flat memo is bounded: it keeps the last two results only
+            assert double_schur.cache_info().currsize <= 2
         peel_only = met - set(box)
         assert peel_only
-        # the flat memo holds the shapes read directly and nothing else: no
+        # one flat form written per shape read directly and none else: no
         # peel-only shape and no parent at arity n - 1, though all were built
-        assert double_schur.cache_info().currsize == len(box)
+        assert double_schur.cache_info().misses == len(box)
         built = _schur_groups.cache_info().misses
         for mu in met:
             _schur_groups(mu, n)
         for mu in box_partitions(2, 3):
             _schur_groups(mu, 2)
         assert _schur_groups.cache_info().misses == built
-        misses = double_schur.cache_info().misses
-        for lam in box:
-            double_schur(lam, n)
-        assert double_schur.cache_info().misses == misses
+        # a shape asked for again after it left the memo is written out again,
+        # from the retained groups, with the same terms
+        assert double_schur(box[0], n) == first
+        assert double_schur.cache_info().misses == len(box) + 1
+        assert _schur_groups.cache_info().misses == built
         mu = max(peel_only)
         s = double_schur(mu, n)
-        assert double_schur.cache_info().misses == misses + 1
-        assert double_schur(mu, n).terms is s.terms
+        assert double_schur.cache_info().misses == len(box) + 2
+        assert double_schur(mu, n) == s
         assert s == _reference_double_schur(mu, n)
+        assert double_schur.cache_info().currsize <= 2
+        # a fixed shape read against every other (the outer lam of
+        # `verify_routes`) is written once
+        double_schur.cache_clear()
+        for mu in box:
+            double_schur(box[-1], n)
+            double_schur(mu, n)
+        assert double_schur.cache_info().misses == len(box)
     finally:
         _clear_schur_memos()
 
@@ -395,17 +407,18 @@ def test_expand_rejects_non_skew():
 
 
 @st.composite
-def symmetric_combinations(draw):
+def expansions(draw, min_size=0, max_size=4):
     n = draw(st.integers(1, 4))
     lams = draw(st.lists(
         st.sampled_from([lam for lam in box_partitions(4, 3) if len(lam) <= n]),
-        min_size=1, max_size=3, unique=True))
-    # t-indices up to n + 6 reach past every one inside s_lam (at most
-    # n + lam_1 - 1 = n + 2 in this box)
+        min_size=min_size, max_size=max_size, unique=True))
+    # integer coefficients are narrower than every s_lam; t-indices up to
+    # n + 6 reach past every one inside s_lam (at most n + lam_1 - 1 = n + 2
+    # in this box)
     t_terms = st.tuples(st.integers(-3, 3).filter(bool),
                         st.dictionaries(st.integers(1, n + 6), st.integers(1, 2),
                                         max_size=2))
-    p = Poly.zero(n)
+    coeffs = {}
     for lam in lams:
         c = Poly.zero(0)
         for k, te in draw(st.lists(t_terms, min_size=1, max_size=3)):
@@ -413,8 +426,17 @@ def symmetric_combinations(draw):
             for j, e in te.items():
                 mono = mono * Poly.t(j) ** e
             c = c + mono
-        p = p + c.as_arity(n) * double_schur(lam, n)
-    return p, n
+        coeffs[lam] = c
+    return SchurExpansion(n, coeffs)
+
+
+@st.composite
+def symmetric_combinations(draw):
+    e = draw(expansions(min_size=1, max_size=3))
+    p = Poly.zero(e.n)
+    for lam, c in e.coeffs.items():
+        p = p + c.as_arity(e.n) * double_schur(lam, e.n)
+    return p, e.n
 
 
 @settings(max_examples=60, deadline=None)
@@ -606,6 +628,48 @@ def test_expansion_to_poly_inverts_expansion():
 def test_expansion_round_trip_with_t_coefficients():
     e = SchurExpansion(2, {(): Poly.t(4), (2, 1): 3, (1,): Poly.t(1) ** 2})
     assert expand_in_double_schur(expansion_to_poly(e), 2) == e
+
+
+def _reference_expansion_to_poly(e):
+    """Oracle for expansion_to_poly: every c * s_lam handed at once to one
+    Poly.sum_of_products call."""
+    if not e.coeffs:
+        return Poly.zero(e.n)
+    return Poly.sum_of_products((1, c.as_arity(e.n), double_schur(lam, e.n))
+                                for lam, c in e.coeffs.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(expansions())
+def test_expansion_to_poly_matches_one_sum_of_products(e):
+    got, want = expansion_to_poly(e), _reference_expansion_to_poly(e)
+    assert got == want
+    assert (got.nx, got.tw) == (want.nx, want.tw)
+    assert poly_to_obj(got) == poly_to_obj(want)
+
+
+def test_expansion_to_poly_widens_its_running_sum():
+    # a narrow product first, then one wider than the sum so far, then a
+    # narrow one again
+    e = SchurExpansion(3, {(1,): 2, (2, 1): Poly.t(9) - Poly.t(1), (): Poly.t(2)})
+    got, want = expansion_to_poly(e), _reference_expansion_to_poly(e)
+    assert got.tw == want.tw == 9
+    assert poly_to_obj(got) == poly_to_obj(want)
+    zero = SchurExpansion(3, {})
+    assert expansion_to_poly(zero) == _reference_expansion_to_poly(zero) == Poly.zero(3)
+    assert (expansion_to_poly(zero).nx, expansion_to_poly(zero).tw) == (3, 0)
+
+
+def test_expansion_to_poly_refuses_degrees_past_the_packed_bound():
+    # t1^(DEG_LIMIT - 1) * s_(1) reaches DEG_LIMIT; it comes after a product
+    # that fits, so the check runs on every product, not the first only
+    e = SchurExpansion(1, {(): 1, (1,): Poly.t(1) ** (DEG_LIMIT - 1)})
+    with pytest.raises(DegreeOverflow):
+        expansion_to_poly(e)
+    with pytest.raises(DegreeOverflow):
+        _reference_expansion_to_poly(e)
+    fits = SchurExpansion(1, {(): 1, (1,): Poly.t(1) ** (DEG_LIMIT - 2)})
+    assert expansion_to_poly(fits) == _reference_expansion_to_poly(fits)
 
 
 # -- Pieri rule ---------------------------------------------------------------
