@@ -19,8 +19,8 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial, prod
 
-from .poly import (DEG_LIMIT, F, FIELD, DegreeOverflow, Poly, _check_degree,
-                   _multiply_into, _poly_obj, poly_from_obj)
+from .poly import (DEG_LIMIT, F, FIELD, DegreeOverflow, Poly, _multiply_into,
+                   _poly_obj, poly_from_obj)
 
 __all__ = [
     "partition",
@@ -466,17 +466,8 @@ class SchurExpansion:
 
 
 def expansion_to_poly(e):
-    """Evaluate a SchurExpansion back to the symmetric polynomial it names:
-    the sum of c * s_lam, accumulated one shape at a time into one term
-    dict, so that no caller-side list holds every flat s_lam at once.  The
-    running sum is widened when a wider product arrives."""
-    n = e.n
-    tw, out = 0, {}
-    for lam, c in e.coeffs.items():
-        c, s = c.as_arity(n), double_schur(lam, n)
-        _check_degree(c, s)
-        w = max(tw, c.tw, s.tw)
-        if w > tw:
-            out, tw = Poly(n, tw, out)._widened(w), w
-        _multiply_into(((out, 1, c._widened(tw), s._widened(tw)),))
-    return Poly(n, tw, out)
+    """Evaluate a SchurExpansion back to the symmetric polynomial it names."""
+    if not e.coeffs:
+        return Poly.zero(e.n)
+    return Poly.sum_of_products((1, c.as_arity(e.n), double_schur(lam, e.n))
+                                for lam, c in e.coeffs.items())

@@ -407,18 +407,17 @@ def test_expand_rejects_non_skew():
 
 
 @st.composite
-def expansions(draw, min_size=0, max_size=4):
+def symmetric_combinations(draw):
     n = draw(st.integers(1, 4))
     lams = draw(st.lists(
         st.sampled_from([lam for lam in box_partitions(4, 3) if len(lam) <= n]),
-        min_size=min_size, max_size=max_size, unique=True))
-    # integer coefficients are narrower than every s_lam; t-indices up to
-    # n + 6 reach past every one inside s_lam (at most n + lam_1 - 1 = n + 2
-    # in this box)
+        min_size=1, max_size=3, unique=True))
+    # t-indices up to n + 6 reach past every one inside s_lam (at most
+    # n + lam_1 - 1 = n + 2 in this box)
     t_terms = st.tuples(st.integers(-3, 3).filter(bool),
                         st.dictionaries(st.integers(1, n + 6), st.integers(1, 2),
                                         max_size=2))
-    coeffs = {}
+    p = Poly.zero(n)
     for lam in lams:
         c = Poly.zero(0)
         for k, te in draw(st.lists(t_terms, min_size=1, max_size=3)):
@@ -426,17 +425,8 @@ def expansions(draw, min_size=0, max_size=4):
             for j, e in te.items():
                 mono = mono * Poly.t(j) ** e
             c = c + mono
-        coeffs[lam] = c
-    return SchurExpansion(n, coeffs)
-
-
-@st.composite
-def symmetric_combinations(draw):
-    e = draw(expansions(min_size=1, max_size=3))
-    p = Poly.zero(e.n)
-    for lam, c in e.coeffs.items():
-        p = p + c.as_arity(e.n) * double_schur(lam, e.n)
-    return p, e.n
+        p = p + c.as_arity(n) * double_schur(lam, n)
+    return p, n
 
 
 @settings(max_examples=60, deadline=None)
@@ -628,48 +618,6 @@ def test_expansion_to_poly_inverts_expansion():
 def test_expansion_round_trip_with_t_coefficients():
     e = SchurExpansion(2, {(): Poly.t(4), (2, 1): 3, (1,): Poly.t(1) ** 2})
     assert expand_in_double_schur(expansion_to_poly(e), 2) == e
-
-
-def _reference_expansion_to_poly(e):
-    """Oracle for expansion_to_poly: every c * s_lam handed at once to one
-    Poly.sum_of_products call."""
-    if not e.coeffs:
-        return Poly.zero(e.n)
-    return Poly.sum_of_products((1, c.as_arity(e.n), double_schur(lam, e.n))
-                                for lam, c in e.coeffs.items())
-
-
-@settings(max_examples=100, deadline=None)
-@given(expansions())
-def test_expansion_to_poly_matches_one_sum_of_products(e):
-    got, want = expansion_to_poly(e), _reference_expansion_to_poly(e)
-    assert got == want
-    assert (got.nx, got.tw) == (want.nx, want.tw)
-    assert poly_to_obj(got) == poly_to_obj(want)
-
-
-def test_expansion_to_poly_widens_its_running_sum():
-    # a narrow product first, then one wider than the sum so far, then a
-    # narrow one again
-    e = SchurExpansion(3, {(1,): 2, (2, 1): Poly.t(9) - Poly.t(1), (): Poly.t(2)})
-    got, want = expansion_to_poly(e), _reference_expansion_to_poly(e)
-    assert got.tw == want.tw == 9
-    assert poly_to_obj(got) == poly_to_obj(want)
-    zero = SchurExpansion(3, {})
-    assert expansion_to_poly(zero) == _reference_expansion_to_poly(zero) == Poly.zero(3)
-    assert (expansion_to_poly(zero).nx, expansion_to_poly(zero).tw) == (3, 0)
-
-
-def test_expansion_to_poly_refuses_degrees_past_the_packed_bound():
-    # t1^(DEG_LIMIT - 1) * s_(1) reaches DEG_LIMIT; it comes after a product
-    # that fits, so the check runs on every product, not the first only
-    e = SchurExpansion(1, {(): 1, (1,): Poly.t(1) ** (DEG_LIMIT - 1)})
-    with pytest.raises(DegreeOverflow):
-        expansion_to_poly(e)
-    with pytest.raises(DegreeOverflow):
-        _reference_expansion_to_poly(e)
-    fits = SchurExpansion(1, {(): 1, (1,): Poly.t(1) ** (DEG_LIMIT - 2)})
-    assert expansion_to_poly(fits) == _reference_expansion_to_poly(fits)
 
 
 # -- Pieri rule ---------------------------------------------------------------
