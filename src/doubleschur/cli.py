@@ -21,7 +21,7 @@ from .grass import (
     full_structure_table,
 )
 from .poly import DegreeOverflow, poly_to_obj
-from .schur import double_schur
+from .schur import double_schur, partition
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -40,17 +40,14 @@ def parse_partition(text):
     text = text.strip()
     if not text:
         return ()
-    parts = []
-    for piece in text.split(","):
-        piece = piece.strip()
+    pieces = [piece.strip() for piece in text.split(",")]
+    for piece in pieces:
         if not piece.isdecimal():
             raise UsageError(f"malformed partition entry {piece!r} in {text!r}")
-        parts.append(int(piece))
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise UsageError(f"partition {text!r} is not weakly decreasing")
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return tuple(parts)
+    try:
+        return partition(map(int, pieces))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _emit(obj):

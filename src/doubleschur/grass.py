@@ -19,8 +19,8 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import le
 
-from .poly import (Poly, NotShiftInvariant, _check_degree, _decoded_monomials,
-                   _multiply_into, _poly_obj, _term_objs, to_difference_basis)
+from .poly import (Poly, NotShiftInvariant, _decoded_monomials, _poly_obj,
+                   _sums_of_products, _term_objs, to_difference_basis)
 from .schur import (
     SchurExpansion,
     _addable,
@@ -331,25 +331,15 @@ def sigma1_power_expansion(k, ctx):
     iterating the Pieri rule and truncating.  The coefficients in top
     degree |lam| = k are plain integers (standard tableau counts).
 
-    Each step widens every coefficient c and every Pieri coefficient d to
-    one t-width and accumulates each product c * d into its target's term
-    dict in one `_multiply_into` batch."""
+    Each step sums every product c * d of a coefficient c and a Pieri
+    coefficient d into its target in one `_sums_of_products` batch."""
     if k < 0:
         raise ValueError("power must be nonnegative")
     acc = SchurExpansion.unit((), ctx.n)
     for _ in range(k):
-        steps = [(c, pieri_multiply(lam, ctx.n).coeffs) for lam, c in acc.coeffs.items()]
-        tw = max((p.tw for c, step in steps for p in (c, *step.values())), default=0)
-        out = {}
-        products = []
-        for c, step in steps:
-            a = c._widened(tw)
-            for mu, d in step.items():
-                _check_degree(c, d)
-                products.append((out.setdefault(mu, {}), 1, a, d._widened(tw)))
-        _multiply_into(products)
-        acc = truncate(SchurExpansion._trusted(
-            ctx.n, {mu: Poly(0, tw, terms) for mu, terms in out.items() if terms}), ctx)
+        acc = truncate(SchurExpansion._trusted(ctx.n, _sums_of_products(
+            0, ((mu, 1, c, d) for lam, c in acc.coeffs.items()
+                for mu, d in pieri_multiply(lam, ctx.n).coeffs.items()))), ctx)
     return acc
 
 

@@ -248,23 +248,15 @@ class Poly:
 
     @classmethod
     def sum_of_products(cls, pairs):
-        """Sum of scaled products c * p * q, accumulated in a single pass
-        without materializing the intermediate products; the workhorse of
-        determinant expansion.  `pairs` is an iterable of (c, p, q) with
-        integer c."""
+        """Sum of scaled products c * p * q, accumulated in one batch of
+        `_sums_of_products` without materializing the intermediate
+        products; the workhorse of determinant expansion.  `pairs` is a
+        nonempty iterable of (c, p, q) with integer c."""
         pairs = list(pairs)
         if not pairs:
             raise ValueError("empty sum")
         nx = pairs[0][1].nx
-        tw = 0
-        for _, p, q in pairs:
-            if p.nx != nx or q.nx != nx:
-                raise ArityMismatch("mixed arities in sum_of_products")
-            _check_degree(p, q)
-            tw = max(tw, p.tw, q.tw)
-        out = {}
-        _multiply_into((out, c, p._widened(tw), q._widened(tw)) for c, p, q in pairs)
-        return cls(nx, tw, out)
+        return _sums_of_products(nx, ((0, c, p, q) for c, p, q in pairs)).get(0, cls(nx))
 
     def exact_div(self, d):
         """Exact quotient self / d, for d a nonzero linear form: every term
@@ -446,6 +438,39 @@ def _multiply_into(products):
                     out[k] = v
                 else:
                     del out[k]
+
+
+def _sums_of_products(nx, items):
+    """{key: sum of c * p * q} over the items (key, c, p, q) of `items`,
+    each sum a Poly at arity nx and one common t-width; a sum that vanishes
+    is left out.  c is an integer, p and q are Polys.  Raises ArityMismatch
+    and DegreeOverflow as p * q would, for every item listed.
+
+    `items` is materialized first, so that every operand stays alive while
+    its `id` is a memo key: each distinct operand is repacked once to the
+    common width and its degree read once, even when a generator yields
+    temporaries.  Every product then goes into its key's term dict in one
+    `_multiply_into` batch."""
+    items = list(items)
+    operands = {id(p): p for item in items for p in item[2:]}
+    tw = 0
+    for p in operands.values():
+        if p.nx != nx:
+            raise ArityMismatch(f"x-arity mismatch: {p.nx} vs {nx}")
+        tw = max(tw, p.tw)
+    packed = {i: (p._widened(tw), max(p.terms, default=0) >> F * (nx + p.tw))
+              for i, p in operands.items()}
+    out = {}
+    products = []
+    for key, c, p, q in items:
+        a, da = packed[id(p)]
+        b, db = packed[id(q)]
+        # a constant operand has degree 0 and only scales, as in p * q
+        if da and db and da + db >= DEG_LIMIT:
+            raise DegreeOverflow("product degree exceeds the packed monomial bound")
+        products.append((out.setdefault(key, {}), c, a, b))
+    _multiply_into(products)
+    return {key: Poly(nx, tw, terms) for key, terms in out.items() if terms}
 
 
 def _pack(nx, tw, xe, te):

@@ -20,7 +20,7 @@ from itertools import combinations, permutations, product
 from math import factorial, prod
 
 from .poly import (DEG_LIMIT, F, FIELD, DegreeOverflow, Poly, _multiply_into,
-                   _poly_obj, poly_from_obj)
+                   _poly_obj, _sums_of_products, poly_from_obj)
 
 __all__ = [
     "partition",
@@ -467,7 +467,6 @@ class SchurExpansion:
 
 def expansion_to_poly(e):
     """Evaluate a SchurExpansion back to the symmetric polynomial it names."""
-    if not e.coeffs:
-        return Poly.zero(e.n)
-    return Poly.sum_of_products((1, c.as_arity(e.n), double_schur(lam, e.n))
-                                for lam, c in e.coeffs.items())
+    out = _sums_of_products(e.n, ((0, 1, c.as_arity(e.n), double_schur(lam, e.n))
+                                  for lam, c in e.coeffs.items()))
+    return out.get(0, Poly.zero(e.n))

@@ -12,8 +12,7 @@ ring; `centralizer_action` computes both sides and insists they agree.
 
 from __future__ import annotations
 
-from .poly import (DEG_LIMIT, F, DegreeOverflow, Poly, _multiply_into, _poly_obj,
-                   poly_from_obj)
+from .poly import Poly, _poly_obj, _sums_of_products, poly_from_obj
 from .schur import (
     SchurExpansion,
     add_staircase,
@@ -162,19 +161,11 @@ class GLMatrix:
     def __matmul__(self, other):
         self._check(other)
         m = self.m
-        rows = []
-        for r in range(m):
-            row = []
-            for c in range(m):
-                acc = Poly.zero(0)
-                for k in range(m):
-                    a = self.entries[r][k]
-                    b = other.entries[k][c]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return GLMatrix(m, rows)
+        out = _sums_of_products(0, (((r, c), 1, a, b)
+                                    for r, row in enumerate(self.entries)
+                                    for k, a in enumerate(row) if a
+                                    for c, b in enumerate(other.entries[k]) if b))
+        return GLMatrix(m, [[out.get((r, c), 0) for c in range(m)] for r in range(m)])
 
     def scale(self, c):
         return GLMatrix(self.m, [[c * e for e in row] for row in self.entries])
@@ -183,15 +174,9 @@ class GLMatrix:
         """Matrix-vector action on V."""
         if v.m != self.m:
             raise ValueError("shape mismatch")
-        out = []
-        for r in range(self.m):
-            acc = Poly.zero(0)
-            for c in range(self.m):
-                e = self.entries[r][c]
-                if e and v.coords[c]:
-                    acc = acc + e * v.coords[c]
-            out.append(acc)
-        return StandardVector(self.m, out)
+        out = _sums_of_products(0, ((r, 1, e, x) for r, row in enumerate(self.entries)
+                                    for e, x in zip(row, v.coords) if e and x))
+        return StandardVector(self.m, [out.get(r, 0) for r in range(self.m)])
 
     def commutator(self, other):
         return self @ other - other @ self
@@ -238,12 +223,10 @@ def multiplication_matrix(f):
 
 def symmetric_multiplier(f, n):
     """f(x1) + ... + f(xn) as a polynomial at arity n."""
-    acc = Poly.zero(n)
-    for i in range(1, n + 1):
-        for k, c in enumerate(f.coords):
-            if c:
-                acc = acc + c.as_arity(n) * double_monomial(k, i, n)
-    return acc
+    coords = [(k, c.as_arity(n)) for k, c in enumerate(f.coords) if c]
+    out = _sums_of_products(n, ((0, 1, c, double_monomial(k, i, n))
+                                for i in range(1, n + 1) for k, c in coords))
+    return out.get(0, Poly.zero(n))
 
 
 class WedgeVector:
@@ -319,30 +302,22 @@ def gl_action_on_wedge(X, w):
     nu is strictly decreasing, so putting r in place of nu[slot] either
     collides (r != nu[slot] and r is in nu) or lands at position pos, the
     number of the other entries that exceed r, with sign (-1)^(pos - slot).
-    Every nonzero entry and every coordinate is widened once to one t-width,
-    and every product sign * entry * coordinate goes into its output term
-    dict in one `_multiply_into` batch.  DegreeOverflow is raised for a
-    product that does not collide and whose degree reaches DEG_LIMIT, as
-    the product of the two polynomials would raise it."""
+    Every product sign * entry * coordinate that does not collide goes into
+    its output coefficient in one `_sums_of_products` batch, which raises
+    DegreeOverflow as the product of the two polynomials would."""
     if X.m != w.m:
         raise ValueError("shape mismatch")
-    tw = max([e.tw for row in X.entries for e in row] + [c.tw for c in w.coords.values()])
-    sh = F * tw
-    # cols[src]: (r, entry terms, entry degree) of each nonzero entry of column src
+    # cols[src]: (r, entry) of each nonzero entry of column src
     cols = [[] for _ in range(X.m)]
     for r, row in enumerate(X.entries):
         for src, e in enumerate(row):
             if e:
-                a = e._widened(tw)
-                cols[src].append((r, a, max(a) >> sh))
-    out = {}
+                cols[src].append((r, e))
     products = []
     for nu, c in w.coords.items():
-        c = c._widened(tw)
-        dc = max(c) >> sh
         for slot, src in enumerate(nu):
             others = nu[:slot] + nu[slot + 1:]
-            for r, a, da in cols[src]:
+            for r, a in cols[src]:
                 if r == src:
                     key, pos = nu, slot
                 elif r in others:
@@ -350,11 +325,8 @@ def gl_action_on_wedge(X, w):
                 else:
                     pos = sum(e > r for e in others)
                     key = others[:pos] + (r,) + others[pos:]
-                if dc + da >= DEG_LIMIT:
-                    raise DegreeOverflow("product degree exceeds the packed monomial bound")
-                products.append((out.setdefault(key, {}), -1 if (pos - slot) & 1 else 1, a, c))
-    _multiply_into(products)
-    return WedgeVector(w.n, w.m, {key: Poly(0, tw, d) for key, d in out.items() if d})
+                products.append((key, -1 if (pos - slot) & 1 else 1, a, c))
+    return WedgeVector(w.n, w.m, _sums_of_products(0, products))
 
 
 def lambda_to_coweight(lam, ctx):

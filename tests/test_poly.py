@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from doubleschur import poly
 from doubleschur.poly import (
+    DEG_LIMIT,
     ArityMismatch,
     DegreeOverflow,
     NotDivisible,
@@ -548,6 +549,86 @@ def test_sum_of_products_sums_to_zero(p, q, r):
     assert Poly.sum_of_products([(1, p, q), (-1, q, p)]).terms == {}
     assert Poly.sum_of_products([(2, p, q + r), (-2, p, q), (1, -p, r + r)]).terms == {}
     assert Poly.sum_of_products([(0, p, q), (1, p, r)]) == p * r
+
+
+def _naive_sums(nx, items):
+    """Oracle for _sums_of_products: every operand at the widest t-width,
+    each key's products summed by _naive_products, vanished sums dropped."""
+    tw = max((p.tw for _, _, p, q in items for p in (p, q)), default=0)
+    keys = sorted({key for key, *_ in items})
+    outs = _naive_products([{} for _ in keys], [
+        (keys.index(key), c, p._widened(tw), q._widened(tw)) for key, c, p, q in items])
+    return {key: Poly(nx, tw, out) for key, out in zip(keys, outs) if out}
+
+
+@st.composite
+def sums_batches(draw):
+    """Items (key, c, p, q) over a pool of at most three operands, each
+    stored up to two t-slots wider than it needs, so that widths are mixed
+    and one operand object is met in several items.  With `cancel`, key 0
+    also gets minus each of its products, so its sum vanishes."""
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(polys())
+        pool.append(_stored_at(p, p.tw + draw(st.integers(0, 2))))
+    operand = st.sampled_from(pool)
+    items = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(-2, 2), operand, operand),
+                          max_size=6))
+    cancel = draw(st.booleans())
+    if cancel:
+        items += [(key, -c, q, p) for key, c, p, q in items if key == 0]
+    return items, cancel
+
+
+@settings(max_examples=300, deadline=None)
+@given(sums_batches())
+def test_sums_of_products_matches_naive_products(case):
+    items, cancel = case
+    before = [dict(p.terms) for _, _, p, q in items for p in (p, q)]
+    got = poly._sums_of_products(2, iter(items))
+    assert got == _naive_sums(2, items)
+    assert len({p.tw for p in got.values()}) <= 1
+    assert not (cancel and 0 in got)
+    assert [dict(p.terms) for _, _, p, q in items for p in (p, q)] == before
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys(1), st.integers(1, 3))
+def test_sums_of_products_keeps_temporary_operands_alive(p, n):
+    # every operand is a temporary that only the generator's item refers to;
+    # were one freed before the batch is read, its id could name the next
+    items = ((i, 1, (p + i).as_arity(2), x(1) + t(i + n)) for i in range(6))
+    want = {}
+    for i in range(6):
+        prod = (p + i).as_arity(2) * (x(1) + t(i + n))
+        if prod:
+            want[i] = prod
+    assert poly._sums_of_products(2, items) == want
+
+
+def test_sums_of_products_checks_arity_as_mul_does():
+    with pytest.raises(ArityMismatch):
+        poly._sums_of_products(2, [(0, 1, x(1), Poly.x(1, 1))])
+    with pytest.raises(ArityMismatch):
+        poly._sums_of_products(2, [(0, 1, Poly.x(1, 1), Poly.x(1, 1))])
+    with pytest.raises(ArityMismatch):
+        Poly.sum_of_products([(1, x(1), x(2)), (1, Poly.x(1, 1), Poly.x(1, 1))])
+    assert poly._sums_of_products(2, []) == {}
+
+
+def test_sums_of_products_degree_bound_is_that_of_mul():
+    half = Poly.t(1) ** (DEG_LIMIT // 2)
+    below = Poly.t(2) ** (DEG_LIMIT // 2 - 1)
+    # degree DEG_LIMIT - 1 is formed; DEG_LIMIT is refused, even for c = 0
+    assert poly._sums_of_products(0, [(0, 1, half, below)]) == {0: half * below}
+    with pytest.raises(DegreeOverflow):
+        half * half
+    for c in (1, 0):
+        with pytest.raises(DegreeOverflow):
+            poly._sums_of_products(0, [(0, 1, half, below), (1, c, half, half)])
+    # a constant or zero operand only scales, as in p * q
+    assert poly._sums_of_products(0, [(0, 3, Poly.const(2), half), (1, 1, Poly.zero(0), half)]) \
+        == {0: 6 * half}
 
 
 def test_str_rendering():

@@ -241,6 +241,21 @@ def test_lie_bracket_compatibility():
         assert lhs == WedgeVector(n, m, diff)
 
 
+def test_matrix_products_match_entrywise_arithmetic():
+    # random entries are zero, constants (t-width 0) or c * t_j (width j)
+    rng = random.Random(5)
+    zero = Poly.zero(0)
+    for m in (1, 2, 3, 4):
+        for _ in range(10):
+            A, B = random_matrix(m, rng), random_matrix(m, rng)
+            want = [[sum((A.entries[r][k] * B.entries[k][c] for k in range(m)), zero)
+                     for c in range(m)] for r in range(m)]
+            assert A @ B == GLMatrix(m, want)
+            v = StandardVector(m, random_matrix(m, rng).entries[0])
+            want = [sum((e * x for e, x in zip(row, v.coords)), zero) for row in A.entries]
+            assert A.apply(v) == StandardVector(m, want)
+
+
 # -- coweights -------------------------------------------------------------------
 
 def test_lambda_to_coweight_examples():
