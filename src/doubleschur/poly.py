@@ -545,11 +545,14 @@ def to_difference_basis(p, m):
     The derivative of the image in t_m is the image of D p, where
     D = d/dt_1 + ... + d/dt_m, and the substitution is invertible, so p
     is shift-invariant exactly when D p = 0; that is checked first, in one
-    pass.  An invariant p has an image free of t_m, so t_m may be set to 0
-    in it, and so in p, before substituting: the terms of p that hold t_m
-    are dropped, t_i -> u_i + t_{i+1} runs for i = 1 .. m-2 only, and the
-    residual t_{m-1} is u_{m-1} itself.  Otherwise all m-1 substitutions
-    run and the largest term left holding t_m is reported.
+    pass.  An invariant p keeps its value when all its t-indices are
+    shifted by -t_J, J the largest index present, so p may be read at
+    t_J = 0 before substituting: the terms of p that hold t_J are dropped,
+    t_i -> u_i + t_{i+1} runs only for i from the smallest index present
+    to J-2 (a lower pass has no term to move), the residual t_{J-1} is
+    u_{J-1} itself, and u_J .. u_{m-1} do not occur.  Otherwise the
+    substitutions run up to i = m-1 and the largest term left holding t_m
+    is reported.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -558,25 +561,17 @@ def to_difference_basis(p, m):
     if slots and slots[-1] > m:
         raise ValueError(f"polynomial involves t-indices beyond t{m}")
     invariant = _shift_derivative_vanishes(p, slots)
-    # slot j < m carries u_j after the substitutions; width w = m - 1
-    # drops every term holding t_m.  The substitutions run on a copy,
-    # repacked at width w in one pass: the fields above w are cut off,
-    # with every term that has one of them set, or zero fields are added.
-    # At width w the copy shares p's keys (a shift by 0 makes new ints).
-    w = m - 1 if invariant else m
-    if p.tw > w:
-        cut = F * (p.tw - w)
-        above = (1 << cut) - 1
-        terms = {k >> cut: c for k, c in p.terms.items() if not k & above}
-    elif p.tw == w:
-        terms = dict(p.terms)
-    else:
-        pad = F * (w - p.tw)
-        terms = {k << pad: c for k, c in p.terms.items()}
-    for i in range(1, w):
+    # slot j carries u_j after the substitutions, which write in place on
+    # a copy of p's terms at width w: J - 1 cuts off every term holding t_J
+    # (a constant is cut to width 0), m keeps t_m for the offender.
+    w = (slots[-1] if slots else 1) - 1 if invariant else m
+    terms = p.kill_t_above(w)._widened(w)
+    if terms is p.terms:
+        terms = dict(terms)
+    for i in range(slots[0] if slots else w, w):
         _shear_into(terms, w, i)
     if invariant:
-        return Poly(0, w, terms)
+        return Poly(0, m - 1, Poly(0, w, terms)._widened(m - 1))
     worst = max(k for k in terms if k & FIELD)
     raise NotShiftInvariant(
         "polynomial is not invariant under a simultaneous t-shift",

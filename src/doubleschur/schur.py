@@ -105,17 +105,22 @@ def double_monomial(k, var=1, nvars=1):
     return acc
 
 
-@lru_cache(maxsize=None)
 def alternant(nu, n):
     """The skew-symmetric basis element indexed by a strictly decreasing
     sequence: the n x n determinant det( (x_i|t)^{nu_j} ).
 
     Computed by cofactor expansion over row subsets, consuming columns
-    left to right; no division is performed.
+    left to right; no division is performed.  nu is validated before the
+    memo is read, so any sequence type is accepted.
     """
     if n < 1:
         raise ValueError("arity must be at least 1")
-    nu = strict_sequence(nu, n)
+    return _alternant(strict_sequence(nu, n), n)
+
+
+@lru_cache(maxsize=None)
+def _alternant(nu, n):
+    """`alternant` of a validated tuple nu, memoized per (nu, n)."""
     minors = {(): Poly.one(n)}
     for col in range(n):
         exp = nu[col]
@@ -130,6 +135,10 @@ def alternant(nu, n):
                 for pos, r in enumerate(rows))
         minors = new
     return minors[tuple(range(1, n + 1))]
+
+
+alternant.cache_info = _alternant.cache_info
+alternant.cache_clear = _alternant.cache_clear
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +282,6 @@ def _schur_groups(lam, n):
     return tw, dominant
 
 
-@lru_cache(maxsize=2)
 def double_schur(lam, n):
     """The double Schur polynomial of lam in x1..xn, written out from the
     dominant groups of `_schur_groups`: the Z[t] coefficient of x^a goes to
@@ -281,12 +289,19 @@ def double_schur(lam, n):
     the groups alone; this flat form is written out for its caller and is
     not retained.  The memo keeps the last two results only, so a caller
     that alternates between a fixed shape and others (lam against every mu)
-    writes the fixed one once."""
+    writes the fixed one once.  lam is normalized before the memo is read,
+    so [2, 1, 0] and (2, 1) share one entry."""
     if n < 1:
         raise ValueError("arity must be at least 1")
     lam = partition(lam)
     if len(lam) > n:
         raise ValueError(f"partition {lam} has more than {n} parts")
+    return _double_schur(lam, n)
+
+
+@lru_cache(maxsize=2)
+def _double_schur(lam, n):
+    """`double_schur` of a normalized partition lam, memoized per (lam, n)."""
     tw, dominant = _schur_groups(lam, n)
     sh, size = F * tw, sum(lam)
     # s_lam is homogeneous of degree |lam|, so the group of x^a holds t-degree
@@ -297,6 +312,10 @@ def double_schur(lam, n):
                         for off in [top + ((y - size + _orbit(x, n)[1]) << sh)
                                     for y in _orbit_members(x, n)]
                         for k, c in g.items()})
+
+
+double_schur.cache_info = _double_schur.cache_info
+double_schur.cache_clear = _double_schur.cache_clear
 
 
 def expand_in_double_schur(p, n):

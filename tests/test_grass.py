@@ -504,6 +504,31 @@ def test_sigma1_top_degree_matches_syt():
         assert tops == want, k
 
 
+
+def test_sigma1_class_powers_on_g48_are_certified_at_width_m_minus_1():
+    # sigma1 = x1+..+x4 + t1+..+t4, the class of the one-box partition:
+    # s_(1) * s_lam is x_sum * s_lam by Pieri plus e1(t) * s_lam.  Most
+    # coefficients reach t_J only for some J < m, so each is certified at
+    # its own largest index and must still come back at width m - 1.
+    ctx = GrassContext(4, 8)
+    e1 = t(1) + t(2) + t(3) + t(4)
+    acc = SchurExpansion(ctx.n, {(): 1})
+    below_m = 0
+    for k in range(1, 12):
+        nxt = {}
+        for lam, c in acc.coeffs.items():
+            for mu, d in [*pieri_multiply(lam, ctx.n).coeffs.items(), (lam, e1)]:
+                nxt[mu] = nxt.get(mu, Poly.zero(0)) + c * d
+        acc = truncate(SchurExpansion(ctx.n, nxt), ctx)
+        for lam, c in acc.items():
+            rep = check_graham_positivity(c, ctx)
+            assert rep.positive, (k, lam)
+            assert rep.certificate.tw == ctx.m - 1, (k, lam)
+            assert from_difference_basis(rep.certificate, ctx.m) == c, (k, lam)
+            below_m += c.max_t_index() < ctx.m
+    assert below_m > 0
+
+
 # -- structure tables --------------------------------------------------------------
 
 def test_table_projective_line():

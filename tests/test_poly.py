@@ -384,6 +384,58 @@ def test_difference_basis_substitutes_invariant_input_at_t_m_zero(monkeypatch, m
     assert passes == list(range(1, m))
 
 
+
+@st.composite
+def invariant_below_m(draw):
+    """(m, J, p): p the image of a random u in u_low..u_{J-1}, so p is
+    shift-invariant with t-indices in low..J, J < m, stored at a t-width
+    past J."""
+    m = draw(st.integers(2, 7))
+    top = draw(st.integers(1, m - 1))
+    low = draw(st.integers(1, top))
+    u = Poly.zero(0)
+    for te, c in draw(st.lists(st.tuples(
+            st.dictionaries(st.integers(low, top), st.integers(1, 3), max_size=3),
+            st.integers(-3, 3)), max_size=4)):
+        mono = Poly.const(c)
+        for j, e in te.items():
+            if j < top:
+                mono = mono * Poly.t(j) ** e
+        u = u + mono
+    p = from_difference_basis(u, top)
+    return m, top, _stored_at(p, top + draw(st.integers(1, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(invariant_below_m())
+def test_difference_basis_below_m_matches_reference_at_width_m_minus_1(case):
+    m, top, p = case
+    assert p.tw > top
+    got = to_difference_basis(p, m)
+    assert got == reference_to_difference_basis(p, m)
+    assert got.tw == m - 1
+
+
+@pytest.mark.parametrize("low,top,m", [(1, 3, 5), (2, 4, 4), (2, 5, 7), (3, 4, 6), (4, 6, 6)])
+def test_difference_basis_shears_from_the_smallest_to_the_largest_index(monkeypatch, low, top, m):
+    # indices low..top: the passes run for i = low .. top - 2 only
+    passes = []
+    shear = poly._shear_into
+
+    def counted(terms, tw, i):
+        passes.append(i)
+        shear(terms, tw, i)
+
+    monkeypatch.setattr(poly, "_shear_into", counted)
+    u = Poly.const(2)
+    for j in range(low, top):
+        u = u + j * Poly.t(j) ** 2 + Poly.t(low) * Poly.t(j)
+    p = from_difference_basis(u, top)
+    assert p._t_indices() == tuple(range(low, top + 1))
+    assert to_difference_basis(p, m) == u
+    assert passes == list(range(low, top - 1))
+
+
 # -- serialization ---------------------------------------------------------
 
 def test_json_round_trip():

@@ -136,6 +136,38 @@ def test_alternant_single_variable():
     assert alternant((3,), 1) == double_monomial(3)
 
 
+def test_alternant_and_double_schur_accept_any_sequence():
+    # each argument is normalized before its memo is read, so a list is a
+    # valid key and equal shapes share one entry
+    alternant.cache_clear()
+    double_schur.cache_clear()
+    try:
+        a = alternant([2, 1, 0], 3)
+        assert alternant((2, 1, 0), 3) is a
+        assert alternant.cache_info()[:2] == (1, 1)
+        s = double_schur([2, 1, 0], 3)
+        assert double_schur((2, 1), 3) is s
+        assert double_schur.cache_info()[:2] == (1, 1)
+        # [2, 1, 0] is the staircase at n = 3
+        assert heap_exact_div(alternant(list(add_staircase([2, 1], 3)), 3), a) == s
+    finally:
+        alternant.cache_clear()
+        _clear_schur_memos()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: alternant([1, 2], 2), "entries not strictly decreasing: \\(1, 2\\)"),
+    (lambda: alternant([2, 1], 3), "expected length 3, got \\(2, 1\\)"),
+    (lambda: alternant([1], 0), "arity must be at least 1"),
+    (lambda: double_schur([1, 2], 3), "parts not weakly decreasing: \\(1, 2\\)"),
+    (lambda: double_schur([1, 1, 1, 1], 3), "partition \\(1, 1, 1, 1\\) has more than 3 parts"),
+    (lambda: double_schur([1], 0), "arity must be at least 1"),
+])
+def test_alternant_and_double_schur_refuse_bad_shapes(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def _reference_expand_in_alternants(p, n):
     """Expand a skew-symmetric polynomial in the alternant basis; the
     reference peel behind _reference_expand_in_double_schur.
