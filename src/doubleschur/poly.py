@@ -564,7 +564,7 @@ def to_difference_basis(p, m):
     # slot j carries u_j after the substitutions, which write in place on
     # a copy of p's terms at width w: J - 1 cuts off every term holding t_J
     # (a constant is cut to width 0), m keeps t_m for the offender.
-    w = (slots[-1] if slots else 1) - 1 if invariant else m
+    w = (slots[-1] - 1 if slots else 0) if invariant else m
     terms = p.kill_t_above(w)._widened(w)
     if terms is p.terms:
         terms = dict(terms)

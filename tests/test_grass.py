@@ -504,7 +504,6 @@ def test_sigma1_top_degree_matches_syt():
         assert tops == want, k
 
 
-
 def test_sigma1_class_powers_on_g48_are_certified_at_width_m_minus_1():
     # sigma1 = x1+..+x4 + t1+..+t4, the class of the one-box partition:
     # s_(1) * s_lam is x_sum * s_lam by Pieri plus e1(t) * s_lam.  Most

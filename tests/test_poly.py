@@ -384,7 +384,6 @@ def test_difference_basis_substitutes_invariant_input_at_t_m_zero(monkeypatch, m
     assert passes == list(range(1, m))
 
 
-
 @st.composite
 def invariant_below_m(draw):
     """(m, J, p): p the image of a random u in u_low..u_{J-1}, so p is
