@@ -46,14 +46,12 @@ from .grass import (
 from .wedge import (
     GLMatrix,
     PathDisagreement,
-    StandardVector,
     WedgeVector,
     centralizer_action,
     coweight_to_lambda,
     from_wedge_coordinates,
     gl_action_on_wedge,
     lambda_to_coweight,
-    mult_by_x,
     multiplication_matrix,
     symmetric_multiplier,
     to_wedge_coordinates,

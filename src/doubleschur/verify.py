@@ -24,7 +24,7 @@ from .schur import (
     pieri_multiply,
     x_sum,
 )
-from .wedge import (PathDisagreement, StandardVector, _centralizer_action,
+from .wedge import (PathDisagreement, WedgeVector, _centralizer_action,
                     multiplication_matrix, symmetric_multiplier)
 
 __all__ = ["SUITES", "run_suite", "verify_pieri", "verify_positivity",
@@ -133,7 +133,7 @@ def verify_intertwine(n, m):
     failures = []
     cases = 0
     for k in range(m):
-        f = StandardVector.basis(k, m)
+        f = WedgeVector.basis((k,), 1, m)
         matrix, multiplier = multiplication_matrix(f), symmetric_multiplier(f, n)
         for lam in ctx.box_partitions():
             cases += 1

@@ -1,13 +1,16 @@
 """The wedge-power model of the truncated ring.
 
 The rank-m module V = Z[t1..tm][x] / (x|t)^m carries the double-monomial
-basis (x|t)^0, ..., (x|t)^{m-1}; m x m matrices over Z[t1..tm] act on it,
-and on its n-th wedge power by the Leibniz rule.  Double Schur coordinates
-and wedge coordinates are identified by sending the basis class of a
-partition lam to the basis wedge indexed by lam + staircase, basis to
-basis with sign +1.  Multiplication operators on V act on the wedge power
-exactly as multiplication by f(x1) + ... + f(xn) acts on the truncated
-ring; `centralizer_action` computes both sides and insists they agree.
+basis (x|t)^0, ..., (x|t)^{m-1}; m x m matrices over Z[t1..tm] act on its
+n-th wedge power by the Leibniz rule.  V is the first wedge power: an
+element of V is a WedgeVector with n = 1, keyed (k,) at (x|t)^k, and a
+matrix acts on it by the Leibniz rule at n = 1, the matrix-vector
+product.  Double Schur coordinates and wedge coordinates are identified
+by sending the basis class of a partition lam to the basis wedge indexed
+by lam + staircase, basis to basis with sign +1.  Multiplication
+operators on V act on the wedge power exactly as multiplication by
+f(x1) + ... + f(xn) acts on the truncated ring; `centralizer_action`
+computes both sides and insists they agree.
 """
 
 from __future__ import annotations
@@ -26,10 +29,8 @@ from .schur import (
 from .grass import _check_in_box, truncate
 
 __all__ = [
-    "StandardVector",
     "GLMatrix",
     "WedgeVector",
-    "mult_by_x",
     "x_matrix",
     "multiplication_matrix",
     "symmetric_multiplier",
@@ -56,58 +57,6 @@ def _t_coeff(c, m, what):
     if c.tw > m and c.max_t_index() > m:
         raise ValueError(f"{what} involves t-indices beyond t{m}")
     return c
-
-
-class StandardVector:
-    """Element of V in the double-monomial basis: coords[k] multiplies
-    (x|t)^k, for k = 0..m-1."""
-
-    __slots__ = ("m", "coords")
-
-    def __init__(self, m, coords):
-        coords = list(coords)
-        if len(coords) != m:
-            raise ValueError(f"expected {m} coordinates, got {len(coords)}")
-        self.m = m
-        self.coords = tuple(_t_coeff(c, m, "coordinate") for c in coords)
-
-    @classmethod
-    def basis(cls, k, m):
-        """The basis vector (x|t)^k, 0 <= k < m."""
-        if not 0 <= k < m:
-            raise ValueError(f"basis index {k} out of range 0..{m - 1}")
-        return cls(m, [Poly.const(1 if i == k else 0) for i in range(m)])
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, StandardVector):
-            return NotImplemented
-        return self.m == other.m and self.coords == other.coords
-
-    __hash__ = None
-
-    def __repr__(self):
-        body = ", ".join(str(c) for c in self.coords)
-        return f"StandardVector(m={self.m}, [{body}])"
-
-
-def mult_by_x(v):
-    """Multiplication by x on V: (x|t)^k -> (x|t)^{k+1} - t_{k+1} (x|t)^k
-    for k < m-1, and (x|t)^{m-1} -> -t_m (x|t)^{m-1} since (x|t)^m is zero
-    in V."""
-    m = v.m
-    out = [Poly.zero(0) for _ in range(m)]
-    for k, c in enumerate(v.coords):
-        if not c:
-            continue
-        if k < m - 1:
-            out[k + 1] = out[k + 1] + c
-            out[k] = out[k] - Poly.t(k + 1) * c
-        else:
-            out[k] = out[k] - Poly.t(m) * c
-    return StandardVector(m, out)
 
 
 class GLMatrix:
@@ -170,14 +119,6 @@ class GLMatrix:
     def scale(self, c):
         return GLMatrix(self.m, [[c * e for e in row] for row in self.entries])
 
-    def apply(self, v):
-        """Matrix-vector action on V."""
-        if v.m != self.m:
-            raise ValueError("shape mismatch")
-        out = _sums_of_products(0, ((r, 1, e, x) for r, row in enumerate(self.entries)
-                                    for e, x in zip(row, v.coords) if e and x))
-        return StandardVector(self.m, [out.get(r, 0) for r in range(self.m)])
-
     def commutator(self, other):
         return self @ other - other @ self
 
@@ -199,15 +140,24 @@ class GLMatrix:
 
 
 def x_matrix(m):
-    """The matrix of multiplication by x on V."""
-    cols = [mult_by_x(StandardVector.basis(k, m)) for k in range(m)]
-    return GLMatrix(m, [[cols[c].coords[r] for c in range(m)] for r in range(m)])
+    """The matrix of multiplication by x on V: x (x|t)^k = (x|t)^{k+1} -
+    t_{k+1} (x|t)^k, where (x|t)^m is zero in V."""
+    return GLMatrix(m, [[-Poly.t(r + 1) if r == c else 1 if r == c + 1 else 0
+                         for c in range(m)] for r in range(m)])
+
+
+def _check_in_v(f):
+    """Refuse an operator f that is not an element of V, the first wedge
+    power: a WedgeVector with n = 1, keyed (k,)."""
+    if not isinstance(f, WedgeVector) or f.n != 1:
+        raise ValueError("an element of V is a WedgeVector with n = 1")
 
 
 def multiplication_matrix(f):
     """The matrix of multiplication by f on V, for f given in the
     double-monomial basis: multiplication by (x|t)^k is the operator
     product (X + t_1) ... (X + t_k) where X is multiplication by x."""
+    _check_in_v(f)
     m = f.m
     X = x_matrix(m)
     acc = GLMatrix.zero(m)
@@ -215,7 +165,7 @@ def multiplication_matrix(f):
     for k in range(m):
         if k:
             fac = fac @ (X + GLMatrix.identity(m).scale(Poly.t(k)))
-        c = f.coords[k]
+        c = f.get((k,))
         if c:
             acc = acc + fac.scale(c)
     return acc
@@ -223,7 +173,8 @@ def multiplication_matrix(f):
 
 def symmetric_multiplier(f, n):
     """f(x1) + ... + f(xn) as a polynomial at arity n."""
-    coords = [(k, c.as_arity(n)) for k, c in enumerate(f.coords) if c]
+    _check_in_v(f)
+    coords = [(k, c.as_arity(n)) for (k,), c in sorted(f.coords.items())]
     out = _sums_of_products(n, ((0, 1, c, double_monomial(k, i, n))
                                 for i in range(1, n + 1) for k, c in coords))
     return out.get(0, Poly.zero(n))
@@ -382,6 +333,7 @@ def centralizer_action(f, expansion, ctx):
 
     A disagreement raises PathDisagreement.
     """
+    _check_in_v(f)
     if f.m != ctx.m:
         raise ValueError("shape mismatch")
     return _centralizer_action(multiplication_matrix(f), symmetric_multiplier(f, ctx.n),

@@ -6,17 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from doubleschur.grass import GrassContext, truncate
 from doubleschur.poly import DegreeOverflow, Poly
-from doubleschur.schur import SchurExpansion, pieri_multiply
+from doubleschur.schur import (SchurExpansion, double_monomial,
+                               expand_in_double_schur, pieri_multiply)
 from doubleschur.wedge import (
     GLMatrix,
-    StandardVector,
     WedgeVector,
     centralizer_action,
     coweight_to_lambda,
     from_wedge_coordinates,
     gl_action_on_wedge,
     lambda_to_coweight,
-    mult_by_x,
     multiplication_matrix,
     symmetric_multiplier,
     to_wedge_coordinates,
@@ -37,21 +36,40 @@ def random_matrix(m, rng):
     return GLMatrix(m, [[entry() for _ in range(m)] for _ in range(m)])
 
 
+def in_v(coords):
+    """The element of V, the first wedge power, with coordinate list
+    coords: coords[k] multiplies (x|t)^k."""
+    return WedgeVector(1, len(coords), {(k,): c for k, c in enumerate(coords)})
+
+
+def mult_by_x_reference(coords):
+    """Multiplication by x on a coordinate list of V: (x|t)^k goes to
+    (x|t)^{k+1} - t_{k+1} (x|t)^k for k < m-1, and (x|t)^{m-1} to
+    -t_m (x|t)^{m-1} since (x|t)^m is zero in V."""
+    m = len(coords)
+    out = [Poly.zero(0) for _ in range(m)]
+    for k, c in enumerate(coords):
+        if k < m - 1:
+            out[k + 1] = out[k + 1] + c
+        out[k] = out[k] - Poly.t(k + 1) * c
+    return out
+
+
 # -- V and multiplication by x ------------------------------------------------
 
 def test_mult_by_x_on_lowest_basis_vector():
     m = 4
-    got = mult_by_x(StandardVector.basis(0, m))
-    assert got.coords[0] == -t(1)
-    assert got.coords[1] == Poly.one()
-    assert all(c.is_zero() for c in got.coords[2:])
+    got = gl_action_on_wedge(x_matrix(m), WedgeVector.basis((0,), 1, m))
+    assert got.get((0,)) == -t(1)
+    assert got.get((1,)) == Poly.one()
+    assert all(got.get((k,)).is_zero() for k in range(2, m))
 
 
 def test_mult_by_x_on_top_basis_vector():
     m = 4
-    got = mult_by_x(StandardVector.basis(m - 1, m))
-    assert got.coords[m - 1] == -t(m)
-    assert all(c.is_zero() for c in got.coords[:-1])
+    got = gl_action_on_wedge(x_matrix(m), WedgeVector.basis((m - 1,), 1, m))
+    assert got.get((m - 1,)) == -t(m)
+    assert all(got.get((k,)).is_zero() for k in range(m - 1))
 
 
 def test_x_matrix_m2():
@@ -64,19 +82,30 @@ def test_x_matrix_matches_mult_by_x():
     X = x_matrix(m)
     rng = random.Random(3)
     for _ in range(5):
-        v = StandardVector(m, [Poly.const(rng.randint(-3, 3)) for _ in range(m)])
-        assert X.apply(v) == mult_by_x(v)
+        coords = [Poly.const(rng.randint(-3, 3)) for _ in range(m)]
+        assert gl_action_on_wedge(X, in_v(coords)) == in_v(mult_by_x_reference(coords))
+
+
+def test_x_matrix_columns_are_x_times_double_monomials():
+    # column k is x (x|t)^k, multiplied and expanded on the polynomial side
+    # at n = 1 and truncated to G(1, m)
+    for m in range(1, 9):
+        X = x_matrix(m)
+        ctx = GrassContext(1, m)
+        for k in range(m):
+            col = truncate(expand_in_double_schur(Poly.x(1, 1) * double_monomial(k), 1), ctx)
+            assert [X.entries[r][k] for r in range(m)] == [col.get((r,)) for r in range(m)]
 
 
 def test_multiplication_matrix_of_one_is_identity():
-    f = StandardVector.basis(0, 3)
+    f = WedgeVector.basis((0,), 1, 3)
     assert multiplication_matrix(f) == GLMatrix.identity(3)
 
 
 def test_multiplication_matrix_of_first_double_monomial():
     # (x|t)^1 acts as X + t1
     m = 3
-    got = multiplication_matrix(StandardVector.basis(1, m))
+    got = multiplication_matrix(WedgeVector.basis((1,), 1, m))
     want = x_matrix(m) + GLMatrix.identity(m).scale(t(1))
     assert got == want
 
@@ -85,13 +114,13 @@ def test_multiplication_matrices_commute_with_x():
     m = 4
     X = x_matrix(m)
     for k in range(m):
-        M = multiplication_matrix(StandardVector.basis(k, m))
+        M = multiplication_matrix(WedgeVector.basis((k,), 1, m))
         assert M.commutator(X) == GLMatrix.zero(m)
 
 
 def test_coordinate_t_range_enforced():
     with pytest.raises(ValueError):
-        StandardVector(2, [Poly.t(3), Poly.zero(0)])
+        in_v([Poly.t(3), Poly.zero(0)])
 
 
 # -- wedge action ---------------------------------------------------------------
@@ -251,9 +280,9 @@ def test_matrix_products_match_entrywise_arithmetic():
             want = [[sum((A.entries[r][k] * B.entries[k][c] for k in range(m)), zero)
                      for c in range(m)] for r in range(m)]
             assert A @ B == GLMatrix(m, want)
-            v = StandardVector(m, random_matrix(m, rng).entries[0])
-            want = [sum((e * x for e, x in zip(row, v.coords)), zero) for row in A.entries]
-            assert A.apply(v) == StandardVector(m, want)
+            v = random_matrix(m, rng).entries[0]
+            want = [sum((e * x for e, x in zip(row, v)), zero) for row in A.entries]
+            assert gl_action_on_wedge(A, in_v(v)) == in_v(want)
 
 
 # -- coweights -------------------------------------------------------------------
@@ -330,7 +359,7 @@ def test_wedge_json_round_trip():
 
 def test_constant_acts_as_n():
     ctx = GrassContext(2, 4)
-    f = StandardVector.basis(0, 4)
+    f = WedgeVector.basis((0,), 1, 4)
     e = SchurExpansion(2, {(1,): t(2), (2, 2): 1})
     got = centralizer_action(f, e, ctx)
     want = SchurExpansion(2, {(1,): 2 * t(2), (2, 2): 2})
@@ -340,31 +369,54 @@ def test_constant_acts_as_n():
 def test_x_acts_like_pieri():
     # multiplication by x on V corresponds to multiplication by x1+...+xn
     ctx = GrassContext(2, 4)
-    f = StandardVector(4, [-t(1), Poly.one(), Poly.zero(0), Poly.zero(0)])
+    f = in_v([-t(1), Poly.one(), Poly.zero(0), Poly.zero(0)])
     got = centralizer_action(f, SchurExpansion.unit((), 2), ctx)
     assert got == truncate(pieri_multiply((), 2), ctx)
 
 
 def test_first_double_monomial_on_unit():
     ctx = GrassContext(2, 4)
-    got = centralizer_action(StandardVector.basis(1, 4),
+    got = centralizer_action(WedgeVector.basis((1,), 1, 4),
                              SchurExpansion.unit((), 2), ctx)
     want = SchurExpansion(2, {(): t(1) - t(2), (1,): 1})
     assert got == want
 
 
 def test_symmetric_multiplier_of_basis():
-    f = StandardVector.basis(1, 4)
+    f = WedgeVector.basis((1,), 1, 4)
     got = symmetric_multiplier(f, 2)
     want = Poly.x(1, 2) + Poly.x(2, 2) + 2 * Poly.t(1, 2)
     assert got == want
 
 
+def test_operators_outside_v_are_refused():
+    # f must be an element of V, not of a higher wedge power and not a
+    # coordinate list; an element of V of the wrong rank is a shape mismatch
+    ctx = GrassContext(2, 4)
+    unit = SchurExpansion.unit((), 2)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        centralizer_action(WedgeVector.basis((0,), 1, 3), unit, ctx)
+    for f in (WedgeVector.basis((1, 0), 2, 4), [Poly.one()] * 4):
+        with pytest.raises(ValueError, match="n = 1"):
+            centralizer_action(f, unit, ctx)
+
+
+def test_multiplication_matrix_refuses_operators_outside_v():
+    with pytest.raises(ValueError, match="n = 1"):
+        multiplication_matrix(WedgeVector.basis((1, 0), 2, 4))
+
+
+def test_symmetric_multiplier_refuses_operators_outside_v():
+    with pytest.raises(ValueError, match="n = 1"):
+        symmetric_multiplier(WedgeVector.basis((1, 0), 2, 4), 2)
+
+
 def test_intertwining_on_all_basis_elements():
     # both computation routes agree for every double-monomial operator and
     # every basis class; centralizer_action raises on any disagreement
-    ctx = GrassContext(2, 4)
-    for k in range(4):
-        f = StandardVector.basis(k, 4)
-        for lam in ctx.box_partitions():
-            centralizer_action(f, SchurExpansion.unit(lam, 2), ctx)
+    for n in (1, 2):
+        ctx = GrassContext(n, 4)
+        for k in range(4):
+            f = WedgeVector.basis((k,), 1, 4)
+            for lam in ctx.box_partitions():
+                centralizer_action(f, SchurExpansion.unit(lam, n), ctx)
