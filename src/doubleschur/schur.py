@@ -162,25 +162,23 @@ def _orbit_members(x, n):
                   for perm in permutations(parts)})
 
 
-def _dominant(groups, n, representatives=False):
-    """The groups of a polynomial in x1..xn, given as a map from packed
-    x-exponents to their coefficients, that have a weakly decreasing
-    ("dominant") exponent; None if the polynomial is not symmetric (some
-    group differs from its sorted exponent's, or an orbit lacks some of its
-    n!/prod(m_i!) members).
+def _dominant(groups, n):
+    """The groups with a weakly decreasing ("dominant") exponent of a
+    polynomial in x1..xn already symmetric in x1..x_{n-1}, given its groups
+    with x1..x_{n-1} weakly decreasing as a map from packed x-exponents to
+    their coefficients; None if the polynomial is not symmetric.
 
-    With `representatives`, the groups are only those with x1..x_{n-1}
-    weakly decreasing of a polynomial already symmetric in x1..x_{n-1}.
-    Every group of that polynomial is then the group of an
-    S_{n-1}-rearrangement of one given, and each orbit has one such member
-    per distinct part, so the same two checks with that count in place of
-    n!/prod(m_i!) are symmetry under all of S_n."""
+    Every group of that polynomial is the group of an S_{n-1}-rearrangement
+    of one given, and each orbit has one given member per distinct part
+    (the part left to x_n), so it is symmetric under all of S_n exactly when
+    every given group equals its sorted exponent's and every orbit present
+    has that many given members."""
     dominant, members, sizes = {}, {}, {}
     for x, g in groups.items():
-        d, _, size, distinct = _orbit(x, n)
+        d, _, _, distinct = _orbit(x, n)
         if d == x:
             dominant[d] = g
-            sizes[d] = distinct if representatives else size
+            sizes[d] = distinct
         elif groups.get(d) != g:
             return None
         members[d] = members.get(d, 0) + 1
@@ -196,29 +194,46 @@ def _peel_width(p, x):
 
 
 def _dominant_groups(p):
-    """The dominant groups of p (`_dominant`) as elements of Z[t]: the
-    coefficient of x^a, an arity-0 term dict at the peel's t-width
-    (`_peel_width`), keyed by the packed exponent a at bit 0.  None if p is
-    not symmetric.
+    """The groups of p at weakly decreasing ("dominant") x-exponents, as
+    elements of Z[t]: the coefficient of x^a, an arity-0 term dict at the
+    peel's t-width (`_peel_width`), keyed by the packed exponent a at bit 0.
+    None if p is not symmetric.
 
-    One pass groups every term by x-exponent with the x-fields cleared, so
-    that the groups of one orbit compare equal; only the dominant groups are
-    then rewritten, their degree fields lowered by the x-degree.  The
-    largest x-exponent of a symmetric polynomial is dominant, so the
-    largest key among the groups gives the peel's width."""
+    One pass checks symmetry term by term.  A term at a dominant exponent is
+    kept in its group; every other term must equal its twin, the term with
+    the same t-part at its sorted exponent; and the terms must number the
+    sum over the kept terms of their orbit sizes n!/prod(m_i!) (m_i the
+    multiplicities of the parts).  Every term then lies in the orbit of a
+    kept term with that term's coefficient, and the count leaves no orbit
+    member missing.  Only the kept terms are rewritten, their degree fields
+    lowered by the x-degree.  The largest x-exponent of a symmetric
+    polynomial is dominant, so the largest kept exponent gives the peel's
+    width."""
     n, sh = p.nx, F * p.tw
     hi, tmask = sh + F * n, (1 << sh) - 1
     xmask = ((1 << F * n) - 1) << sh
-    flat = defaultdict(dict)
-    for k, c in p.terms.items():
+    terms = p.terms
+    # x-fields of a key -> its sorted x-fields and orbit size, so that
+    # `_orbit` is read once per exponent, not once per term
+    orbits = {}
+    kept, count = defaultdict(dict), 0
+    for k, c in terms.items():
         x = k & xmask
-        flat[x][k ^ x] = c
-    dominant = _dominant({x >> sh: g for x, g in flat.items()}, n)
-    if dominant is None:
+        o = orbits.get(x)
+        if o is None:
+            d, _, size, _ = _orbit(x >> sh, n)
+            o = orbits[x] = d << sh, size
+        d, size = o
+        if d == x:
+            kept[x][k] = c
+            count += size
+        elif terms.get(k - x + d) != c:
+            return None
+    if count != len(terms):
         return None
-    up = F * (_peel_width(p, max(dominant, default=0)) - p.tw)
-    return {x: {(((k >> hi) - deg) << sh | k & tmask) << up: c for k, c in g.items()}
-            for x, g in dominant.items() for deg in [_orbit(x, n)[1]]}
+    up = F * (_peel_width(p, max(kept, default=0) >> sh) - p.tw)
+    return {x >> sh: {(((k >> hi) - deg) << sh | k & tmask) << up: c for k, c in g.items()}
+            for x, g in kept.items() for deg in [_orbit(x >> sh, n)[1]]}
 
 
 def _strip_indices(lam, mu, n):
@@ -240,6 +255,10 @@ def _strip_coefficients(indices, tw):
             for k in range(r + 1)]
 
 
+# every packed monomial that `_schur_groups` stores, mapped to itself
+_keys = {}
+
+
 @lru_cache(maxsize=None)
 def _schur_groups(lam, n):
     """The double Schur polynomial of a partition lam with at most n parts,
@@ -257,7 +276,10 @@ def _schur_groups(lam, n):
     `_multiply_into` batch.  Each s_mu was checked symmetric when it was
     built and the strip involves x_n and t only, so the sum is symmetric in
     x1..x_{n-1}, and `_dominant` on these representatives checks symmetry
-    under all of S_n.  Every product has degree at most |lam|."""
+    under all of S_n.  Every product has degree at most |lam|.
+
+    The groups are stored rewritten once with every key taken from the pool
+    `_keys`, so that equal keys of all stored shapes are one int object."""
     if n == 0:
         return 0, {0: {0: 1}}
     if sum(lam) >= DEG_LIMIT:
@@ -276,10 +298,11 @@ def _schur_groups(lam, n):
                 g = {k << up: c for k, c in g.items()}
             products += [(groups[a << F | k], 1, g, e) for k, e in enumerate(strip)]
     _multiply_into(products)
-    dominant = _dominant(groups, n, representatives=True)
+    dominant = _dominant(groups, n)
     if dominant is None:
         raise RuntimeError(f"double Schur polynomial of {lam} came out asymmetric")
-    return tw, dominant
+    return tw, {x: {_keys.setdefault(k, k): c for k, c in g.items()}
+                for x, g in dominant.items()}
 
 
 def double_schur(lam, n):

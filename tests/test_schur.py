@@ -313,7 +313,7 @@ def box_shapes(draw):
 def test_representative_build_matches_flat_build(case):
     lam, n = case
     got, want = double_schur(lam, n), _reference_double_schur(lam, n)
-    assert _schur_groups(lam, n) == (want.tw, _dominant(_groups(want), n))
+    assert _schur_groups(lam, n) == (want.tw, _full_orbit_dominant(_groups(want), n))
     assert type(got) is Poly
     assert got == want
     assert poly_to_obj(got) == poly_to_obj(want)
@@ -332,6 +332,25 @@ def _groups(p):
     return out
 
 
+def _full_orbit_dominant(groups, n):
+    """Oracle for the symmetry checks of `_dominant` and `_dominant_groups`:
+    the groups of a polynomial in x1..xn, given as a map from packed
+    x-exponents to their coefficients, that have a weakly decreasing
+    ("dominant") exponent; None if the polynomial is not symmetric (some
+    group differs from its sorted exponent's, or an orbit lacks some of its
+    n!/prod(m_i!) members)."""
+    dominant, members, sizes = {}, {}, {}
+    for x, g in groups.items():
+        d, _, size, _ = _orbit(x, n)
+        if d == x:
+            dominant[d] = g
+            sizes[d] = size
+        elif groups.get(d) != g:
+            return None
+        members[d] = members.get(d, 0) + 1
+    return dominant if members == sizes else None
+
+
 def _representatives(p):
     """The groups of p with x1..x_{n-1} weakly decreasing."""
     n = p.nx
@@ -347,14 +366,13 @@ def test_representative_check_counts_one_member_per_distinct_part():
     x1, x2, x3 = (Poly.x(i, n) for i in (1, 2, 3))
     e2 = x1 * x2 + x1 * x3 + x2 * x3
     assert _representatives(e2) == _groups(x1 * x2 + x1 * x3)
-    assert _dominant(_representatives(e2), n, representatives=True) == _dominant(_groups(e2), n)
+    assert _dominant(_representatives(e2), n) == _full_orbit_dominant(_groups(e2), n)
     # its one dominant group: x1 x2 (x_n in the lowest field), coefficient 1
-    assert _dominant(_groups(e2), n) == {1 << 2 * F | 1 << F: {0: 1}}
-    assert _dominant(_groups(x1 * x2 + x1 * x3), n) is None
-    assert _dominant(_groups(x1 * x2), n, representatives=True) is None
-    assert _dominant(_groups(x1 * x2 + 2 * x1 * x3), n, representatives=True) is None
-    assert _dominant(_groups(x1 * x2 + x1 * x3 * Poly.t(1, n)), n,
-                     representatives=True) is None
+    assert _full_orbit_dominant(_groups(e2), n) == {1 << 2 * F | 1 << F: {0: 1}}
+    assert _full_orbit_dominant(_groups(x1 * x2 + x1 * x3), n) is None
+    assert _dominant(_groups(x1 * x2), n) is None
+    assert _dominant(_groups(x1 * x2 + 2 * x1 * x3), n) is None
+    assert _dominant(_groups(x1 * x2 + x1 * x3 * Poly.t(1, n)), n) is None
 
 
 def test_peel_and_parent_builds_write_out_no_flat_terms():
@@ -397,6 +415,23 @@ def test_peel_and_parent_builds_write_out_no_flat_terms():
             double_schur(box[-1], n)
             double_schur(mu, n)
         assert double_schur.cache_info().misses == len(box)
+    finally:
+        _clear_schur_memos()
+
+
+def test_stored_groups_share_one_object_per_monomial():
+    n = 4
+    _clear_schur_memos()
+    try:
+        for lam in box_partitions(n, 3):
+            _schur_groups(lam, n)
+        built = _schur_groups.cache_info().misses
+        # every stored shape: the box and, at each lower arity, its parents
+        keys = [k for j in range(1, n + 1) for mu in box_partitions(j, 3)
+                for g in _schur_groups(mu, j)[1].values() for k in g]
+        assert _schur_groups.cache_info().misses == built
+        assert len(keys) > 5 * len(set(keys))
+        assert len({id(k) for k in keys}) == len(set(keys))
     finally:
         _clear_schur_memos()
 
@@ -528,7 +563,7 @@ def orbit_cases(draw):
 @given(orbit_cases())
 def test_orbit_check_matches_is_symmetric(case):
     p, n = case
-    groups = _dominant(_groups(p), n)
+    groups = _full_orbit_dominant(_groups(p), n)
     assert (groups is not None) == is_symmetric(p)
     assert (_dominant_groups(p) is not None) == is_symmetric(p)
     if groups is not None:
@@ -552,6 +587,40 @@ def test_orbit_check_needs_more_than_one_swap():
     assert _dominant_groups(p) is None
     with pytest.raises(ValueError, match="^polynomial is not symmetric$"):
         expand_in_double_schur(p, n)
+
+
+def _twins_agree(p):
+    """Whether every term of p equals the term with its t-part at its
+    sorted x-exponent, where that term exists."""
+    groups = _groups(p)
+    return all(groups.get(_orbit(x, p.nx)[0], {}).get(k) == c
+               for x, g in groups.items() for k, c in g.items())
+
+
+def test_peel_checks_each_term_and_the_count():
+    n = 3
+    x1, x2, x3 = (Poly.x(i, n) for i in (1, 2, 3))
+    t1, t2, t3 = (Poly.t(j, n) for j in (1, 2, 3))
+    e2 = x1 * x2 + x1 * x3 + x2 * x3
+    # x2 x3 t2 is missing, and every term present equals its twin: only the
+    # count (2 dominant terms times orbit size 3 = 6, not 5) fails
+    missing = e2 * (t1 + t2) - x2 * x3 * t2
+    assert _twins_agree(missing) and len(missing.terms) == 5
+    # the count holds (x1 t1 has orbit size 3), but x1 t2, the twin of
+    # x2 t2, is absent
+    orphan = x1 * t1 + x2 * t2 + x3 * t3
+    assert not _twins_agree(orphan) and len(orphan.terms) == 3
+    # the count holds, but x2 x3 has coefficient 2 and its twin x1 x2 has 1
+    recoefficient = e2 + x2 * x3
+    assert not _twins_agree(recoefficient) and len(recoefficient.terms) == 3
+    for p in (missing, orphan, recoefficient):
+        assert not is_symmetric(p)
+        assert _dominant_groups(p) is None
+        with pytest.raises(ValueError, match="^polynomial is not symmetric$"):
+            expand_in_double_schur(p, n)
+    # the zero polynomial is symmetric, with no group
+    assert _dominant_groups(Poly.zero(n)) == {}
+    assert _dominant_groups(Poly(n, 4, {})) == {}
 
 
 def test_expand_in_double_schur_round_trip():
