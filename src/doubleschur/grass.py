@@ -310,7 +310,9 @@ def _certificate_obj(cert, memo):
 
 def check_graham_positivity(c, ctx):
     """Certify that a structure constant lies in the nonnegative span of
-    monomials in t_1-t_2, ..., t_{m-1}-t_m, or report the violation."""
+    monomials in t_1-t_2, ..., t_{m-1}-t_m, or report the violation.  An
+    int c is read as a constant polynomial, so a negative one is reported
+    by its negative coefficient."""
     try:
         cert = to_difference_basis(c, ctx.m)
     except NotShiftInvariant as exc:
@@ -363,19 +365,23 @@ class StructureTable(_Record):
         """JSON form of the table, entries in lexicographic (lam, mu) order.
 
         One call keeps one memo (`poly._term_objs`), which decodes each
-        distinct monomial once, and renders each product map once: an entry
-        whose map is the very object of an entry already rendered (the
-        mirror entries of `full_structure_table`) gets the same list.  So
-        terms and entries within the returned tree share objects: treat it
-        as read-only."""
+        distinct monomial once, and renders each mirror pair once: entry
+        (lam, mu) gets the list already rendered for (mu, lam) when that
+        map is this one or equals it, since equal maps render to equal
+        bytes.  So the shared maps of `full_structure_table` and the equal
+        maps of a table built pair by pair both render once, and terms and
+        entries within the returned tree share objects: treat it as
+        read-only."""
         memo = {}
-        rendered = {}   # id(product map) -> its list; the table keeps each map alive
+        rendered = {}
         entries = []
         for lam, mu in sorted(self.entries):
             products = self.entries[(lam, mu)]
-            obj = rendered.get(id(products))
-            if obj is None:
-                obj = rendered[id(products)] = _products_to_obj(products, memo)
+            mirror = self.entries.get((mu, lam))
+            obj = rendered.get((mu, lam))
+            if obj is None or (mirror is not products and mirror != products):
+                obj = _products_to_obj(products, memo)
+            rendered[(lam, mu)] = obj
             entries.append({"lambda": list(lam), "mu": list(mu), "products": obj})
         return {"n": self.context.n, "m": self.context.m, "entries": entries}
 

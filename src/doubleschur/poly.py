@@ -72,14 +72,21 @@ class DegreeOverflow(OverflowError):
 
 
 class Poly:
-    """Immutable sparse polynomial.  Do not mutate `terms` from outside."""
+    """Immutable sparse polynomial.  Do not mutate `terms` from outside.
 
-    __slots__ = ("nx", "tw", "terms")
+    The private slot `_difference` holds `(m, certificate)` for the last m
+    at which `to_difference_basis` succeeded on the polynomial, None before
+    the first.  It relies on immutability: the certificate stays valid
+    exactly as long as the polynomial does, and it takes no part in
+    equality, repr or serialization."""
+
+    __slots__ = ("nx", "tw", "terms", "_difference")
 
     def __init__(self, nx, tw=0, terms=None):
         self.nx = nx
         self.tw = tw
         self.terms = {} if terms is None else terms
+        self._difference = None
 
     # -- constructors -------------------------------------------------
 
@@ -553,10 +560,20 @@ def to_difference_basis(p, m):
     u_{J-1} itself, and u_J .. u_{m-1} do not occur.  Otherwise the
     substitutions run up to i = m-1 and the largest term left holding t_m
     is reported.
+
+    An int p is read as `Poly.const(p)`.  A certificate is kept on p for
+    the last m it was taken at (`Poly._difference`), so a second call at
+    that m returns the same object.  A p that is not invariant keeps
+    nothing and raises on every call.
     """
+    if isinstance(p, int):
+        p = Poly.const(p)
+    cached = p._difference
+    if cached is not None and cached[0] == m:
+        return cached[1]
     if m < 1:
         raise ValueError("m must be a positive integer")
-    p = p.t_only()
+    source, p = p, p.t_only()
     slots = p._t_indices()
     if slots and slots[-1] > m:
         raise ValueError(f"polynomial involves t-indices beyond t{m}")
@@ -571,7 +588,9 @@ def to_difference_basis(p, m):
     for i in range(slots[0] if slots else w, w):
         _shear_into(terms, w, i)
     if invariant:
-        return Poly(0, m - 1, Poly(0, w, terms)._widened(m - 1))
+        cert = Poly(0, m - 1, Poly(0, w, terms)._widened(m - 1))
+        source._difference = (m, cert)
+        return cert
     worst = max(k for k in terms if k & FIELD)
     raise NotShiftInvariant(
         "polynomial is not invariant under a simultaneous t-shift",

@@ -384,6 +384,18 @@ def test_positivity_constant():
     assert rep.differences_used == ()
 
 
+def test_positivity_reads_an_int_as_a_constant():
+    ctx = GrassContext(2, 4)
+    for c in (0, 3):
+        rep = check_graham_positivity(c, ctx)
+        assert rep == check_graham_positivity(Poly.const(c), ctx)
+        assert rep.positive and rep.certificate == c
+    rep = check_graham_positivity(-3, ctx)
+    assert not rep.positive
+    assert rep.reason == "negative coefficient"
+    assert rep.offender == "-3 on u-monomial {}"
+
+
 def test_positivity_detects_negative():
     rep = check_graham_positivity(t(2) - t(1), GrassContext(1, 2))
     assert not rep.positive

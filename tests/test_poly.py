@@ -270,6 +270,50 @@ def test_difference_round_trip_reproduces_input():
     assert from_difference_basis(u, 3) == p
 
 
+def test_difference_basis_reads_an_int_as_a_constant():
+    for c in (0, 3, -3):
+        u = to_difference_basis(c, 4)
+        assert u == to_difference_basis(Poly.const(c), 4) == c
+        assert u.nx == 0 and u.tw == 3
+
+
+def _fresh(p):
+    """A copy of p that has never been certified."""
+    return Poly(p.nx, p.tw, dict(p.terms))
+
+
+def test_difference_basis_keeps_the_certificate_of_the_last_m():
+    p = (t(1, 0) - t(3, 0)) * (t(2, 0) - t(5, 0)) + 2 * (t(4, 0) - t(6, 0))
+    six = to_difference_basis(p, 6)
+    assert to_difference_basis(p, 6) is six
+    assert six.tw == 5 and six == to_difference_basis(_fresh(p), 6)
+    seven = to_difference_basis(p, 7)
+    assert seven.tw == 6 and seven == to_difference_basis(_fresh(p), 7)
+    assert to_difference_basis(p, 7) is seven
+    # p holds t6, so m = 5 is refused even after certificates at 6 and 7
+    with pytest.raises(ValueError):
+        to_difference_basis(p, 5)
+    # an input at arity 2 keeps its certificate too
+    q = t(1) - t(2)
+    assert to_difference_basis(q, 3) is to_difference_basis(q, 3)
+
+
+def test_difference_basis_raises_on_every_call_for_a_variant_input():
+    p = t(3, 0) ** 2 - t(1, 0)
+    for _ in range(3):
+        with pytest.raises(NotShiftInvariant) as info:
+            to_difference_basis(p, 4)
+        assert info.value.offender == "2*u3*t4"
+
+
+def test_a_certificate_leaves_equality_repr_and_json_unchanged():
+    p = (t(1, 0) - t(2, 0)) * (t(1, 0) - t(3, 0))
+    before = (repr(p), json.dumps(poly_to_obj(p)))
+    to_difference_basis(p, 3)
+    assert (repr(p), json.dumps(poly_to_obj(p))) == before
+    assert p == _fresh(p) and _fresh(p) == p
+
+
 def _outcome(fn, *args):
     try:
         return "value", fn(*args)

@@ -294,6 +294,31 @@ def test_table_terms_share_one_object_per_monomial():
     assert all(rendered[(lam, mu)] is rendered[(mu, lam)] for lam, mu in rendered)
 
 
+def _rendered_entries(table):
+    return {(tuple(e["lambda"]), tuple(e["mu"])): e["products"]
+            for e in table.to_obj()["entries"]}
+
+
+def test_equal_mirror_maps_share_one_rendered_list():
+    ctx = GrassContext(2, 5)
+    table = _per_pair_table(ctx)
+    rendered = _rendered_entries(table)
+    for lam, mu in rendered:
+        products, mirror = table.entries[(lam, mu)], table.entries[(mu, lam)]
+        # both orders hold the same constants and the same certificates,
+        # in maps that are equal but not one object
+        assert lam == mu or products is not mirror
+        for nu, (c, report) in products.items():
+            assert c is mirror[nu][0]
+            assert report.certificate is mirror[nu][1].certificate
+        assert rendered[(lam, mu)] is rendered[(mu, lam)]
+    # unequal mirror maps render apart; only the empty products stay equal
+    skewed = _skewed_table(ctx)
+    rendered = _rendered_entries(skewed)
+    assert all((rendered[(lam, mu)] is rendered[(mu, lam)])
+               == (lam == mu or not skewed.entries[(lam, mu)]) for lam, mu in rendered)
+
+
 def test_one_memo_keeps_arities_widths_and_renderers_apart():
     # x1 at arity 1, width 0 and t1 at arity 0, width 1 pack to one integer
     x1, t1 = Poly.x(1, 1), Poly.t(1)
