@@ -40,8 +40,13 @@ __all__ = [
 
 
 def partition(parts):
-    """Normalize to a weakly decreasing tuple of positive integers."""
-    parts = tuple(int(p) for p in parts)
+    """Normalize to a weakly decreasing tuple of positive integers.  Each
+    part must equal its int: ints, bools and integral floats are read as
+    ints, while 2.5, or the characters of a string, raise ValueError."""
+    raw = tuple(parts)
+    parts = tuple(map(int, raw))
+    if parts != raw:
+        raise ValueError(f"non-integral part in {raw}")
     if any(p < 0 for p in parts):
         raise ValueError(f"negative part in {parts}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -52,8 +57,12 @@ def partition(parts):
 
 
 def strict_sequence(parts, n=None):
-    """Validate a strictly decreasing tuple of nonnegative integers."""
-    parts = tuple(int(p) for p in parts)
+    """Validate a strictly decreasing tuple of nonnegative integers.  Each
+    entry must equal its int, as in `partition`."""
+    raw = tuple(parts)
+    parts = tuple(map(int, raw))
+    if parts != raw:
+        raise ValueError(f"non-integral entry in {raw}")
     if n is not None and len(parts) != n:
         raise ValueError(f"expected length {n}, got {parts}")
     if any(p < 0 for p in parts):

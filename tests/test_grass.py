@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from doubleschur.schur import (
     double_schur,
     expand_in_double_schur,
     expansion_to_poly,
+    partition,
     pieri_multiply,
     x_sum,
 )
@@ -42,6 +44,10 @@ def test_context_validation():
         GrassContext(0, 2)
     with pytest.raises(ValueError):
         GrassContext(3, 2)
+    # a float n or m used to construct and fail later, in box_partitions
+    for n, m in ((2.5, 5), (2.0, 5), (2, 5.0), ("2", 5)):
+        with pytest.raises(ValueError, match=r"^need integers n and m, got "):
+            GrassContext(n, m)
 
 
 def test_box_partitions():
@@ -74,6 +80,85 @@ def test_box_partitions_match_grown_prefixes():
     for m in range(1, 11):
         for n in range(1, m + 1):
             assert GrassContext(n, m).box_partitions() == _grown_box_partitions(n, m - n)
+
+
+# -- the box index -------------------------------------------------------------
+
+@pytest.mark.parametrize("n,m", [(2, 5), (3, 6)])
+def test_box_tuples_and_other_spellings_give_one_product(n, m):
+    # box tuples are read from the index; a list or a trailing zero goes
+    # through partition and the box check, and must give the same map,
+    # key order included
+    ctx = GrassContext(n, m)
+    box = ctx.box_partitions()
+    for lam in box:
+        for mu in box:
+            got = schubert_product(lam, mu, ctx)
+            for spelled in ((list(lam) + [0], list(mu) + [0]), (lam + (0,), mu + (0,))):
+                other = schubert_product(*spelled, ctx)
+                assert other == got, (lam, mu, spelled)
+                assert list(other.coeffs) == list(got.coeffs), (lam, mu, spelled)
+
+
+def test_box_is_enumerated_once_per_context(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return combinations_with_replacement(*args)
+
+    monkeypatch.setattr(grass, "combinations_with_replacement", counting)
+    ctx = GrassContext(2, 6)
+    box = ctx.box_partitions()
+    for lam in box:
+        for mu in box:
+            schubert_product(lam, mu, ctx)
+    assert len(box) ** 2 == 225 and len(calls) == 1
+    # each call hands out its own list, still without enumerating again
+    box.append((9,))
+    assert ctx.box_partitions() == box[:-1]
+    assert len(calls) == 1
+
+
+def test_a_one_off_product_builds_one_containment_list():
+    # 8,008 box partitions: one list of those above (2, 1), not one each
+    ctx = GrassContext(6, 16)
+    got = schubert_product((1,), (2, 1), ctx)
+    index = ctx._box_index()
+    assert len(index.canon) == 8008
+    assert list(index._above) == [(2, 1)]
+    assert set(got.coeffs) == {(2, 1), (2, 2), (3, 1), (2, 1, 1)}
+
+
+def test_equal_contexts_built_apart_give_equal_products():
+    first, second = GrassContext(2, 5), GrassContext(2, 5)
+    assert first == second and hash(first) == hash(second)
+    box = first.box_partitions()
+    for lam in box:
+        for mu in box:
+            a, b = schubert_product(lam, mu, first), schubert_product(lam, mu, second)
+            assert a == b and list(a.coeffs) == list(b.coeffs), (lam, mu)
+    assert first._box_index() is not second._box_index()
+
+
+def test_non_integral_parts_are_refused_off_the_index(monkeypatch):
+    ctx = GrassContext(2, 5)
+    seen = []
+
+    def spying(parts):
+        seen.append(parts)
+        return partition(parts)
+
+    monkeypatch.setattr(grass, "partition", spying)
+    with pytest.raises(ValueError, match=r"^non-integral part in \(2\.5, 1\)$"):
+        schubert_product((2.5, 1), (1,), ctx)
+    assert seen == [(2.5, 1)]
+    # an integral float is the box partition it equals, keys and all
+    seen.clear()
+    got = schubert_product((2.0, 1), (1,), ctx)
+    assert seen == []
+    assert got == schubert_product((2, 1), (1,), ctx)
+    assert all(type(part) is int for nu in got.coeffs for part in nu)
 
 
 # -- truncation ---------------------------------------------------------------

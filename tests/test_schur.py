@@ -67,6 +67,22 @@ def test_strict_sequence_validates():
         strict_sequence((2, 1), n=3)
 
 
+def test_non_integral_parts_are_refused():
+    # these used to be truncated, or a string read digit by digit
+    for parts in ((2.5, 1), (3, 1.5), "21", ["2", "1"]):
+        with pytest.raises(ValueError, match=r"^non-integral part in "):
+            partition(parts)
+    for parts in ((3.7, 1), "31"):
+        with pytest.raises(ValueError, match=r"^non-integral entry in "):
+            strict_sequence(parts)
+    with pytest.raises(ValueError, match=r"^non-integral part in "):
+        double_schur((1.5,), 1)
+    # ints, bools and integral floats are still read as ints
+    assert partition((2.0, True, 0.0)) == (2, 1)
+    assert all(type(part) is int for part in partition((2.0, True)))
+    assert strict_sequence((3.0, True, False)) == (3, 1, 0)
+
+
 def test_staircase_round_trip():
     assert staircase(3) == (2, 1, 0)
     assert add_staircase((2, 1), 3) == (4, 2, 0)
