@@ -99,7 +99,6 @@ class GrassContext(_Record):
             raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -119,44 +118,9 @@ class GrassContext(_Record):
         return len(lam) <= self.n and (not lam or lam[0] <= self.cols)
 
     def box_partitions(self):
-        """All partitions in the n x (m-n) box, lexicographically sorted:
-        a fresh list on each call, read off the context's box index."""
-        return list(self._box_index().canon)
-
-    def _box_index(self):
-        """The context's `_BoxIndex`, built on first use."""
-        index = self._index
-        if index is None:
-            index = _BoxIndex(self.n, self.cols)
-            object.__setattr__(self, "_index", index)
-        return index
-
-
-class _BoxIndex:
-    """The partitions of an n x cols box, enumerated once per context.
-
-    `canon` maps each box partition to itself, in lexicographic order: the
-    weakly decreasing n-tuples of cols..0 come in descending lexicographic
-    order, and dropping their trailing zeros keeps that order, so they are
-    read in reverse.  `above(lam)` lists the box partitions containing lam,
-    each with its size, and is built for each lam on first use, so a
-    one-off product on a large box builds one list, not one per partition."""
-
-    __slots__ = ("canon", "_above")
-
-    def __init__(self, n, cols):
-        box = [tuple(filter(None, p)) for p in
-               combinations_with_replacement(range(cols, -1, -1), n)]
-        self.canon = {p: p for p in reversed(box)}
-        self._above = {}
-
-    def above(self, lam):
-        """(nu, |nu|) for every box partition nu containing lam, in box order."""
-        got = self._above.get(lam)
-        if got is None:
-            got = self._above[lam] = [(nu, sum(nu)) for nu in self.canon
-                                      if _contains(nu, lam)]
-        return got
+        """All partitions in the n x (m-n) box, lexicographically sorted."""
+        return sorted(tuple(filter(None, p)) for p in
+                      combinations_with_replacement(range(self.cols, -1, -1), self.n))
 
 
 def truncate(expansion, ctx):
@@ -188,35 +152,29 @@ def schubert_product(lam, mu, ctx):
     c_{lam,lam}^lam, a product of linear forms.  The product commutes, so
     (lam, mu) and (mu, lam) both run the recursion as (max, min) and share
     its memo entries.  The map is built clean, in box order: a constant
-    that vanishes is left out.
-
-    A plain tuple equal to a box partition is read straight from the
-    context's box index, already normalized and in the box; any other
-    spelling goes through `partition` and the box check.  Only the box
-    partitions containing the larger of the two are scanned, each tested on
-    its size and on containing the smaller one: `_in_support`."""
-    index = ctx._box_index()
-    canon = index.canon
-    try:
-        known = (type(lam) is tuple and type(mu) is tuple
-                 and lam in canon and mu in canon)
-    except TypeError:
-        # a part that cannot be hashed: `partition` refuses it
-        known = False
-    if known:
-        lam, mu = canon[lam], canon[mu]
-    else:
-        lam, mu = partition(lam), partition(mu)
-        _check_in_box(ctx, lam, mu)
+    that vanishes is left out.  Only the partitions of `_support` are
+    visited, so the work is bounded by the product, not by the box."""
+    lam, mu = partition(lam), partition(mu)
+    _check_in_box(ctx, lam, mu)
     hi, lo = max(lam, mu), min(lam, mu)
     coeffs = {}
-    size = sum(hi) + sum(lo)
-    for nu, nu_size in index.above(hi):
-        if nu_size <= size and _contains(nu, lo):
-            c = _structure_constant(hi, lo, nu, ctx.n)
-            if c:
-                coeffs[nu] = c
+    for nu in _support(hi, lo, ctx.n, ctx.cols):
+        c = _structure_constant(hi, lo, nu, ctx.n)
+        if c:
+            coeffs[nu] = c
     return SchurExpansion._trusted(ctx.n, coeffs)
+
+
+@lru_cache(maxsize=None)
+def _support(hi, lo, n, cols):
+    """The partitions nu of the n x cols box with `_in_support(hi, lo, nu)`,
+    in box order: hi grown one box at a time, |lo| times, with no row
+    longer than cols, then kept when they contain lo."""
+    layer, grown = {hi}, {hi}
+    for _ in range(sum(lo)):
+        layer = {nu for lam in layer for nu in _addable(lam, n) if nu[0] <= cols}
+        grown |= layer
+    return sorted(nu for nu in grown if _contains(nu, lo))
 
 
 def schubert_product_by_expansion(lam, mu, ctx):

@@ -18,6 +18,7 @@ from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial, prod
+from operator import lt
 
 from .poly import (DEG_LIMIT, F, FIELD, DegreeOverflow, Poly, _multiply_into,
                    _poly_obj, _sums_of_products, poly_from_obj)
@@ -47,9 +48,9 @@ def partition(parts):
     parts = tuple(map(int, raw))
     if parts != raw:
         raise ValueError(f"non-integral part in {raw}")
-    if any(p < 0 for p in parts):
+    if min(parts, default=0) < 0:
         raise ValueError(f"negative part in {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    if any(map(lt, parts, parts[1:])):
         raise ValueError(f"parts not weakly decreasing: {parts}")
     while parts and parts[-1] == 0:
         parts = parts[:-1]

@@ -10,6 +10,7 @@ from doubleschur.grass import (
     GrassContext,
     _in_support,
     _structure_constant,
+    _support,
     SizeGuardExceeded,
     check_graham_positivity,
     full_structure_table,
@@ -82,13 +83,12 @@ def test_box_partitions_match_grown_prefixes():
             assert GrassContext(n, m).box_partitions() == _grown_box_partitions(n, m - n)
 
 
-# -- the box index -------------------------------------------------------------
+# -- the support of a product -------------------------------------------------
 
 @pytest.mark.parametrize("n,m", [(2, 5), (3, 6)])
 def test_box_tuples_and_other_spellings_give_one_product(n, m):
-    # box tuples are read from the index; a list or a trailing zero goes
-    # through partition and the box check, and must give the same map,
-    # key order included
+    # a list or a trailing zero is normalized by partition and must give
+    # the same map, key order included
     ctx = GrassContext(n, m)
     box = ctx.box_partitions()
     for lam in box:
@@ -100,7 +100,9 @@ def test_box_tuples_and_other_spellings_give_one_product(n, m):
                 assert list(other.coeffs) == list(got.coeffs), (lam, mu, spelled)
 
 
-def test_box_is_enumerated_once_per_context(monkeypatch):
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The arguments of every box enumeration `grass` makes."""
     calls = []
 
     def counting(*args):
@@ -108,25 +110,26 @@ def test_box_is_enumerated_once_per_context(monkeypatch):
         return combinations_with_replacement(*args)
 
     monkeypatch.setattr(grass, "combinations_with_replacement", counting)
+    return calls
+
+
+def test_products_enumerate_no_box(enumerations):
     ctx = GrassContext(2, 6)
     box = ctx.box_partitions()
+    enumerations.clear()
     for lam in box:
         for mu in box:
             schubert_product(lam, mu, ctx)
-    assert len(box) ** 2 == 225 and len(calls) == 1
-    # each call hands out its own list, still without enumerating again
+    assert len(box) ** 2 == 225 and enumerations == []
+    # each call hands out its own list
     box.append((9,))
     assert ctx.box_partitions() == box[:-1]
-    assert len(calls) == 1
 
 
-def test_a_one_off_product_builds_one_containment_list():
-    # 8,008 box partitions: one list of those above (2, 1), not one each
-    ctx = GrassContext(6, 16)
-    got = schubert_product((1,), (2, 1), ctx)
-    index = ctx._box_index()
-    assert len(index.canon) == 8008
-    assert list(index._above) == [(2, 1)]
+def test_a_one_off_product_enumerates_no_box(enumerations):
+    # the box holds 8,008 partitions; the support of (2, 1) * (1) holds four
+    got = schubert_product((1,), (2, 1), GrassContext(6, 16))
+    assert enumerations == []
     assert set(got.coeffs) == {(2, 1), (2, 2), (3, 1), (2, 1, 1)}
 
 
@@ -138,10 +141,9 @@ def test_equal_contexts_built_apart_give_equal_products():
         for mu in box:
             a, b = schubert_product(lam, mu, first), schubert_product(lam, mu, second)
             assert a == b and list(a.coeffs) == list(b.coeffs), (lam, mu)
-    assert first._box_index() is not second._box_index()
 
 
-def test_non_integral_parts_are_refused_off_the_index(monkeypatch):
+def test_non_integral_parts_are_refused_by_the_product(monkeypatch):
     ctx = GrassContext(2, 5)
     seen = []
 
@@ -154,11 +156,30 @@ def test_non_integral_parts_are_refused_off_the_index(monkeypatch):
         schubert_product((2.5, 1), (1,), ctx)
     assert seen == [(2.5, 1)]
     # an integral float is the box partition it equals, keys and all
-    seen.clear()
     got = schubert_product((2.0, 1), (1,), ctx)
-    assert seen == []
     assert got == schubert_product((2, 1), (1,), ctx)
     assert all(type(part) is int for nu in got.coeffs for part in nu)
+
+
+def test_grown_support_matches_the_box_scan():
+    # the scan `_support` replaces: every box partition, by `_in_support`
+    contexts = [GrassContext(n, m) for m in range(1, 8) for n in range(1, m + 1)]
+    for ctx in contexts + [GrassContext(2, 8)]:
+        box = ctx.box_partitions()
+        for lam in box:
+            for mu in box:
+                hi, lo = max(lam, mu), min(lam, mu)
+                scanned = [nu for nu in box if _in_support(hi, lo, nu)]
+                assert _support(hi, lo, ctx.n, ctx.cols) == scanned, (ctx, lam, mu)
+
+
+@pytest.mark.parametrize("n,m,small_m,lam,mu", [(8, 30, 10, (1,), (1,)),
+                                                (6, 16, 9, (2, 1), (1,))])
+def test_a_wide_box_gives_the_product_of_a_narrow_one(n, m, small_m, lam, mu):
+    # the support fits both boxes, and no constant reads m
+    got = schubert_product(lam, mu, GrassContext(n, m))
+    want = schubert_product(lam, mu, GrassContext(n, small_m))
+    assert got == want and list(got.coeffs) == list(want.coeffs)
 
 
 # -- truncation ---------------------------------------------------------------

@@ -59,6 +59,17 @@ def test_partition_normalizes():
         partition((2, -1))
 
 
+@pytest.mark.parametrize("parts,message", [
+    ((-1, 2), r"^negative part in \(-1, 2\)$"),
+    ((1, 2), r"^parts not weakly decreasing: \(1, 2\)$"),
+    ((2, -1), r"^negative part in \(2, -1\)$"),
+])
+def test_partition_refusals_and_their_order(parts, message):
+    # (-1, 2) breaks both rules: the sign is checked first
+    with pytest.raises(ValueError, match=message):
+        partition(parts)
+
+
 def test_strict_sequence_validates():
     assert strict_sequence((3, 1, 0)) == (3, 1, 0)
     with pytest.raises(ValueError):
