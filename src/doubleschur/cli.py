@@ -3,8 +3,9 @@
 Subcommands: `schur` prints a double Schur polynomial, `product` prints
 the structure constants of one Schubert product with certificates,
 `table` writes a full structure table to a file, `verify` runs a property
-suite.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 refused: a resource guard, the recursion depth or memory ran out.
+suite.  Exit codes: 0 success, 1 verification failure, 2 usage error
+(any ValueError: the library refused its input), 3 refused: a resource
+guard, the recursion depth or memory ran out.
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ def _emit(obj):
 
 def cmd_schur(args):
     lam = parse_partition(args.lam)
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
-    if len(lam) > args.n:
-        raise UsageError(f"partition {lam} has more than {args.n} parts")
     p = double_schur(lam, args.n)
     if args.format == "text":
         print(p)
@@ -71,10 +68,7 @@ def cmd_schur(args):
 def cmd_product(args):
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
-    try:
-        products = _certified_product(lam, mu, GrassContext(args.n, args.m))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    products = _certified_product(lam, mu, GrassContext(args.n, args.m))
     if args.format == "text":
         if not products:
             print("0")
@@ -89,11 +83,7 @@ def cmd_product(args):
 
 
 def cmd_table(args):
-    try:
-        ctx = GrassContext(args.n, args.m)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    table = full_structure_table(ctx)
+    table = full_structure_table(GrassContext(args.n, args.m))
     payload = json.dumps(table.to_obj(), separators=(",", ":"))
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -107,10 +97,7 @@ def cmd_table(args):
 
 
 def cmd_verify(args):
-    try:
-        report = run_suite(args.suite, args.n, args.m)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    report = run_suite(args.suite, args.n, args.m)
     _emit(report)
     return EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED
 
@@ -161,7 +148,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SizeGuardExceeded, DegreeOverflow, RecursionError) as exc:

@@ -88,7 +88,7 @@ class _Record:
 
 class GrassContext(_Record):
     """The Grassmannian of n-dimensional subspaces of m-dimensional space.
-    Immutable and hashable."""
+    Immutable and hashable; n and m are kept as plain ints (True as 1)."""
 
     _fields = ("n", "m")
 
@@ -97,8 +97,8 @@ class GrassContext(_Record):
             raise ValueError(f"need integers n and m, got n={n!r}, m={m!r}")
         if not 1 <= n <= m:
             raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "m", int(m))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -216,7 +216,8 @@ class Poly:
         """Product with a Poly or an int.  A constant polynomial (one term,
         at key 0, at any t-width) is read as its integer, so a product by
         it only scales the other operand, and one by 1 returns that operand
-        as it is; operands of different arity still raise ArityMismatch."""
+        as it is; operands of different arity still raise ArityMismatch.
+        Any other product is a one-item `_sums_of_products` batch."""
         if isinstance(other, Poly):
             if self.nx != other.nx:
                 raise ArityMismatch(f"x-arity mismatch: {self.nx} vs {other.nx}")
@@ -225,11 +226,7 @@ class Poly:
             elif len(self.terms) == 1 and 0 in self.terms:
                 self, other = other, self.terms[0]
             else:
-                tw, a, b = self._aligned(other)
-                _check_degree(self, other)
-                out = {}
-                _multiply_into(((out, 1, a, b),))
-                return Poly(self.nx, tw, out)
+                return _sums_of_products(self.nx, ((0, 1, self, other),)).get(0, Poly(self.nx))
         elif not isinstance(other, int):
             return NotImplemented
         if other == 0:
@@ -409,14 +406,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly[{self.nx}]({self})"
-
-
-def _check_degree(p, q):
-    """Raise DegreeOverflow if the product p * q could overflow a packed
-    field: its total degree must stay below DEG_LIMIT."""
-    if p.terms and q.terms and ((max(p.terms) >> F * (p.nx + p.tw))
-                                + (max(q.terms) >> F * (q.nx + q.tw))) >= DEG_LIMIT:
-        raise DegreeOverflow("product degree exceeds the packed monomial bound")
 
 
 def _multiply_into(products):

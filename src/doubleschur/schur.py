@@ -57,6 +57,16 @@ def partition(parts):
     return parts
 
 
+def _arity(n):
+    """The arity n, the number of x-variables, as a plain int >= 1.  A bool
+    reads as its int, as a part does in `partition`; 2.0 or "2" raise."""
+    if not isinstance(n, int):
+        raise ValueError(f"arity must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError("arity must be at least 1")
+    return int(n)
+
+
 def strict_sequence(parts, n=None):
     """Validate a strictly decreasing tuple of nonnegative integers.  Each
     entry must equal its int, as in `partition`."""
@@ -123,8 +133,7 @@ def alternant(nu, n):
     left to right; no division is performed.  nu is validated before the
     memo is read, so any sequence type is accepted.
     """
-    if n < 1:
-        raise ValueError("arity must be at least 1")
+    n = _arity(n)
     return _alternant(strict_sequence(nu, n), n)
 
 
@@ -324,8 +333,7 @@ def double_schur(lam, n):
     that alternates between a fixed shape and others (lam against every mu)
     writes the fixed one once.  lam is normalized before the memo is read,
     so [2, 1, 0] and (2, 1) share one entry."""
-    if n < 1:
-        raise ValueError("arity must be at least 1")
+    n = _arity(n)
     lam = partition(lam)
     if len(lam) > n:
         raise ValueError(f"partition {lam} has more than {n} parts")
@@ -371,8 +379,7 @@ def expand_in_double_schur(p, n):
     widened to n + lam_1 - 1 (`_peel_width`), the width the groups of p are
     written at, and no product exceeds p's degree.
     """
-    if n < 1:
-        raise ValueError("arity must be at least 1")
+    n = _arity(n)
     if p.nx != n:
         raise ValueError(f"expected a polynomial in x1..x{n}, got arity {p.nx}")
     rem = _dominant_groups(p)
@@ -433,8 +440,9 @@ def pieri_multiply(lam, n):
     each of the `_addable` partitions, lam plus one box in at most n rows.
 
     Memoized per normalized (lam, n): the result is shared between callers
-    and must not be mutated (copy `.coeffs` before editing it)."""
-    return _pieri_step(partition(lam), n)
+    and must not be mutated (copy `.coeffs` before editing it); n is read by
+    `_arity` first, so the entry that True and 1 share holds n = 1."""
+    return _pieri_step(partition(lam), _arity(n))
 
 
 class SchurExpansion:
@@ -444,9 +452,7 @@ class SchurExpansion:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n, coeffs):
-        if n < 1:
-            raise ValueError("arity must be at least 1")
-        self.n = n
+        self.n = n = _arity(n)
         clean = {}
         for lam, c in coeffs.items():
             lam = partition(lam)
@@ -464,11 +470,10 @@ class SchurExpansion:
     def _trusted(cls, n, coeffs):
         """An expansion whose map the caller built already clean: normalized
         partitions of at most n parts to nonzero arity-0 coefficients.  The
-        constructor of the internal producers, which checks the arity only."""
-        if n < 1:
-            raise ValueError("arity must be at least 1")
+        constructor of the internal producers, which reads the arity by
+        `_arity` and trusts the map."""
         self = object.__new__(cls)
-        self.n = n
+        self.n = _arity(n)
         self.coeffs = coeffs
         return self
 

@@ -26,7 +26,7 @@ from .schur import (
     remove_staircase,
     strict_sequence,
 )
-from .grass import _check_in_box, truncate
+from .grass import GrassContext, _check_in_box, truncate
 
 __all__ = [
     "GLMatrix",
@@ -188,10 +188,8 @@ class WedgeVector:
     __slots__ = ("n", "m", "coords")
 
     def __init__(self, n, m, coords):
-        if not 1 <= n <= m:
-            raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
-        self.n = n
-        self.m = m
+        ctx = GrassContext(n, m)
+        self.n, self.m = n, m = ctx.n, ctx.m
         clean = {}
         for nu, c in coords.items():
             nu = strict_sequence(nu, n)

@@ -68,8 +68,14 @@ def test_schur_superscript_digit_exits_2(capsys):
 
 
 def test_schur_too_many_parts_exits_2(capsys):
-    code, _, _ = run(capsys, "schur", "--n", "1", "--lambda", "1,1")
+    code, _, err = run(capsys, "schur", "--n", "1", "--lambda", "1,1")
     assert code == 2
+    assert err == "error: partition (1, 1) has more than 1 parts\n"
+
+
+def test_schur_arity_below_one_exits_2(capsys):
+    code, out, err = run(capsys, "schur", "--n", "0", "--lambda", "1")
+    assert (code, out, err) == (2, "", "error: arity must be at least 1\n")
 
 
 def test_product_projective_line(capsys):

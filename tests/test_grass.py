@@ -51,6 +51,13 @@ def test_context_validation():
             GrassContext(n, m)
 
 
+def test_context_reads_a_bool_as_its_int():
+    # the table of G(True, 3) is the table of G(1, 3), byte for byte
+    obj = full_structure_table(GrassContext(True, 3)).to_obj()
+    assert obj["n"] == 1 and type(obj["n"]) is int
+    assert json.dumps(obj) == json.dumps(full_structure_table(GrassContext(1, 3)).to_obj())
+
+
 def test_box_partitions():
     ctx = GrassContext(2, 4)
     assert ctx.box_partitions() == [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]

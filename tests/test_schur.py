@@ -833,6 +833,23 @@ def test_internal_producers_reject_arity_below_one():
         expand_in_double_schur(Poly.one(), 0)
 
 
+def test_arity_is_read_as_a_plain_int():
+    # True and 1 share one Pieri memo entry, so an arity must be stored as
+    # the int it reads as, or that entry writes "n": true for either
+    schur._pieri_step.cache_clear()
+    pieri_multiply((1,), True)
+    n = pieri_multiply((1,), 1).to_obj()["n"]
+    assert n == 1 and type(n) is int
+    assert type(SchurExpansion(True, {(1,): 1}).n) is int
+    # a float arity is refused up front, not kept or failed on deep in a build
+    for bad in (2.0, "2", None):
+        for call in (lambda: SchurExpansion(bad, {}), lambda: double_schur((1,), bad),
+                     lambda: alternant((1, 0), bad), lambda: pieri_multiply((), bad),
+                     lambda: expand_in_double_schur(Poly.one(2), bad)):
+            with pytest.raises(ValueError, match="arity must be an integer"):
+                call()
+
+
 def test_expansion_json_round_trip():
     e = SchurExpansion(2, {(2, 1): Poly.t(1) - Poly.t(4), (): 2})
     obj = e.to_obj()

@@ -18,7 +18,7 @@ def test_no_assert_statements_in_library():
 
 # the packed format's field width and degree bound, and the kernel that
 # relies on them; every other module multiplies through `_sums_of_products`
-PACKED_FORMAT = {"_multiply_into", "_check_degree", "F", "FIELD", "DEG_LIMIT"}
+PACKED_FORMAT = {"_multiply_into", "F", "FIELD", "DEG_LIMIT"}
 
 
 def test_packed_format_stays_in_poly_and_schur():

@@ -123,6 +123,16 @@ def test_coordinate_t_range_enforced():
         in_v([Poly.t(3), Poly.zero(0)])
 
 
+def test_wedge_shape_is_checked_as_a_grassmannian():
+    # a WedgeVector takes the (n, m) a GrassContext takes, kept as ints
+    with pytest.raises(ValueError, match=r"^need integers n and m, got "):
+        WedgeVector(2.0, 3, {(1, 0): 1})
+    with pytest.raises(ValueError, match=r"^need 1 <= n <= m, got n=3, m=2$"):
+        WedgeVector(3, 2, {})
+    w = WedgeVector(True, 3, {(2,): 1})
+    assert (type(w.n), type(w.to_obj()["n"])) == (int, int)
+
+
 # -- wedge action ---------------------------------------------------------------
 
 def test_identity_acts_as_scalar_n():
