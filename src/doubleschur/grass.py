@@ -15,7 +15,6 @@ on the diagonal.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import le
 
@@ -88,7 +87,9 @@ class _Record:
 
 class GrassContext(_Record):
     """The Grassmannian of n-dimensional subspaces of m-dimensional space.
-    Immutable and hashable; n and m are kept as plain ints (True as 1)."""
+    Immutable and hashable; n and m are kept as plain ints (True as 1).
+    The memos of its products live on it alone (`_structure_constant`,
+    `_support`), so dropping it frees them."""
 
     _fields = ("n", "m")
 
@@ -97,8 +98,7 @@ class GrassContext(_Record):
             raise ValueError(f"need integers n and m, got n={n!r}, m={m!r}")
         if not 1 <= n <= m:
             raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "m", int(m))
+        vars(self).update(n=int(n), m=int(m), _constants={}, _supports={})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -151,30 +151,29 @@ def schubert_product(lam, mu, ctx):
     `_structure_constant`, whose only base case is the diagonal constant
     c_{lam,lam}^lam, a product of linear forms.  The product commutes, so
     (lam, mu) and (mu, lam) both run the recursion as (max, min) and share
-    its memo entries.  The map is built clean, in box order: a constant
-    that vanishes is left out.  Only the partitions of `_support` are
-    visited, so the work is bounded by the product, not by the box."""
+    its entries in ctx's memo.  The map is built clean, in box order: a
+    constant that vanishes is left out.  Only the partitions of `_support`
+    are visited, so the work is bounded by the product, not by the box."""
     lam, mu = partition(lam), partition(mu)
     _check_in_box(ctx, lam, mu)
     hi, lo = max(lam, mu), min(lam, mu)
-    coeffs = {}
-    for nu in _support(hi, lo, ctx.n, ctx.cols):
-        c = _structure_constant(hi, lo, nu, ctx.n)
-        if c:
-            coeffs[nu] = c
-    return SchurExpansion._trusted(ctx.n, coeffs)
+    return SchurExpansion._trusted(ctx.n, {
+        nu: c for nu in _support(hi, lo, ctx)
+        if (c := _structure_constant(hi, lo, nu, ctx))})
 
 
-@lru_cache(maxsize=None)
-def _support(hi, lo, n, cols):
-    """The partitions nu of the n x cols box with `_in_support(hi, lo, nu)`,
-    in box order: hi grown one box at a time, |lo| times, with no row
-    longer than cols, then kept when they contain lo."""
-    layer, grown = {hi}, {hi}
-    for _ in range(sum(lo)):
-        layer = {nu for lam in layer for nu in _addable(lam, n) if nu[0] <= cols}
-        grown |= layer
-    return sorted(nu for nu in grown if _contains(nu, lo))
+def _support(hi, lo, ctx):
+    """The partitions nu of ctx's box with `_in_support(hi, lo, nu)`, in
+    box order: hi grown one box at a time, |lo| times, with no row longer
+    than the box, then kept when they contain lo.  Memoized on ctx."""
+    if (hi, lo) not in ctx._supports:
+        layer, grown = {hi}, {hi}
+        for _ in range(sum(lo)):
+            layer = {nu for lam in layer for nu in _addable(lam, ctx.n)
+                     if nu[0] <= ctx.cols}
+            grown |= layer
+        ctx._supports[hi, lo] = sorted(nu for nu in grown if _contains(nu, lo))
+    return ctx._supports[hi, lo]
 
 
 def schubert_product_by_expansion(lam, mu, ctx):
@@ -210,9 +209,9 @@ def _removable(nu):
     return out
 
 
-@lru_cache(maxsize=None)
-def _structure_constant(lam, mu, nu, n):
-    """The coefficient c_{lam,mu}^nu of s_nu in s_lam * s_mu (n x-variables).
+def _structure_constant(lam, mu, nu, ctx):
+    """The coefficient c_{lam,mu}^nu of s_nu in s_lam * s_mu (ctx.n
+    x-variables) for `_in_support(lam, mu, nu)`, memoized on ctx.
 
     Multiplying s_lam * s_mu by e = x1 + ... + xn on either side and
     expanding both by the Pieri rule e * s_k = d(k) s_k + sum of s_{k+box}
@@ -223,35 +222,41 @@ def _structure_constant(lam, mu, nu, n):
               - sum over nu- = nu - box of c_{lam,mu}^{nu-},
 
     and d(nu) - d(lam) is a nonzero linear form whenever nu strictly
-    contains lam, so one exact division yields c.  The divisor and the
-    grown shapes are the two halves of the Pieri step: d(nu) and d(lam)
-    are read off the memoized expansions `_pieri_step` of nu and lam, and
-    the grown shapes are `_addable`.  Only partitions
-    inside nu contribute, so the Grassmannian's m does not enter.  At
-    nu = lam and mu != lam, commutativity turns c into c_{mu,lam}^lam, an
-    ordinary step since lam strictly contains mu.  The one base case is the diagonal: the
-    restriction of a Schubert class to its own fixed point is the product
-    of the tangent weights there (Knutson-Tao, Duke Math. J. 119, 2003;
-    Molev-Sagan, Trans. AMS 351, 1999), c_{lam,lam}^lam = product over
-    cells (i, j) of lam of t_{n+j-lam'_j} - t_{lam_i+n-i+1}, with lam' the
-    conjugate partition."""
-    if not _in_support(lam, mu, nu):
-        return Poly.zero(0)
+    contains lam, so one exact division yields c.  d(nu) and d(lam) are
+    read off the memoized Pieri expansions `_pieri_step`, and the lam+
+    are `_addable`.  Only the lam+ and nu- in the support are visited, so
+    the memo keeps no constant that vanishes for want of support; they lie
+    inside nu, so the Grassmannian's m does not enter.  At nu = lam and
+    mu != lam, commutativity turns c into c_{mu,lam}^lam, an ordinary step
+    since lam strictly contains mu.  The one base case is the diagonal:
+    the restriction of a Schubert class to its own fixed point is the
+    product of the tangent weights there (Knutson-Tao, Duke Math. J. 119,
+    2003; Molev-Sagan, Trans. AMS 351, 1999), c_{lam,lam}^lam = product
+    over cells (i, j) of lam of t_{n+j-lam'_j} - t_{lam_i+n-i+1}, with
+    lam' the conjugate partition."""
+    if nu == lam != mu:
+        return _structure_constant(mu, lam, lam, ctx)
+    key, n = (lam, mu, nu), ctx.n
+    c = ctx._constants.get(key)
+    if c is not None:
+        return c
     if nu == lam:
-        if mu != lam:
-            return _structure_constant(mu, lam, lam, n)
         c = Poly.one()
         for i, part in enumerate(lam, 1):
             for j in range(1, part + 1):
                 height = sum(1 for other in lam if other >= j)
                 c = c * (Poly.t(n + j - height) - Poly.t(part + n - i + 1))
-        return c
-    acc = Poly.zero(0)
-    for grown in _addable(lam, n):
-        acc = acc + _structure_constant(grown, mu, nu, n)
-    for shrunk in _removable(nu):
-        acc = acc - _structure_constant(lam, mu, shrunk, n)
-    return acc.exact_div(_pieri_step(nu, n).coeffs[nu] - _pieri_step(lam, n).coeffs[lam])
+    else:
+        acc = Poly.zero(0)
+        for grown in _addable(lam, n):
+            if _in_support(grown, mu, nu):
+                acc = acc + _structure_constant(grown, mu, nu, ctx)
+        for shrunk in _removable(nu):
+            if _in_support(lam, mu, shrunk):
+                acc = acc - _structure_constant(lam, mu, shrunk, ctx)
+        c = acc.exact_div(_pieri_step(nu, n).coeffs[nu] - _pieri_step(lam, n).coeffs[lam])
+    ctx._constants[key] = c
+    return c
 
 
 class PositivityReport(_Record):

@@ -32,6 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 from operator import neg
+from weakref import ref
 
 F = 16                   # bits per exponent field
 FIELD = (1 << F) - 1
@@ -73,14 +74,9 @@ class DegreeOverflow(OverflowError):
 
 class Poly:
     """Immutable sparse polynomial.  Do not mutate `terms` from outside.
+    The private slot `_difference` belongs to `to_difference_basis`."""
 
-    The private slot `_difference` holds `(m, certificate)` for the last m
-    at which `to_difference_basis` succeeded on the polynomial, None before
-    the first.  It relies on immutability: the certificate stays valid
-    exactly as long as the polynomial does, and it takes no part in
-    equality, repr or serialization."""
-
-    __slots__ = ("nx", "tw", "terms", "_difference")
+    __slots__ = ("nx", "tw", "terms", "_difference", "__weakref__")
 
     def __init__(self, nx, tw=0, terms=None):
         self.nx = nx
@@ -550,16 +546,17 @@ def to_difference_basis(p, m):
     substitutions run up to i = m-1 and the largest term left holding t_m
     is reported.
 
-    An int p is read as `Poly.const(p)`.  A certificate is kept on p for
-    the last m it was taken at (`Poly._difference`), so a second call at
-    that m returns the same object.  A p that is not invariant keeps
-    nothing and raises on every call.
+    An int p is read as `Poly.const(p)`.  p keeps a weak reference to its
+    certificate at the last m (`Poly._difference`, outside p's equality
+    and repr): a second call at that m returns the same object while
+    anything else holds it, and a new, equal one after that.  A p that is
+    not invariant keeps nothing and raises on every call.
     """
     if isinstance(p, int):
         p = Poly.const(p)
-    cached = p._difference
-    if cached is not None and cached[0] == m:
-        return cached[1]
+    cert = p._difference and p._difference()
+    if cert is not None and cert.tw == m - 1:
+        return cert
     if m < 1:
         raise ValueError("m must be a positive integer")
     source, p = p, p.t_only()
@@ -578,7 +575,7 @@ def to_difference_basis(p, m):
         _shear_into(terms, w, i)
     if invariant:
         cert = Poly(0, m - 1, Poly(0, w, terms)._widened(m - 1))
-        source._difference = (m, cert)
+        source._difference = ref(cert)
         return cert
     worst = max(k for k in terms if k & FIELD)
     raise NotShiftInvariant(

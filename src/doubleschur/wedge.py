@@ -119,9 +119,6 @@ class GLMatrix:
     def scale(self, c):
         return GLMatrix(self.m, [[c * e for e in row] for row in self.entries])
 
-    def commutator(self, other):
-        return self @ other - other @ self
-
     def _check(self, other):
         if not isinstance(other, GLMatrix) or other.m != self.m:
             raise ValueError("shape mismatch")

@@ -167,7 +167,7 @@ def test_c10_lie_action_and_weights():
     for trial in range(20):
         X = GLMatrix(m, [[rand_entry() for _ in range(m)] for _ in range(m)])
         Y = GLMatrix(m, [[rand_entry() for _ in range(m)] for _ in range(m)])
-        lhs = gl_action_on_wedge(X.commutator(Y), w)
+        lhs = gl_action_on_wedge(X @ Y - Y @ X, w)
         xy = gl_action_on_wedge(X, gl_action_on_wedge(Y, w))
         yx = gl_action_on_wedge(Y, gl_action_on_wedge(X, w))
         diff = {}

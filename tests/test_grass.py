@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from itertools import combinations_with_replacement
 
 import pytest
@@ -177,7 +179,7 @@ def test_grown_support_matches_the_box_scan():
             for mu in box:
                 hi, lo = max(lam, mu), min(lam, mu)
                 scanned = [nu for nu in box if _in_support(hi, lo, nu)]
-                assert _support(hi, lo, ctx.n, ctx.cols) == scanned, (ctx, lam, mu)
+                assert _support(hi, lo, ctx) == scanned, (ctx, lam, mu)
 
 
 @pytest.mark.parametrize("n,m,small_m,lam,mu", [(8, 30, 10, (1,), (1,)),
@@ -304,15 +306,15 @@ def test_product_commutes():
 @pytest.mark.parametrize("n,m", [(2, 5), (3, 6)])
 def test_structure_constant_commutes_in_both_recursion_orders(n, m):
     # schubert_product always runs the recursion as (max, min), so compare
-    # the two orders of the recursion itself, from an empty memo
-    _structure_constant.cache_clear()
+    # the two orders of the recursion itself, each from an empty memo
     box = GrassContext(n, m).box_partitions()
     triples = [(lam, mu, nu) for lam in box for mu in box for nu in box
                if _in_support(lam, mu, nu)]
     assert triples
+    forward, backward = GrassContext(n, m), GrassContext(n, m)
     for lam, mu, nu in triples:
-        assert _structure_constant(lam, mu, nu, n) == \
-            _structure_constant(mu, lam, nu, n), (lam, mu, nu)
+        assert _structure_constant(lam, mu, nu, forward) == \
+            _structure_constant(mu, lam, nu, backward), (lam, mu, nu)
 
 
 def test_pieri_step_matches_oracles():
@@ -477,7 +479,8 @@ def diagonal_shapes(draw):
 @given(diagonal_shapes())
 def test_diagonal_is_localization(case):
     lam, n = case
-    assert _structure_constant(lam, lam, lam, n) == _reference_localize(lam, lam, n)
+    ctx = GrassContext(n, n + 4)
+    assert _structure_constant(lam, lam, lam, ctx) == _reference_localize(lam, lam, n)
 
 
 # -- positivity ----------------------------------------------------------------
@@ -709,3 +712,62 @@ def test_table_json_schema():
     assert prod["positive"] is True
     assert prod["certificate"] == [{"u": {"1": 1}, "c": "1"}]
     assert prod["differences_used"] == [1]
+
+
+# -- memo lifetime -------------------------------------------------------------
+
+def _every_product(ctx):
+    box = ctx.box_partitions()
+    return [schubert_product(lam, mu, ctx) for lam in box for mu in box]
+
+
+def test_dropping_a_context_frees_its_constants():
+    ctx = GrassContext(2, 5)
+    products = _every_product(ctx)
+    reports = [check_graham_positivity(c, ctx)
+               for product in products for c in product.coeffs.values()]
+    c = schubert_product((2, 1), (1,), ctx).coeffs[(2, 1)]
+    assert c and any(c is kept for kept in ctx._constants.values())
+    alive = weakref.ref(c)
+    del ctx, products, reports, c
+    gc.collect()
+    assert alive() is None
+
+
+def test_equal_contexts_share_no_memo_entry():
+    first, second = GrassContext(3, 6), GrassContext(3, 6)
+    assert first == second and hash(first) == hash(second)
+    products = _every_product(first)
+    assert first._constants and first._supports
+    assert not second._constants and not second._supports
+    assert _every_product(second) == products
+    assert first._constants.keys() == second._constants.keys()
+    assert not ({id(c) for c in first._constants.values()}
+                & {id(c) for c in second._constants.values()})
+
+
+def test_memo_holds_only_constants_in_support():
+    ctx = GrassContext(3, 6)
+    _every_product(ctx)
+    box = ctx.box_partitions()
+    # the recursion in the other order too, as in the commutativity test
+    for lam, mu, nu in [((1,), (2, 1), (2, 2)), ((1, 1), (2,), (2, 1, 1))]:
+        assert _in_support(lam, mu, nu) and lam < mu
+        _structure_constant(lam, mu, nu, ctx)
+    assert ctx._constants
+    assert all(_in_support(lam, mu, nu) and nu in box
+               for lam, mu, nu in ctx._constants)
+
+
+def test_certificate_lives_as_long_as_a_report_holds_it():
+    ctx = GrassContext(2, 5)
+    c = schubert_product((2, 1), (1,), ctx).coeffs[(2, 1)]
+    report = check_graham_positivity(c, ctx)
+    assert check_graham_positivity(c, ctx).certificate is report.certificate
+    before = report.to_obj()
+    alive = weakref.ref(report.certificate)
+    del report
+    gc.collect()
+    assert alive() is None
+    again = check_graham_positivity(c, ctx)
+    assert again.positive and again.to_obj() == before
