@@ -8,8 +8,9 @@ polynomials form a basis of the quotient, multiply with the equivariant
 Schubert structure constants, and every structure constant is certified
 Graham-positive: a nonnegative integer combination of monomials in the
 differences t_i - t_{i+1}.  The constants are computed in Z[t1..tm] by one
-recursion, the Pieri rule, closed by commutativity and a product formula
-on the diagonal.
+recursion, the Pieri rule, closed by commutativity and by the restrictions
+of classes to fixed points: a small class evaluated there, a large one by
+a product formula on the diagonal.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .poly import (Poly, NotShiftInvariant, _decoded_monomials, _poly_obj,
 from .schur import (
     SchurExpansion,
     _addable,
+    _localization,
     _pieri_step,
     double_schur,
     expand_in_double_schur,
@@ -88,8 +90,9 @@ class _Record:
 class GrassContext(_Record):
     """The Grassmannian of n-dimensional subspaces of m-dimensional space.
     Immutable and hashable; n and m are kept as plain ints (True as 1).
-    The memos of its products live on it alone (`_structure_constant`,
-    `_support`), so dropping it frees them."""
+    The memos of its products live on it alone, so dropping it frees them:
+    `_constants` of `_structure_constant`, `_supports` of `_support`, and
+    `_points`, one memo of `schur._localization` per fixed point."""
 
     _fields = ("n", "m")
 
@@ -98,7 +101,8 @@ class GrassContext(_Record):
             raise ValueError(f"need integers n and m, got n={n!r}, m={m!r}")
         if not 1 <= n <= m:
             raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
-        vars(self).update(n=int(n), m=int(m), _constants={}, _supports={})
+        vars(self).update(n=int(n), m=int(m), _constants={}, _supports={},
+                          _points={})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -148,12 +152,15 @@ def _check_in_box(ctx, *parts):
 def schubert_product(lam, mu, ctx):
     """Structure constants of the product of two Schubert classes, computed
     in the coefficient ring Z[t1..tm] alone by the Pieri recursion of
-    `_structure_constant`, whose only base case is the diagonal constant
-    c_{lam,lam}^lam, a product of linear forms.  The product commutes, so
-    (lam, mu) and (mu, lam) both run the recursion as (max, min) and share
-    its entries in ctx's memo.  The map is built clean, in box order: a
+    `_structure_constant`, whose base cases are restrictions of one class
+    to the fixed point of the other.  The product commutes, so (lam, mu)
+    and (mu, lam) both run the recursion as (max, min) and share its
+    entries in ctx's memo.  The map is built clean, in box order: a
     constant that vanishes is left out.  Only the partitions of `_support`
-    are visited, so the work is bounded by the product, not by the box."""
+    are visited, and each chain of the recursion ends at a restriction
+    reached from the nearer of its two ends, the empty shape or the
+    diagonal, so a product with a small factor costs that factor's
+    subshapes, not the box or the interval below the larger factor."""
     lam, mu = partition(lam), partition(mu)
     _check_in_box(ctx, lam, mu)
     hi, lo = max(lam, mu), min(lam, mu)
@@ -227,20 +234,29 @@ def _structure_constant(lam, mu, nu, ctx):
     are `_addable`.  Only the lam+ and nu- in the support are visited, so
     the memo keeps no constant that vanishes for want of support; they lie
     inside nu, so the Grassmannian's m does not enter.  At nu = lam and
-    mu != lam, commutativity turns c into c_{mu,lam}^lam, an ordinary step
-    since lam strictly contains mu.  The one base case is the diagonal:
-    the restriction of a Schubert class to its own fixed point is the
-    product of the tangent weights there (Knutson-Tao, Duke Math. J. 119,
-    2003; Molev-Sagan, Trans. AMS 351, 1999), c_{lam,lam}^lam = product
-    over cells (i, j) of lam of t_{n+j-lam'_j} - t_{lam_i+n-i+1}, with
-    lam' the conjugate partition."""
+    mu != lam, commutativity turns c into c_{mu,lam}^lam.
+
+    So every chain ends at a key with nu = mu: the restriction of lam's
+    Schubert class to the fixed point of mu (Knutson-Tao, Duke Math. J.
+    119, 2003), the double Schur polynomial s_lam at that point.  When
+    2|lam| <= |mu|, the empty shape is the nearer end and s_lam is
+    evaluated there by branching (`schur._localization`, memoized per
+    point on ctx).  Otherwise the recursion goes on up to the diagonal,
+    where the restriction of a class to its own fixed point is the product
+    of the tangent weights there (Molev-Sagan, Trans. AMS 351, 1999):
+    c_{lam,lam}^lam = product over cells (i, j) of lam of
+    t_{n+j-lam'_j} - t_{lam_i+n-i+1}, with lam' the conjugate partition.
+    A near-diagonal class so costs one division per shape between it and
+    mu, and a small one the branching over its own subshapes."""
     if nu == lam != mu:
         return _structure_constant(mu, lam, lam, ctx)
     key, n = (lam, mu, nu), ctx.n
     c = ctx._constants.get(key)
     if c is not None:
         return c
-    if nu == lam:
+    if nu == mu and 2 * sum(lam) <= sum(nu):
+        c = _localization(lam, nu, n, ctx._points.setdefault(nu, {}))
+    elif nu == lam:
         c = Poly.one()
         for i, part in enumerate(lam, 1):
             for j in range(1, part + 1):

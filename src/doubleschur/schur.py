@@ -112,10 +112,16 @@ def x_sum(n):
     return acc
 
 
-@lru_cache(maxsize=None)
 def double_monomial(k, var=1, nvars=1):
     """The double monomial (x_var|t)^k = (x_var + t1)...(x_var + tk),
-    expanded; (x|t)^0 = 1.  Monic of degree k in x_var."""
+    expanded; (x|t)^0 = 1.  Monic of degree k in x_var.  nvars is read by
+    `_arity` before the memo, so True and 1 share an entry at arity 1."""
+    return _double_monomial(k, var, _arity(nvars))
+
+
+@lru_cache(maxsize=None)
+def _double_monomial(k, var, nvars):
+    """`double_monomial` at a plain int arity, memoized per (k, var, nvars)."""
     if k < 0:
         raise ValueError("double monomial exponent must be nonnegative")
     acc = Poly.one(nvars)
@@ -123,6 +129,10 @@ def double_monomial(k, var=1, nvars=1):
     for j in range(1, k + 1):
         acc = acc * (xi + Poly.t(j, nvars))
     return acc
+
+
+double_monomial.cache_info = _double_monomial.cache_info
+double_monomial.cache_clear = _double_monomial.cache_clear
 
 
 def alternant(nu, n):
@@ -322,6 +332,57 @@ def _schur_groups(lam, n):
         raise RuntimeError(f"double Schur polynomial of {lam} came out asymmetric")
     return tw, {x: {_keys.setdefault(k, k): c for k, c in g.items()}
                 for x, g in dominant.items()}
+
+
+def _localization(kappa, mu, n, memo):
+    """The double Schur polynomial of a partition kappa in x1..xn at the
+    fixed point of the partition mu, x_k = -t_{a_k} with
+    a_k = mu_k + n - k + 1: the restriction of kappa's Schubert class to
+    mu's fixed point (Knutson-Tao, Duke Math. J. 119, 2003), an arity-0
+    Poly at t-width a_1.
+
+    Evaluated by the branching of `_schur_groups` with x_j = -t_{a_j}: each
+    box of the strip nu/rho, of t-index c (`_strip_indices`), is the linear
+    form t_c - t_{a_j}, and s_() = 1.  Two exact shortcuts prune it: a
+    strip holding the index a_j has a zero factor, and s_nu in x1..xj
+    vanishes at the point unless nu lies inside (mu_1 + n - j, ...,
+    mu_j + n - j), since the point is that partition's fixed point in j
+    variables (Molev-Sagan, Trans. AMS 351, 1999).  So kappa outside mu
+    gives 0.  `memo` is a dict the caller keeps for mu and n alone; it maps
+    (nu, j) to the value's term dict."""
+    if sum(kappa) >= DEG_LIMIT:
+        raise DegreeOverflow("product degree exceeds the packed monomial bound")
+    a = [p + n - k for k, p in enumerate(mu + (0,) * (n - len(mu)))]
+    tw = a[0]
+    unit = [1 << F * tw | 1 << F * (tw - c) for c in range(tw + 1)]
+
+    def value(nu, j):
+        if not nu:
+            return {0: 1}
+        got = memo.get((nu, j))
+        if got is not None:
+            return got
+        got, aj = {}, a[j - 1]
+        if len(nu) <= j and all(p <= a[k] + k - j for k, p in enumerate(nu)):
+            padded = nu + (0,) * (j - len(nu))
+            products = []
+            for rho in product(*(range(padded[i + 1], padded[i] + 1) for i in range(j - 1))):
+                indices = _strip_indices(padded, rho, j)
+                # rho is weakly decreasing, so its zeros are its tail
+                below = aj not in indices and value(rho[:j - 1 - rho.count(0)], j - 1)
+                if below:
+                    # the product of the t_c - t_{a_j}; no two of its
+                    # monomials meet, since a_j is not among the distinct c
+                    strip = {0: 1}
+                    for c in indices:
+                        strip = {k + u: v * sign for k, v in strip.items()
+                                 for u, sign in ((unit[c], 1), (unit[aj], -1))}
+                    products.append((got, 1, below, strip))
+            _multiply_into(products)
+        memo[nu, j] = got
+        return got
+
+    return Poly(0, tw, value(kappa, n))
 
 
 def double_schur(lam, n):

@@ -26,6 +26,7 @@ from doubleschur.poly import Poly, to_difference_basis
 from doubleschur.schur import (
     SchurExpansion,
     _addable,
+    _localization,
     _pieri_diagonal,
     double_schur,
     expand_in_double_schur,
@@ -483,6 +484,68 @@ def test_diagonal_is_localization(case):
     assert _structure_constant(lam, lam, lam, ctx) == _reference_localize(lam, lam, n)
 
 
+# -- localizations evaluated at a fixed point ------------------------------------
+
+@pytest.mark.parametrize("n,m", [(2, 5), (3, 6), (3, 7)])
+def test_localization_matches_the_product_on_both_sides_of_the_rule(n, m):
+    # a kappa with 2|kappa| <= |mu| is evaluated at the point, a larger one
+    # is reached by the Pieri chain from the diagonal; both must agree, and
+    # a kappa outside mu gives 0
+    ctx = GrassContext(n, m)
+    box = ctx.box_partitions()
+    sides = set()
+    for mu in box:
+        memo = {}
+        for kappa in box:
+            got = _localization(kappa, mu, n, memo)
+            assert got == _reference_localize(kappa, mu, n), (kappa, mu)
+            if not grass._contains(mu, kappa):
+                assert not got, (kappa, mu)
+                continue
+            sides.add(2 * sum(kappa) <= sum(mu))
+            want = schubert_product(kappa, mu, ctx).get(mu)
+            assert got == want, (kappa, mu)
+            if (n, m) == (2, 5):
+                assert want == schubert_product_by_expansion(kappa, mu, ctx).get(mu)
+    assert sides == {True, False}
+
+
+@pytest.mark.parametrize("n,m", [(2, 5), (3, 6), (4, 8)])
+def test_localization_of_the_unit_and_of_sigma1(n, m):
+    # sigma_1 at mu is t_1 + ... + t_n - sum over k of t_{mu_k+n-k+1}, the
+    # equivariant Chevalley formula; the unit is 1 everywhere
+    for mu in GrassContext(n, m).box_partitions():
+        memo = {}
+        assert _localization((), mu, n, memo) == Poly.one()
+        padded = mu + (0,) * (n - len(mu))
+        want = Poly.zero(0)
+        for k in range(1, n + 1):
+            want = want + t(k) - t(padded[k - 1] + n - k + 1)
+        assert _localization((1,), mu, n, memo) == want, mu
+
+
+@pytest.mark.parametrize("n,m", [(2, 5), (3, 6), (3, 7), (2, 8), (4, 8)])
+def test_sigma1_product_is_the_truncated_pieri_rule(n, m):
+    # sigma_1 = (x1 + ... + xn) + e_1(t1..tn), so sigma_1 * sigma_mu is the
+    # Pieri expansion of mu with e_1(t1..tn) added on mu itself
+    ctx = GrassContext(n, m)
+    e1 = sum((t(i) for i in range(1, n + 1)), Poly.zero(0))
+    for mu in ctx.box_partitions():
+        coeffs = dict(pieri_multiply(mu, n).coeffs)
+        coeffs[mu] = coeffs[mu] + e1
+        want = truncate(SchurExpansion(n, coeffs), ctx)
+        assert schubert_product(mu, (1,), ctx) == want == schubert_product((1,), mu, ctx), mu
+
+
+def test_a_one_off_product_with_a_small_class_keeps_its_answer_only():
+    # sigma_1 * sigma_(5,4,3,2) on G(4,10) has 5 constants; each costs at
+    # most one localization of (1) and one division, not the interval
+    # below (5,4,3,2) down from the diagonal
+    ctx = GrassContext(4, 10)
+    assert len(schubert_product((5, 4, 3, 2), (1,), ctx).coeffs) == 5
+    assert len(ctx._constants) <= 10
+
+
 # -- positivity ----------------------------------------------------------------
 
 def test_positivity_simple_difference():
@@ -738,8 +801,8 @@ def test_equal_contexts_share_no_memo_entry():
     first, second = GrassContext(3, 6), GrassContext(3, 6)
     assert first == second and hash(first) == hash(second)
     products = _every_product(first)
-    assert first._constants and first._supports
-    assert not second._constants and not second._supports
+    assert first._constants and first._supports and first._points
+    assert not second._constants and not second._supports and not second._points
     assert _every_product(second) == products
     assert first._constants.keys() == second._constants.keys()
     assert not ({id(c) for c in first._constants.values()}

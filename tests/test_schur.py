@@ -121,6 +121,18 @@ def test_double_monomial_monic():
         assert coefficient_of_x(dm, (k,)) == Poly.one()
 
 
+def test_double_monomial_reads_its_arity_before_the_memo():
+    # True shares the entry of 1 and leaves it at a plain int arity; a
+    # float arity is refused like any other, not failed in a shift
+    double_monomial.cache_clear()
+    assert double_monomial(1, 1, True).nx == 1 and type(double_monomial(1, 1, True).nx) is int
+    assert double_monomial(1, 1, 1) is double_monomial(1, 1, True)
+    assert double_monomial.cache_info().currsize == 1
+    for bad in (2.0, "2", 0):
+        with pytest.raises(ValueError):
+            double_monomial(1, 1, bad)
+
+
 def test_telescoping_identity():
     # x * (x|t)^k = (x|t)^{k+1} - t_{k+1} * (x|t)^k
     x = Poly.x(1, 1)
