@@ -9,8 +9,8 @@ Schubert structure constants, and every structure constant is certified
 Graham-positive: a nonnegative integer combination of monomials in the
 differences t_i - t_{i+1}.  The constants are computed in Z[t1..tm] by one
 recursion, the Pieri rule, closed by commutativity and by the restrictions
-of classes to fixed points: a small class evaluated there, a large one by
-a product formula on the diagonal.
+of small classes and of each class on the diagonal to fixed points, all
+computed by `schur._localization`.
 """
 
 from __future__ import annotations
@@ -238,30 +238,21 @@ def _structure_constant(lam, mu, nu, ctx):
 
     So every chain ends at a key with nu = mu: the restriction of lam's
     Schubert class to the fixed point of mu (Knutson-Tao, Duke Math. J.
-    119, 2003), the double Schur polynomial s_lam at that point.  When
-    2|lam| <= |mu|, the empty shape is the nearer end and s_lam is
-    evaluated there by branching (`schur._localization`, memoized per
-    point on ctx).  Otherwise the recursion goes on up to the diagonal,
-    where the restriction of a class to its own fixed point is the product
-    of the tangent weights there (Molev-Sagan, Trans. AMS 351, 1999):
-    c_{lam,lam}^lam = product over cells (i, j) of lam of
-    t_{n+j-lam'_j} - t_{lam_i+n-i+1}, with lam' the conjugate partition.
-    A near-diagonal class so costs one division per shape between it and
-    mu, and a small one the branching over its own subshapes."""
+    119, 2003), the double Schur polynomial s_lam at that point.  Such a
+    key goes to `schur._localization` (memoized per point on ctx) when
+    lam = mu, the diagonal and its tangent-weight product, or when
+    2|lam| <= |mu|, the empty shape being the nearer end; every other key
+    is a Pieri step.  A near-diagonal class so costs one division per
+    shape up to the diagonal, and a small one the branching over its own
+    subshapes."""
     if nu == lam != mu:
         return _structure_constant(mu, lam, lam, ctx)
     key, n = (lam, mu, nu), ctx.n
     c = ctx._constants.get(key)
     if c is not None:
         return c
-    if nu == mu and 2 * sum(lam) <= sum(nu):
+    if nu == mu and (lam == mu or 2 * sum(lam) <= sum(nu)):
         c = _localization(lam, nu, n, ctx._points.setdefault(nu, {}))
-    elif nu == lam:
-        c = Poly.one()
-        for i, part in enumerate(lam, 1):
-            for j in range(1, part + 1):
-                height = sum(1 for other in lam if other >= j)
-                c = c * (Poly.t(n + j - height) - Poly.t(part + n - i + 1))
     else:
         acc = Poly.zero(0)
         for grown in _addable(lam, n):
@@ -296,15 +287,12 @@ class PositivityReport(_Record):
         return self._obj({})
 
     def _obj(self, memo):
-        obj = {"positive": self.positive}
         if self.positive:
-            obj["certificate"] = _certificate_obj(self.certificate, memo)
-            obj["differences_used"] = list(self.differences_used)
-        else:
-            obj["certificate"] = None
-            obj["reason"] = self.reason
-            obj["offender"] = self.offender
-        return obj
+            return {"positive": self.positive,
+                    "certificate": _certificate_obj(self.certificate, memo),
+                    "differences_used": list(self.differences_used)}
+        return {"positive": self.positive, "certificate": None,
+                "reason": self.reason, "offender": self.offender}
 
     def annotate(self, product_obj):
         """Attach this report to a serialized product entry: `certificate`
@@ -313,13 +301,13 @@ class PositivityReport(_Record):
         return self._annotate(product_obj, {})
 
     def _annotate(self, product_obj, memo):
-        obj = self._obj(memo)
-        product_obj["certificate"] = obj.pop("certificate")
-        product_obj["positive"] = obj.pop("positive")
         if self.positive:
-            product_obj.update(obj)
+            product_obj.update(certificate=_certificate_obj(self.certificate, memo),
+                               positive=self.positive,
+                               differences_used=list(self.differences_used))
         else:
-            product_obj["violation"] = obj
+            product_obj.update(certificate=None, positive=self.positive,
+                               violation={"reason": self.reason, "offender": self.offender})
         return product_obj
 
 

@@ -72,6 +72,16 @@ class DegreeOverflow(OverflowError):
     """Total degree exceeded the packed-field safety bound."""
 
 
+def _whole(value, floor, what="arity"):
+    """value as a plain int at least floor, a bool read as its int; any other
+    value raises ArityMismatch for an arity and ValueError otherwise."""
+    if isinstance(value, int) and value >= floor:
+        return int(value)
+    error = ArityMismatch if what == "arity" else ValueError
+    raise error(f"{what} must be at least {floor}" if isinstance(value, int)
+                else f"{what} must be an integer, got {value!r}")
+
+
 class Poly:
     """Immutable sparse polynomial.  Do not mutate `terms` from outside.
     The private slot `_difference` belongs to `to_difference_basis`."""
@@ -88,13 +98,11 @@ class Poly:
 
     @classmethod
     def zero(cls, nx=0):
-        return cls(nx)
+        return cls(_whole(nx, 0))
 
     @classmethod
     def const(cls, c, nx=0):
-        if c == 0:
-            return cls(nx)
-        return cls(nx, 0, {0: c})
+        return cls(_whole(nx, 0), 0, {0: c} if c else None)
 
     @classmethod
     def one(cls, nx=0):
@@ -103,18 +111,16 @@ class Poly:
     @classmethod
     def x(cls, i, nx):
         """The variable x_i (1-based, 1 <= i <= nx)."""
-        if not 1 <= i <= nx:
+        nx, i = _whole(nx, 0), _whole(i, 1, "x-index")
+        if i > nx:
             raise ArityMismatch(f"x{i} does not exist at arity {nx}")
-        key = (1 << (F * nx)) | (1 << (F * (nx - i)))
-        return cls(nx, 0, {key: 1})
+        return cls(nx, 0, {(1 << (F * nx)) | (1 << (F * (nx - i))): 1})
 
     @classmethod
     def t(cls, j, nx=0):
         """The parameter t_j (1-based, any positive index)."""
-        if j < 1:
-            raise ValueError(f"t-index must be positive, got {j}")
-        key = (1 << (F * (nx + j))) | 1
-        return cls(nx, j, {key: 1})
+        nx, j = _whole(nx, 0), _whole(j, 1, "t-index")
+        return cls(nx, j, {(1 << (F * (nx + j))) | 1: 1})
 
     # -- representation helpers ---------------------------------------
 
@@ -234,8 +240,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        e = _whole(e, 0, "exponent")
         result = Poly.one(self.nx)
         base = self
         while e:

@@ -21,7 +21,7 @@ from math import factorial, prod
 from operator import lt
 
 from .poly import (DEG_LIMIT, F, FIELD, DegreeOverflow, Poly, _multiply_into,
-                   _poly_obj, _sums_of_products, poly_from_obj)
+                   _poly_obj, _sums_of_products, _whole, poly_from_obj)
 
 __all__ = [
     "partition",
@@ -58,13 +58,8 @@ def partition(parts):
 
 
 def _arity(n):
-    """The arity n, the number of x-variables, as a plain int >= 1.  A bool
-    reads as its int, as a part does in `partition`; 2.0 or "2" raise."""
-    if not isinstance(n, int):
-        raise ValueError(f"arity must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError("arity must be at least 1")
-    return int(n)
+    """The arity n, the number of x-variables, as a plain int >= 1 (`_whole`)."""
+    return _whole(n, 1)
 
 
 def strict_sequence(parts, n=None):
@@ -349,12 +344,23 @@ def _localization(kappa, mu, n, memo):
     mu_j + n - j), since the point is that partition's fixed point in j
     variables (Molev-Sagan, Trans. AMS 351, 1999).  So kappa outside mu
     gives 0.  `memo` is a dict the caller keeps for mu and n alone; it maps
-    (nu, j) to the value's term dict."""
+    (nu, j) to the value's term dict.  At kappa = mu, the diagonal, the value
+    is the product of mu's tangent weights (Molev-Sagan), one per cell (i, j)
+    of mu, t_{n+j-mu'_j} - t_{a_i} with mu' the conjugate partition: never 0,
+    as the indices differ by the hook length.  It is not memoized."""
     if sum(kappa) >= DEG_LIMIT:
         raise DegreeOverflow("product degree exceeds the packed monomial bound")
     a = [p + n - k for k, p in enumerate(mu + (0,) * (n - len(mu)))]
     tw = a[0]
     unit = [1 << F * tw | 1 << F * (tw - c) for c in range(tw + 1)]
+    if kappa == mu:
+        got = {0: 1}
+        for j in range(1, max(mu, default=0) + 1):
+            height = sum(p >= j for p in mu)
+            for ai in a[:height]:
+                got, below = {}, got
+                _multiply_into(((got, 1, below, {unit[n + j - height]: 1, unit[ai]: -1}),))
+        return Poly(0, tw, got)
 
     def value(nu, j):
         if not nu:

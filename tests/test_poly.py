@@ -638,6 +638,26 @@ def test_product_by_a_constant_checks_arity():
         x(1) * Poly.one(1)
 
 
+@pytest.mark.parametrize("name,args,want", [
+    ("one", (2.0,), ArityMismatch),
+    ("zero", (True,), 1),
+    ("one", (-1,), ArityMismatch),
+    ("x", (1, 2.0), ArityMismatch),
+    ("t", (1, 2.0), ArityMismatch),
+    ("t", (2.0,), ValueError),
+], ids=["one(2.0)", "zero(True)", "one(-1)", "x(1,2.0)", "t(1,2.0)", "t(2.0)"])
+def test_constructors_read_arity_and_index_as_plain_ints(name, args, want):
+    # one rule for every arity and index: an int at or above its floor, a
+    # bool read as its int, anything else refused up front
+    build = getattr(Poly, name)
+    if isinstance(want, int):
+        nx = build(*args).nx
+        assert type(nx) is int and nx == want
+    else:
+        with pytest.raises(want, match="must be"):
+            build(*args)
+
+
 @settings(max_examples=100, deadline=None)
 @given(polys(), polys(), polys())
 def test_sum_of_products_sums_to_zero(p, q, r):

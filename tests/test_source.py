@@ -36,6 +36,17 @@ def test_packed_format_stays_in_poly_and_schur():
     assert SOURCE.is_dir() and found == []
 
 
+def test_fixed_points_stay_in_schur():
+    # a restriction to a fixed point, the diagonal included, is computed by
+    # `schur._localization` alone, so grass.py builds no t-parameter itself
+    path = SOURCE / "grass.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"grass.py:{node.lineno} reads Poly.t" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "t"
+             and isinstance(node.value, ast.Name) and node.value.id == "Poly"]
+    assert found == []
+
+
 def test_cold_import_leaves_out_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize at import time;
     # -I ignores PYTHONPATH, so the source directory goes on sys.path here
