@@ -8,9 +8,9 @@ polynomials form a basis of the quotient, multiply with the equivariant
 Schubert structure constants, and every structure constant is certified
 Graham-positive: a nonnegative integer combination of monomials in the
 differences t_i - t_{i+1}.  The constants are computed in Z[t1..tm] by one
-recursion, the Pieri rule, closed by commutativity and by the restrictions
-of small classes and of each class on the diagonal to fixed points, all
-computed by `schur._localization`.
+recursion, the Pieri rule, each of whose chains ends at the restriction of
+one class to the fixed point of the other, computed by
+`schur._localization`.
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ class GrassContext(_Record):
     Immutable and hashable; n and m are kept as plain ints (True as 1).
     The memos of its products live on it alone, so dropping it frees them:
     `_constants` of `_structure_constant`, `_supports` of `_support`, and
-    `_points`, one memo of `schur._localization` per fixed point."""
+    `_points`, the one memo of `schur._localization` for every fixed point,
+    keyed by a shape and a prefix of the point."""
 
     _fields = ("n", "m")
 
@@ -158,9 +159,9 @@ def schubert_product(lam, mu, ctx):
     entries in ctx's memo.  The map is built clean, in box order: a
     constant that vanishes is left out.  Only the partitions of `_support`
     are visited, and each chain of the recursion ends at a restriction
-    reached from the nearer of its two ends, the empty shape or the
-    diagonal, so a product with a small factor costs that factor's
-    subshapes, not the box or the interval below the larger factor."""
+    evaluated at its fixed point, so a product costs the shapes between
+    its factors and its support, not the box or the interval below the
+    larger factor."""
     lam, mu = partition(lam), partition(mu)
     _check_in_box(ctx, lam, mu)
     hi, lo = max(lam, mu), min(lam, mu)
@@ -233,26 +234,21 @@ def _structure_constant(lam, mu, nu, ctx):
     read off the memoized Pieri expansions `_pieri_step`, and the lam+
     are `_addable`.  Only the lam+ and nu- in the support are visited, so
     the memo keeps no constant that vanishes for want of support; they lie
-    inside nu, so the Grassmannian's m does not enter.  At nu = lam and
-    mu != lam, commutativity turns c into c_{mu,lam}^lam.
+    inside nu, so the Grassmannian's m does not enter.
 
-    So every chain ends at a key with nu = mu: the restriction of lam's
-    Schubert class to the fixed point of mu (Knutson-Tao, Duke Math. J.
-    119, 2003), the double Schur polynomial s_lam at that point.  Such a
-    key goes to `schur._localization` (memoized per point on ctx) when
-    lam = mu, the diagonal and its tangent-weight product, or when
-    2|lam| <= |mu|, the empty shape being the nearer end; every other key
-    is a Pieri step.  A near-diagonal class so costs one division per
-    shape up to the diagonal, and a small one the branching over its own
-    subshapes."""
-    if nu == lam != mu:
-        return _structure_constant(mu, lam, lam, ctx)
+    So every chain ends at a key whose nu is one of its factors: the
+    restriction of the other factor's Schubert class to the fixed point of
+    nu (Knutson-Tao, Duke Math. J. 119, 2003), the double Schur polynomial
+    of that factor at the point.  nu = mu restricts lam, nu = lam restricts
+    mu, by commutativity, and both give the diagonal and its tangent-weight
+    product; each such key goes to `schur._localization`, whose values are
+    memoized on ctx, and every other key is a Pieri step."""
     key, n = (lam, mu, nu), ctx.n
     c = ctx._constants.get(key)
     if c is not None:
         return c
-    if nu == mu and (lam == mu or 2 * sum(lam) <= sum(nu)):
-        c = _localization(lam, nu, n, ctx._points.setdefault(nu, {}))
+    if nu in (lam, mu):
+        c = _localization(mu if nu == lam else lam, nu, n, ctx._points)
     else:
         acc = Poly.zero(0)
         for grown in _addable(lam, n):

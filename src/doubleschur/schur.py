@@ -343,11 +343,13 @@ def _localization(kappa, mu, n, memo):
     vanishes at the point unless nu lies inside (mu_1 + n - j, ...,
     mu_j + n - j), since the point is that partition's fixed point in j
     variables (Molev-Sagan, Trans. AMS 351, 1999).  So kappa outside mu
-    gives 0.  `memo` is a dict the caller keeps for mu and n alone; it maps
-    (nu, j) to the value's term dict.  At kappa = mu, the diagonal, the value
-    is the product of mu's tangent weights (Molev-Sagan), one per cell (i, j)
-    of mu, t_{n+j-mu'_j} - t_{a_i} with mu' the conjugate partition: never 0,
-    as the indices differ by the hook length.  It is not memoized."""
+    gives 0.  `memo` is a dict shared between points: s_nu in x1..xj reads
+    only a_1..a_j (a_1 is also the t-width), so it maps (nu, a_1, ..., a_j)
+    to that value's term dict, and points with a common prefix share their
+    lower levels.  At kappa = mu, the diagonal, the value is the product of
+    mu's tangent weights (Molev-Sagan), one per cell (i, j) of mu,
+    t_{n+j-mu'_j} - t_{a_i} with mu' the conjugate partition: never 0, as
+    the indices differ by the hook length.  It is not memoized."""
     if sum(kappa) >= DEG_LIMIT:
         raise DegreeOverflow("product degree exceeds the packed monomial bound")
     a = [p + n - k for k, p in enumerate(mu + (0,) * (n - len(mu)))]
@@ -365,7 +367,7 @@ def _localization(kappa, mu, n, memo):
     def value(nu, j):
         if not nu:
             return {0: 1}
-        got = memo.get((nu, j))
+        got = memo.get((nu, *a[:j]))
         if got is not None:
             return got
         got, aj = {}, a[j - 1]
@@ -385,7 +387,7 @@ def _localization(kappa, mu, n, memo):
                                  for u, sign in ((unit[c], 1), (unit[aj], -1))}
                     products.append((got, 1, below, strip))
             _multiply_into(products)
-        memo[nu, j] = got
+        memo[(nu, *a[:j])] = got
         return got
 
     return Poly(0, tw, value(kappa, n))

@@ -22,7 +22,7 @@ from doubleschur.grass import (
     truncate,
 )
 from doubleschur.oracles import lr_coefficient, syt_count
-from doubleschur.poly import Poly, to_difference_basis
+from doubleschur.poly import F, FIELD, Poly, to_difference_basis
 from doubleschur.schur import (
     SchurExpansion,
     _addable,
@@ -488,9 +488,8 @@ def test_diagonal_is_localization(case):
 
 @pytest.mark.parametrize("n,m", [(2, 5), (3, 6), (3, 7)])
 def test_localization_matches_the_product_on_both_sides_of_the_rule(n, m):
-    # a kappa with 2|kappa| <= |mu| is evaluated at the point, a larger one
-    # is reached by the Pieri chain from the diagonal; both must agree, and
-    # a kappa outside mu gives 0
+    # the value at the point is the product's coefficient on mu, for small
+    # and large kappa alike, and a kappa outside mu gives 0
     ctx = GrassContext(n, m)
     box = ctx.box_partitions()
     sides = set()
@@ -508,6 +507,37 @@ def test_localization_matches_the_product_on_both_sides_of_the_rule(n, m):
             if (n, m) == (2, 5):
                 assert want == schubert_product_by_expansion(kappa, mu, ctx).get(mu)
     assert sides == {True, False}
+
+
+def _conjugate(lam):
+    return tuple(sum(p > j for p in lam) for j in range(lam[0] if lam else 0))
+
+
+def _reflected(c, m):
+    """omega: t_i -> -t_{m+1-i} on a constant of Z[t1..tm].  On a packed key
+    it reverses the m t-fields, and negates a term of odd t-degree."""
+    out = {}
+    for key, coeff in c._widened(m).items():
+        degree, fields, flipped = key >> F * m, key, 0
+        for _ in range(m):
+            flipped, fields = flipped << F | fields & FIELD, fields >> F
+        out[degree << F * m | flipped] = -coeff if degree & 1 else coeff
+    return Poly(0, m, out)
+
+
+@pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (2, 6), (3, 6)])
+def test_grassmann_duality(n, m):
+    # c_{lam,mu}^nu on G(n,m) is omega(c_{lam',mu'}^{nu'}) on G(m-n,m), and
+    # the supports correspond under conjugation; the dual side runs m-n
+    # x-variables, so it reads other Pieri divisors, other fixed points and
+    # other prefixes of the point memo
+    ctx, dual = GrassContext(n, m), GrassContext(m - n, m)
+    box = ctx.box_partitions()
+    for lam in box:
+        for mu in box:
+            got = schubert_product(lam, mu, ctx).coeffs
+            want = schubert_product(_conjugate(lam), _conjugate(mu), dual).coeffs
+            assert {_conjugate(nu): _reflected(c, m) for nu, c in got.items()} == want, (lam, mu)
 
 
 @pytest.mark.parametrize("n,m", [(2, 5), (3, 6), (4, 8)])
@@ -544,6 +574,19 @@ def test_a_one_off_product_with_a_small_class_keeps_its_answer_only():
     ctx = GrassContext(4, 10)
     assert len(schubert_product((5, 4, 3, 2), (1,), ctx).coeffs) == 5
     assert len(ctx._constants) <= 10
+
+
+@pytest.mark.parametrize("lam,mu,n,m,bound", [
+    ((6, 5, 4), (6, 4, 3), 3, 9, 14),
+    ((4, 3, 2, 1), (4, 3, 2, 1), 4, 8, 84),
+])
+def test_a_near_diagonal_one_off_product_restricts_at_the_fixed_point(lam, mu, n, m, bound):
+    # every chain ends at a restriction evaluated at its fixed point, so a
+    # product near the diagonal keeps no chain down from a larger diagonal
+    # (41 and 154 constants when such chains were walked)
+    ctx = GrassContext(n, m)
+    schubert_product(lam, mu, ctx)
+    assert len(ctx._constants) <= bound
 
 
 # -- positivity ----------------------------------------------------------------
