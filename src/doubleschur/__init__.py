@@ -58,7 +58,6 @@ from .wedge import (
     x_matrix,
 )
 from .oracles import (
-    classical_schur_ssyt,
     enumerate_syt,
     lr_coefficient,
     syt_count,

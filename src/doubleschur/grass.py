@@ -9,8 +9,8 @@ Schubert structure constants, and every structure constant is certified
 Graham-positive: a nonnegative integer combination of monomials in the
 differences t_i - t_{i+1}.  The constants are computed in Z[t1..tm] by one
 recursion, the Pieri rule, each of whose chains ends at the restriction of
-one class to the fixed point of the other, computed by
-`schur._localization`.
+one class to the fixed point of the other, the diagonal included, computed
+by the branching rule in `schur._localization`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import combinations_with_replacement
 from operator import le
 
 from .poly import (Poly, NotShiftInvariant, _decoded_monomials, _poly_obj,
-                   _sums_of_products, _term_objs, to_difference_basis)
+                   _sums_of_products, _term_objs, _whole, to_difference_basis)
 from .schur import (
     SchurExpansion,
     _addable,
@@ -240,9 +240,9 @@ def _structure_constant(lam, mu, nu, ctx):
     restriction of the other factor's Schubert class to the fixed point of
     nu (Knutson-Tao, Duke Math. J. 119, 2003), the double Schur polynomial
     of that factor at the point.  nu = mu restricts lam, nu = lam restricts
-    mu, by commutativity, and both give the diagonal and its tangent-weight
-    product; each such key goes to `schur._localization`, whose values are
-    memoized on ctx, and every other key is a Pieri step."""
+    mu, by commutativity, and both give the diagonal; each such key goes to
+    `schur._localization`, one branching rule memoized on ctx, and every
+    other key is a Pieri step."""
     key, n = (lam, mu, nu), ctx.n
     c = ctx._constants.get(key)
     if c is not None:
@@ -348,11 +348,10 @@ def sigma1_power_expansion(k, ctx):
     degree |lam| = k are plain integers (standard tableau counts).
 
     Each step sums every product c * d of a coefficient c and a Pieri
-    coefficient d into its target in one `_sums_of_products` batch."""
-    if k < 0:
-        raise ValueError("power must be nonnegative")
+    coefficient d into its target in one `_sums_of_products` batch; k is
+    read by `_whole`."""
     acc = SchurExpansion.unit((), ctx.n)
-    for _ in range(k):
+    for _ in range(_whole(k, 0, "power")):
         acc = truncate(SchurExpansion._trusted(ctx.n, _sums_of_products(
             0, ((mu, 1, c, d) for lam, c in acc.coeffs.items()
                 for mu, d in pieri_multiply(lam, ctx.n).coeffs.items()))), ctx)

@@ -1,22 +1,19 @@
 """Brute-force combinatorial oracles.
 
 Deliberately naive and fully independent of the polynomial machinery:
-classical Schur polynomials as sums over semistandard tableaux,
 Littlewood-Richardson coefficients by skew-tableau enumeration, and
 standard-tableau counts by the hook length formula cross-checked against
-exhaustive enumeration.  Used by tests to pin down expected values.
+exhaustive enumeration.  Used by `verify` and by tests to pin down expected
+values.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
 
-from .poly import Poly
 from .schur import partition
 
 __all__ = [
-    "classical_schur_ssyt",
     "lr_coefficient",
     "syt_count",
     "syt_count_hook",
@@ -27,45 +24,6 @@ __all__ = [
 
 LR_ENUMERATION_LIMIT = 10
 SYT_ENUMERATION_LIMIT = 12
-
-
-def _ssyt_fillings(shape, n):
-    """Semistandard fillings (rows weakly increase, columns strictly
-    increase, entries 1..n) as row tuples, built row by row: each row is a
-    weakly increasing tuple of 1..n, kept when each of its entries exceeds
-    the entry above it."""
-    fillings = [()]
-    for width in shape:
-        fillings = [f + (row,) for f in fillings
-                    for row in combinations_with_replacement(range(1, n + 1), width)
-                    if not f or all(a > b for a, b in zip(row, f[-1]))]
-    return fillings
-
-
-def classical_schur_ssyt(lam, n):
-    """The classical Schur polynomial in x1..xn as the generating function
-    of semistandard tableaux of shape lam with entries at most n."""
-    lam = partition(lam)
-    if n < 1:
-        raise ValueError("need at least one variable")
-    if len(lam) > n:
-        return Poly.zero(n)
-    counts = {}
-    for filling in _ssyt_fillings(lam, n):
-        content = [0] * n
-        for row in filling:
-            for v in row:
-                content[v - 1] += 1
-        key = tuple(content)
-        counts[key] = counts.get(key, 0) + 1
-    acc = Poly.zero(n)
-    for content, mult in counts.items():
-        mono = Poly.const(mult, n)
-        for i, e in enumerate(content, 1):
-            if e:
-                mono = mono * Poly.x(i, n) ** e
-        acc = acc + mono
-    return acc
 
 
 def lr_coefficient(lam, mu, nu):

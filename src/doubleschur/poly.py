@@ -314,9 +314,8 @@ class Poly:
 
     def kill_t_above(self, m):
         """Drop every term containing t_i with i > m (m >= 0; m = 0 kills
-        all t-content)."""
-        if m < 0:
-            raise ValueError("m must be nonnegative")
+        all t-content), m read by `_whole`."""
+        m = _whole(m, 0, "m")
         if self.tw <= m:
             return self
         cut = F * (self.tw - m)
@@ -560,10 +559,9 @@ def to_difference_basis(p, m):
     if isinstance(p, int):
         p = Poly.const(p)
     cert = p._difference and p._difference()
-    if cert is not None and cert.tw == m - 1:
+    if cert is not None and cert.tw + 1 == m:
         return cert
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    m = _whole(m, 1, "m")
     source, p = p, p.t_only()
     slots = p._t_indices()
     if slots and slots[-1] > m:

@@ -109,16 +109,14 @@ def x_sum(n):
 
 def double_monomial(k, var=1, nvars=1):
     """The double monomial (x_var|t)^k = (x_var + t1)...(x_var + tk),
-    expanded; (x|t)^0 = 1.  Monic of degree k in x_var.  nvars is read by
-    `_arity` before the memo, so True and 1 share an entry at arity 1."""
-    return _double_monomial(k, var, _arity(nvars))
+    expanded; (x|t)^0 = 1.  Monic of degree k in x_var.  k and nvars are
+    read by `_whole` before the memo, so True and 1 share an entry."""
+    return _double_monomial(_whole(k, 0, "exponent"), var, _arity(nvars))
 
 
 @lru_cache(maxsize=None)
 def _double_monomial(k, var, nvars):
-    """`double_monomial` at a plain int arity, memoized per (k, var, nvars)."""
-    if k < 0:
-        raise ValueError("double monomial exponent must be nonnegative")
+    """`double_monomial` of plain ints, memoized per (k, var, nvars)."""
     acc = Poly.one(nvars)
     xi = Poly.x(var, nvars)
     for j in range(1, k + 1):
@@ -279,6 +277,15 @@ def _strip_coefficients(indices, tw):
             for k in range(r + 1)]
 
 
+def _branches(lam, n):
+    """Each partition mu that interlaces lam, lam_{i+1} <= mu_i <= lam_i with
+    lam padded to n parts, with the t-indices of its strip lam/mu
+    (`_strip_indices`): the terms of the branching on x_n."""
+    padded = lam + (0,) * (n - len(lam))
+    return [(partition(mu), _strip_indices(padded, mu, n))
+            for mu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(n - 1)))]
+
+
 # every packed monomial that `_schur_groups` stores, mapped to itself
 _keys = {}
 
@@ -308,9 +315,7 @@ def _schur_groups(lam, n):
         return 0, {0: {0: 1}}
     if sum(lam) >= DEG_LIMIT:
         raise DegreeOverflow("product degree exceeds the packed monomial bound")
-    padded = lam + (0,) * (n - len(lam))
-    parents = [(_schur_groups(partition(mu), n - 1), _strip_indices(padded, mu, n))
-               for mu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(n - 1)))]
+    parents = [(_schur_groups(mu, n - 1), indices) for mu, indices in _branches(lam, n)]
     tw = max(max([stw, *indices]) for (stw, _), indices in parents)
     groups = defaultdict(dict)
     products = []
@@ -332,37 +337,27 @@ def _schur_groups(lam, n):
 def _localization(kappa, mu, n, memo):
     """The double Schur polynomial of a partition kappa in x1..xn at the
     fixed point of the partition mu, x_k = -t_{a_k} with
-    a_k = mu_k + n - k + 1: the restriction of kappa's Schubert class to
-    mu's fixed point (Knutson-Tao, Duke Math. J. 119, 2003), an arity-0
-    Poly at t-width a_1.
+    a_k = mu_k + n - k + 1 (`add_staircase` plus one, as in
+    `_pieri_diagonal`): the restriction of kappa's Schubert class to mu's
+    fixed point (Knutson-Tao, Duke Math. J. 119, 2003), an arity-0 Poly at
+    t-width a_1.
 
-    Evaluated by the branching of `_schur_groups` with x_j = -t_{a_j}: each
-    box of the strip nu/rho, of t-index c (`_strip_indices`), is the linear
-    form t_c - t_{a_j}, and s_() = 1.  Two exact shortcuts prune it: a
-    strip holding the index a_j has a zero factor, and s_nu in x1..xj
-    vanishes at the point unless nu lies inside (mu_1 + n - j, ...,
+    Evaluated by the branching of `_schur_groups` (`_branches`) with
+    x_j = -t_{a_j}: each box of the strip nu/rho, of t-index c, is the
+    linear form t_c - t_{a_j}, and s_() = 1.  Two exact shortcuts prune
+    it: a strip holding the index a_j has a zero factor, and s_nu in
+    x1..xj vanishes at the point unless nu lies inside (mu_1 + n - j, ...,
     mu_j + n - j), since the point is that partition's fixed point in j
     variables (Molev-Sagan, Trans. AMS 351, 1999).  So kappa outside mu
     gives 0.  `memo` is a dict shared between points: s_nu in x1..xj reads
     only a_1..a_j (a_1 is also the t-width), so it maps (nu, a_1, ..., a_j)
     to that value's term dict, and points with a common prefix share their
-    lower levels.  At kappa = mu, the diagonal, the value is the product of
-    mu's tangent weights (Molev-Sagan), one per cell (i, j) of mu,
-    t_{n+j-mu'_j} - t_{a_i} with mu' the conjugate partition: never 0, as
-    the indices differ by the hook length.  It is not memoized."""
+    lower levels."""
     if sum(kappa) >= DEG_LIMIT:
         raise DegreeOverflow("product degree exceeds the packed monomial bound")
-    a = [p + n - k for k, p in enumerate(mu + (0,) * (n - len(mu)))]
+    a = [b + 1 for b in add_staircase(mu, n)]
     tw = a[0]
     unit = [1 << F * tw | 1 << F * (tw - c) for c in range(tw + 1)]
-    if kappa == mu:
-        got = {0: 1}
-        for j in range(1, max(mu, default=0) + 1):
-            height = sum(p >= j for p in mu)
-            for ai in a[:height]:
-                got, below = {}, got
-                _multiply_into(((got, 1, below, {unit[n + j - height]: 1, unit[ai]: -1}),))
-        return Poly(0, tw, got)
 
     def value(nu, j):
         if not nu:
@@ -372,12 +367,9 @@ def _localization(kappa, mu, n, memo):
             return got
         got, aj = {}, a[j - 1]
         if len(nu) <= j and all(p <= a[k] + k - j for k, p in enumerate(nu)):
-            padded = nu + (0,) * (j - len(nu))
             products = []
-            for rho in product(*(range(padded[i + 1], padded[i] + 1) for i in range(j - 1))):
-                indices = _strip_indices(padded, rho, j)
-                # rho is weakly decreasing, so its zeros are its tail
-                below = aj not in indices and value(rho[:j - 1 - rho.count(0)], j - 1)
+            for rho, indices in _branches(nu, j):
+                below = aj not in indices and value(rho, j - 1)
                 if below:
                     # the product of the t_c - t_{a_j}; no two of its
                     # monomials meet, since a_j is not among the distinct c

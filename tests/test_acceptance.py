@@ -10,7 +10,7 @@ polynomials of tens of thousands of terms.
 import random
 
 from doubleschur.grass import GrassContext, truncate
-from doubleschur.oracles import classical_schur_ssyt, syt_count
+from doubleschur.oracles import syt_count
 from doubleschur.poly import Poly
 from doubleschur.schur import (
     SchurExpansion,
@@ -35,6 +35,7 @@ from doubleschur.wedge import (
     to_wedge_coordinates,
     x_matrix,
 )
+from ssyt import classical_schur_ssyt
 
 
 def _report(num, desc, failures):

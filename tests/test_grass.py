@@ -487,7 +487,7 @@ def test_diagonal_is_localization(case):
 # -- localizations evaluated at a fixed point ------------------------------------
 
 @pytest.mark.parametrize("n,m", [(2, 5), (3, 6), (3, 7)])
-def test_localization_matches_the_product_on_both_sides_of_the_rule(n, m):
+def test_localization_matches_the_product_for_small_and_large_kappa(n, m):
     # the value at the point is the product's coefficient on mu, for small
     # and large kappa alike, and a kappa outside mu gives 0
     ctx = GrassContext(n, m)
@@ -525,7 +525,7 @@ def _reflected(c, m):
     return Poly(0, m, out)
 
 
-@pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (2, 6), (3, 6)])
+@pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (2, 6), (3, 6), (3, 7)])
 def test_grassmann_duality(n, m):
     # c_{lam,mu}^nu on G(n,m) is omega(c_{lam',mu'}^{nu'}) on G(m-n,m), and
     # the supports correspond under conjugation; the dual side runs m-n

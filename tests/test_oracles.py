@@ -2,15 +2,9 @@ from itertools import product
 
 import pytest
 
-from doubleschur.oracles import (
-    _ssyt_fillings,
-    classical_schur_ssyt,
-    enumerate_syt,
-    lr_coefficient,
-    syt_count,
-    syt_count_hook,
-)
+from doubleschur.oracles import enumerate_syt, lr_coefficient, syt_count, syt_count_hook
 from doubleschur.poly import Poly
+from ssyt import _ssyt_fillings, classical_schur_ssyt
 from xstructure import coefficient_of_x
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doubleschur import poly
+from doubleschur import GrassContext, double_monomial, poly, sigma1_power_expansion
 from doubleschur.poly import (
     DEG_LIMIT,
     ArityMismatch,
@@ -656,6 +656,24 @@ def test_constructors_read_arity_and_index_as_plain_ints(name, args, want):
     else:
         with pytest.raises(want, match="must be"):
             build(*args)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: to_difference_basis(t(1, 0) - t(2, 0), 2.0), r"m must be an integer, got 2\.0"),
+    (lambda: to_difference_basis(t(1, 0) - t(2, 0), True), r"beyond t1$"),
+    (lambda: to_difference_basis(Poly.const(5), 0), r"m must be at least 1"),
+    (lambda: x(1).kill_t_above("1"), r"m must be an integer, got '1'"),
+    (lambda: x(1).kill_t_above(-1), r"m must be at least 0"),
+    (lambda: sigma1_power_expansion(2.0, GrassContext(2, 4)), r"power must be an integer"),
+    (lambda: double_monomial(2.0), r"exponent must be an integer"),
+], ids=["to_difference_basis(2.0)", "to_difference_basis(True)", "to_difference_basis(0)",
+        "kill_t_above('1')", "kill_t_above(-1)", "sigma1_power_expansion(2.0)",
+        "double_monomial(2.0)"])
+def test_integer_arguments_follow_the_one_integer_rule(call, message):
+    # every public integer argument is read by `poly._whole`: a bool is its
+    # int, and anything else below the floor or not an int is a ValueError
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @settings(max_examples=100, deadline=None)

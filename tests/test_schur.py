@@ -29,7 +29,7 @@ from doubleschur.schur import (
     strict_sequence,
     x_sum,
 )
-from doubleschur.oracles import classical_schur_ssyt
+from ssyt import classical_schur_ssyt
 from xstructure import coefficient_of_x, heap_exact_div, is_symmetric, leading_x, swap_x
 
 
