@@ -19,7 +19,7 @@ import math
 from itertools import combinations_with_replacement
 from operator import le
 
-from .poly import (Poly, NotShiftInvariant, _decoded_monomials, _poly_obj,
+from .poly import (Poly, NotShiftInvariant, _decoded_monomials, _poly_obj, _pooled,
                    _sums_of_products, _term_objs, _whole, to_difference_basis)
 from .schur import (
     SchurExpansion,
@@ -93,7 +93,8 @@ class GrassContext(_Record):
     The memos of its products live on it alone, so dropping it frees them:
     `_constants` of `_structure_constant`, `_supports` of `_support`, and
     `_points`, the one memo of `schur._localization` for every fixed point,
-    keyed by a shape and a prefix of the point."""
+    keyed by a shape and a prefix of the point, which also pools the packed
+    monomials of every stored constant and restriction (`poly._pooled`)."""
 
     _fields = ("n", "m")
 
@@ -242,7 +243,8 @@ def _structure_constant(lam, mu, nu, ctx):
     of that factor at the point.  nu = mu restricts lam, nu = lam restricts
     mu, by commutativity, and both give the diagonal; each such key goes to
     `schur._localization`, one branching rule memoized on ctx, and every
-    other key is a Pieri step."""
+    other key is a Pieri step, whose quotient is stored through the pool
+    `ctx._points`, as the restrictions are."""
     key, n = (lam, mu, nu), ctx.n
     c = ctx._constants.get(key)
     if c is not None:
@@ -258,6 +260,7 @@ def _structure_constant(lam, mu, nu, ctx):
             if _in_support(lam, mu, shrunk):
                 acc = acc - _structure_constant(lam, mu, shrunk, ctx)
         c = acc.exact_div(_pieri_step(nu, n).coeffs[nu] - _pieri_step(lam, n).coeffs[lam])
+        c = Poly(0, c.tw, _pooled(c.terms, ctx._points))
     ctx._constants[key] = c
     return c
 

@@ -195,13 +195,16 @@ class Poly:
             b_terms = b.items()
         out = dict(a)
         get = out.get
+        cancelled = False
         for k, c in b_terms:
             v = get(k, 0) + c
             if v:
                 out[k] = v
             elif k in out:
                 del out[k]
-        return Poly(self.nx, tw, out)
+                cancelled = True
+        # a cancelled key leaves its slot in the table; a copy is compact
+        return Poly(self.nx, tw, dict(out) if cancelled else out)
 
     __radd__ = __add__
 
@@ -271,7 +274,9 @@ class Poly:
         not involve the variable v, and group self by the exponent of v:
         self = sum of p_e v^e.  From the top exponent down, the quotient
         has q_{e-1} = (p_e - R*q_e) / a, and d divides exactly when
-        p_0 = R*q_0.  Raises NotDivisible when a does not divide a
+        p_0 = R*q_0.  For a = 1 or -1, the leading coefficient of every
+        Pieri divisor, dividing by a is a copy or a negation of the
+        group.  Raises NotDivisible when a does not divide a
         coefficient or that last check fails, ZeroDivisionError for d = 0
         and ValueError for any other d that is not a linear form (an int,
         a constant, x1^2, x1 + 1).
@@ -297,13 +302,18 @@ class Poly:
         for e in range(max(groups, default=0), 0, -1):
             r = groups.get(e, {})
             _multiply_into(((r, -1, rest, q),))
-            q = {}
-            for k, c in r.items():
-                qc, rem = divmod(c, a)
-                if rem:
-                    raise NotDivisible("coefficient not divisible by the leading one")
-                q[k] = qc
-                quotient[k + (e - 1) * lead] = qc
+            if a == 1:
+                q = r
+            elif a == -1:
+                q = {k: -c for k, c in r.items()}
+            else:
+                q = {}
+                for k, c in r.items():
+                    q[k], rem = divmod(c, a)
+                    if rem:
+                        raise NotDivisible("coefficient not divisible by the leading one")
+            shift = (e - 1) * lead
+            quotient.update({k + shift: c for k, c in q.items()})
         r = groups.get(0, {})
         _multiply_into(((r, -1, rest, q),))
         if r:
@@ -415,7 +425,10 @@ def _multiply_into(products):
 
     Each term of the smaller operand gives one row, the larger operand
     shifted by that term.  The keys of a row are distinct, so a row written
-    into an empty out collides with nothing and is one dict comprehension."""
+    into an empty out collides with nothing and is one dict comprehension.
+    Returns whether a sum cancelled: its deleted key keeps a slot in out's
+    table, so a caller that stores out copies it compact."""
+    cancelled = False
     for out, c, a, b in products:
         if not c:
             continue
@@ -434,6 +447,14 @@ def _multiply_into(products):
                     out[k] = v
                 else:
                     del out[k]
+                    cancelled = True
+    return cancelled
+
+
+def _pooled(terms, pool):
+    """A compact copy of terms with its keys taken from pool, which maps each
+    key it has met to itself: one int object per monomial per pool."""
+    return {pool.setdefault(k, k): c for k, c in terms.items()}
 
 
 def _sums_of_products(nx, items):
@@ -446,7 +467,8 @@ def _sums_of_products(nx, items):
     its `id` is a memo key: each distinct operand is repacked once to the
     common width and its degree read once, even when a generator yields
     temporaries.  Every product then goes into its key's term dict in one
-    `_multiply_into` batch."""
+    `_multiply_into` batch, and every sum is copied compact when a key of
+    the batch cancelled."""
     items = list(items)
     operands = {id(p): p for item in items for p in item[2:]}
     tw = 0
@@ -465,8 +487,9 @@ def _sums_of_products(nx, items):
         if da and db and da + db >= DEG_LIMIT:
             raise DegreeOverflow("product degree exceeds the packed monomial bound")
         products.append((out.setdefault(key, {}), c, a, b))
-    _multiply_into(products)
-    return {key: Poly(nx, tw, terms) for key, terms in out.items() if terms}
+    cancelled = _multiply_into(products)
+    return {key: Poly(nx, tw, dict(terms) if cancelled else terms)
+            for key, terms in out.items() if terms}
 
 
 def _pack(nx, tw, xe, te):

@@ -21,7 +21,7 @@ from math import factorial, prod
 from operator import lt
 
 from .poly import (DEG_LIMIT, F, FIELD, DegreeOverflow, Poly, _multiply_into,
-                   _poly_obj, _sums_of_products, _whole, poly_from_obj)
+                   _poly_obj, _pooled, _sums_of_products, _whole, poly_from_obj)
 
 __all__ = [
     "partition",
@@ -280,9 +280,10 @@ def _strip_coefficients(indices, tw):
 def _branches(lam, n):
     """Each partition mu that interlaces lam, lam_{i+1} <= mu_i <= lam_i with
     lam padded to n parts, with the t-indices of its strip lam/mu
-    (`_strip_indices`): the terms of the branching on x_n."""
+    (`_strip_indices`): the terms of the branching on x_n.  Each mu is built
+    weakly decreasing, so trimming its trailing zeros normalizes it."""
     padded = lam + (0,) * (n - len(lam))
-    return [(partition(mu), _strip_indices(padded, mu, n))
+    return [(mu[:len(mu) - mu.count(0)], _strip_indices(padded, mu, n))
             for mu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(n - 1)))]
 
 
@@ -330,8 +331,7 @@ def _schur_groups(lam, n):
     dominant = _dominant(groups, n)
     if dominant is None:
         raise RuntimeError(f"double Schur polynomial of {lam} came out asymmetric")
-    return tw, {x: {_keys.setdefault(k, k): c for k, c in g.items()}
-                for x, g in dominant.items()}
+    return tw, {x: _pooled(g, _keys) for x, g in dominant.items()}
 
 
 def _localization(kappa, mu, n, memo):
@@ -340,7 +340,7 @@ def _localization(kappa, mu, n, memo):
     a_k = mu_k + n - k + 1 (`add_staircase` plus one, as in
     `_pieri_diagonal`): the restriction of kappa's Schubert class to mu's
     fixed point (Knutson-Tao, Duke Math. J. 119, 2003), an arity-0 Poly at
-    t-width a_1.
+    t-width a_1.  kappa and mu are normalized, of at most n parts.
 
     Evaluated by the branching of `_schur_groups` (`_branches`) with
     x_j = -t_{a_j}: each box of the strip nu/rho, of t-index c, is the
@@ -352,10 +352,11 @@ def _localization(kappa, mu, n, memo):
     gives 0.  `memo` is a dict shared between points: s_nu in x1..xj reads
     only a_1..a_j (a_1 is also the t-width), so it maps (nu, a_1, ..., a_j)
     to that value's term dict, and points with a common prefix share their
-    lower levels."""
+    lower levels.  Each value is stored through `memo` as its pool of
+    packed monomials (`poly._pooled`; no shape key is an int)."""
     if sum(kappa) >= DEG_LIMIT:
         raise DegreeOverflow("product degree exceeds the packed monomial bound")
-    a = [b + 1 for b in add_staircase(mu, n)]
+    a = [p + n - k for k, p in enumerate(mu + (0,) * (n - len(mu)))]
     tw = a[0]
     unit = [1 << F * tw | 1 << F * (tw - c) for c in range(tw + 1)]
 
@@ -379,7 +380,7 @@ def _localization(kappa, mu, n, memo):
                                  for u, sign in ((unit[c], 1), (unit[aj], -1))}
                     products.append((got, 1, below, strip))
             _multiply_into(products)
-        memo[(nu, *a[:j])] = got
+        memo[(nu, *a[:j])] = got = _pooled(got, memo)
         return got
 
     return Poly(0, tw, value(kappa, n))

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import sys
 import weakref
 from itertools import combinations_with_replacement
 
@@ -850,6 +851,29 @@ def test_equal_contexts_share_no_memo_entry():
     assert first._constants.keys() == second._constants.keys()
     assert not ({id(c) for c in first._constants.values()}
                 & {id(c) for c in second._constants.values()})
+
+
+def _kept_tables(ctx):
+    """The term dicts of ctx's constants and of its restriction values, the
+    entries of `_points` keyed by a shape and a prefix of a point."""
+    return ([c.terms for c in ctx._constants.values()]
+            + [v for k, v in ctx._points.items() if isinstance(k, tuple)])
+
+
+def test_kept_constants_and_restrictions_have_compact_tables():
+    ctx = GrassContext(3, 6)
+    _every_product(ctx)
+    tables = _kept_tables(ctx)
+    assert len(tables) > len(ctx._constants)
+    assert all(sys.getsizeof(d) == sys.getsizeof(dict(d)) for d in tables)
+
+
+def test_kept_constants_and_restrictions_share_one_object_per_monomial():
+    ctx = GrassContext(3, 6)
+    _every_product(ctx)
+    keys = [k for d in _kept_tables(ctx) for k in d]
+    assert len(keys) > 5 * len(set(keys))
+    assert len({id(k) for k in keys}) == len(set(keys))
 
 
 def test_memo_holds_only_constants_in_support():

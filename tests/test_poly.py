@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +80,23 @@ def test_difference_of_squares():
     assert (x(1) - x(2)) * (x(1) + x(2)) == x(1) ** 2 - x(2) ** 2
 
 
+def _compact(p):
+    return sys.getsizeof(p.terms) == sys.getsizeof(dict(p.terms))
+
+
+def test_results_whose_terms_cancel_keep_compact_tables():
+    # a cancelled key leaves its slot in the table, so a kept sum or
+    # product whose terms cancel is a compact copy
+    g = Poly.zero(2)
+    for i in range(40):
+        g = g + x(1) ** i * x(2) ** (39 - i)
+    top = g + x(1) ** 40
+    assert top + (-g) == x(1) ** 40 and _compact(top + (-g))
+    assert top - g == x(1) ** 40 and _compact(top - g)
+    assert (x(1) - x(2)) * g == x(1) ** 40 - x(2) ** 40
+    assert _compact((x(1) - x(2)) * g)
+
+
 def test_arity_mismatch_rejected():
     with pytest.raises(ArityMismatch):
         x(1, 2) + x(1, 3)
@@ -130,6 +148,17 @@ def test_exact_div_detects_nondivisibility():
         heap_exact_div(x(1), Poly.const(2, 2))
     with pytest.raises(NotDivisible):
         heap_exact_div(x(1) ** 2 + Poly.one(2), x(1) + Poly.one(2))
+
+
+@pytest.mark.parametrize("a", [1, -1, 2])
+def test_exact_div_by_each_leading_coefficient(a):
+    # a = 1 copies each group, a = -1 negates it and |a| > 1 divides it
+    d = a * x(1) - x(2) + t(1)
+    p = x(1) * x(2) + t(2) * t(2) - 3 * t(1) + x(1) * x(1) * t(3)
+    assert (p * d).exact_div(d) == p
+    for extra in (x(1), t(3)):
+        with pytest.raises(NotDivisible):
+            (p * d + extra).exact_div(d)
 
 
 def test_exact_div_by_zero():
