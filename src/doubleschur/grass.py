@@ -25,7 +25,7 @@ from .schur import (
     SchurExpansion,
     _addable,
     _localization,
-    _pieri_step,
+    _pieri_diagonal,
     double_schur,
     expand_in_double_schur,
     partition,
@@ -232,10 +232,10 @@ def _structure_constant(lam, mu, nu, ctx):
 
     and d(nu) - d(lam) is a nonzero linear form whenever nu strictly
     contains lam, so one exact division yields c.  d(nu) and d(lam) are
-    read off the memoized Pieri expansions `_pieri_step`, and the lam+
-    are `_addable`.  Only the lam+ and nu- in the support are visited, so
-    the memo keeps no constant that vanishes for want of support; they lie
-    inside nu, so the Grassmannian's m does not enter.
+    the memoized values `_pieri_diagonal`, and the lam+ are `_addable`.
+    Only the lam+ and nu- in the support are visited, so the memo keeps no
+    constant that vanishes for want of support; they lie inside nu, so the
+    Grassmannian's m does not enter.
 
     So every chain ends at a key whose nu is one of its factors: the
     restriction of the other factor's Schubert class to the fixed point of
@@ -259,7 +259,7 @@ def _structure_constant(lam, mu, nu, ctx):
         for shrunk in _removable(nu):
             if _in_support(lam, mu, shrunk):
                 acc = acc - _structure_constant(lam, mu, shrunk, ctx)
-        c = acc.exact_div(_pieri_step(nu, n).coeffs[nu] - _pieri_step(lam, n).coeffs[lam])
+        c = acc.exact_div(_pieri_diagonal(nu, n) - _pieri_diagonal(lam, n))
         c = Poly(0, c.tw, _pooled(c.terms, ctx._points))
     ctx._constants[key] = c
     return c

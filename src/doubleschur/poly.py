@@ -30,7 +30,7 @@ Z[t1, t2, ...] itself and is used for t-only coefficients.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 from operator import neg
 from weakref import ref
 
@@ -102,6 +102,8 @@ class Poly:
 
     @classmethod
     def const(cls, c, nx=0):
+        """The constant c, read by `_whole` as an int of any sign."""
+        c = _whole(c, -inf, "constant")
         return cls(_whole(nx, 0), 0, {0: c} if c else None)
 
     @classmethod

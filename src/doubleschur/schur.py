@@ -478,22 +478,15 @@ def _addable(lam, n):
             for r in range(min(len(lam) + 1, n)) if r == 0 or row[r - 1] > row[r]]
 
 
+@lru_cache(maxsize=None)
 def _pieri_diagonal(lam, n):
     """d(lam) = -(t_{lam_1+n} + t_{lam_2+n-1} + ... + t_{lam_n+1}), the
-    coefficient of s_lam in (x1 + ... + xn) * s_lam."""
+    coefficient of s_lam in (x1 + ... + xn) * s_lam: an arity-0 Poly,
+    memoized per normalized (lam, n), the one Pieri memo."""
     diag = Poly.zero(0)
     for a in add_staircase(lam, n):
         diag = diag - Poly.t(a + 1)
     return diag
-
-
-@lru_cache(maxsize=None)
-def _pieri_step(lam, n):
-    """`pieri_multiply` of a normalized partition lam, memoized per (lam, n)."""
-    coeffs = {lam: _pieri_diagonal(lam, n)}
-    for grown in _addable(lam, n):
-        coeffs[grown] = Poly.one()
-    return SchurExpansion._trusted(n, coeffs)
 
 
 def pieri_multiply(lam, n):
@@ -501,10 +494,12 @@ def pieri_multiply(lam, n):
     coefficient `_pieri_diagonal` d(lam) on lam itself and coefficient 1 on
     each of the `_addable` partitions, lam plus one box in at most n rows.
 
-    Memoized per normalized (lam, n): the result is shared between callers
-    and must not be mutated (copy `.coeffs` before editing it); n is read by
-    `_arity` first, so the entry that True and 1 share holds n = 1."""
-    return _pieri_step(partition(lam), _arity(n))
+    Only d(lam) is memoized: each call builds a fresh expansion, which the
+    caller may edit.  n is read by `_arity` first, so True and 1 share the
+    memo entry of n = 1."""
+    lam, n = partition(lam), _arity(n)
+    return SchurExpansion._trusted(n, {lam: _pieri_diagonal(lam, n),
+                                       **dict.fromkeys(_addable(lam, n), Poly.one())})
 
 
 class SchurExpansion:
@@ -520,10 +515,7 @@ class SchurExpansion:
             lam = partition(lam)
             if len(lam) > n:
                 raise ValueError(f"partition {lam} has more than {n} parts")
-            if isinstance(c, int):
-                c = Poly.const(c)
-            if c.nx != 0:
-                c = c.t_only()
+            c = c.t_only() if isinstance(c, Poly) else Poly.const(c)
             if c:
                 clean[lam] = c
         self.coeffs = clean

@@ -15,9 +15,12 @@ computes both sides and insists they agree.
 
 from __future__ import annotations
 
-from .poly import Poly, _poly_obj, _sums_of_products, poly_from_obj
+from math import inf
+
+from .poly import Poly, _poly_obj, _sums_of_products, _whole, poly_from_obj
 from .schur import (
     SchurExpansion,
+    _arity,
     add_staircase,
     double_monomial,
     expand_in_double_schur,
@@ -50,9 +53,7 @@ class PathDisagreement(RuntimeError):
 
 
 def _t_coeff(c, m, what):
-    if isinstance(c, int):
-        c = Poly.const(c)
-    c = c.t_only()
+    c = c.t_only() if isinstance(c, Poly) else Poly.const(c)
     # the t-width bounds the largest t-index, so only a wider c is scanned
     if c.tw > m and c.max_t_index() > m:
         raise ValueError(f"{what} involves t-indices beyond t{m}")
@@ -85,6 +86,7 @@ class GLMatrix:
     @classmethod
     def unit(cls, i, j, m):
         """E_ij (1-based): sends the basis vector (x|t)^{j-1} to (x|t)^{i-1}."""
+        i, j = (_whole(k, -inf, "unit matrix index") for k in (i, j))
         if not (1 <= i <= m and 1 <= j <= m):
             raise ValueError(f"unit matrix indices ({i},{j}) out of range")
         return cls(m, [[1 if (r, c) == (i - 1, j - 1) else 0
@@ -169,8 +171,9 @@ def multiplication_matrix(f):
 
 
 def symmetric_multiplier(f, n):
-    """f(x1) + ... + f(xn) as a polynomial at arity n."""
+    """f(x1) + ... + f(xn) as a polynomial at arity n, n read by `_arity`."""
     _check_in_v(f)
+    n = _arity(n)
     coords = [(k, c.as_arity(n)) for (k,), c in sorted(f.coords.items())]
     out = _sums_of_products(n, ((0, 1, c, double_monomial(k, i, n))
                                 for i in range(1, n + 1) for k, c in coords))

@@ -23,7 +23,7 @@ from doubleschur.grass import (
     truncate,
 )
 from doubleschur.oracles import lr_coefficient, syt_count
-from doubleschur.poly import F, FIELD, Poly, to_difference_basis
+from doubleschur.poly import Poly, to_difference_basis
 from doubleschur.schur import (
     SchurExpansion,
     _addable,
@@ -37,6 +37,7 @@ from doubleschur.schur import (
     x_sum,
 )
 from difference_basis import from_difference_basis, reference_to_difference_basis
+from duality import _conjugate, _reflected
 
 
 def t(j):
@@ -337,6 +338,23 @@ def test_pieri_step_matches_oracles():
                 assert _pieri_diagonal(lam, n) == expansion.get(lam), (n, lam)
 
 
+def test_an_edited_pieri_expansion_reaches_no_other_caller():
+    # pieri_multiply builds a fresh expansion on every call, so an edit of
+    # one changes no later Pieri expansion, sigma1 power or structure
+    # constant; the values are copied, so an edit cannot reach them either
+    def values():
+        ctx = GrassContext(2, 4)
+        return [SchurExpansion(2, dict(e.coeffs))
+                for e in [pieri_multiply((1,), 2), pieri_multiply((2,), 2),
+                          sigma1_power_expansion(2, ctx),
+                          schubert_product((1,), (1,), ctx)]]
+
+    want = values()
+    for lam, c in [((1,), Poly.const(2)), ((2,), t(1))]:
+        pieri_multiply(lam, 2).coeffs[(2,)] = c
+        assert values() == want, lam
+
+
 def test_product_associative_sampled():
     ctx = GrassContext(2, 4)
     box = ctx.box_partitions()
@@ -508,22 +526,6 @@ def test_localization_matches_the_product_for_small_and_large_kappa(n, m):
             if (n, m) == (2, 5):
                 assert want == schubert_product_by_expansion(kappa, mu, ctx).get(mu)
     assert sides == {True, False}
-
-
-def _conjugate(lam):
-    return tuple(sum(p > j for p in lam) for j in range(lam[0] if lam else 0))
-
-
-def _reflected(c, m):
-    """omega: t_i -> -t_{m+1-i} on a constant of Z[t1..tm].  On a packed key
-    it reverses the m t-fields, and negates a term of odd t-degree."""
-    out = {}
-    for key, coeff in c._widened(m).items():
-        degree, fields, flipped = key >> F * m, key, 0
-        for _ in range(m):
-            flipped, fields = flipped << F | fields & FIELD, fields >> F
-        out[degree << F * m | flipped] = -coeff if degree & 1 else coeff
-    return Poly(0, m, out)
 
 
 @pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (2, 6), (3, 6), (3, 7)])

@@ -786,14 +786,16 @@ def test_pieri_no_colliding_shapes():
 
 
 def test_pieri_memo_matches_a_fresh_construction():
-    # one shared expansion per normalized (lam, n), equal to one built anew
+    # a fresh expansion on every call, equal to one built anew, around the
+    # memoized d(lam)
     for n in (1, 2, 3):
         for lam in box_partitions(n, 3):
             coeffs = {lam: schur._pieri_diagonal(lam, n)}
             coeffs.update((grown, Poly.one()) for grown in schur._addable(lam, n))
             got = pieri_multiply(lam, n)
             assert got == SchurExpansion(n, coeffs)
-            assert pieri_multiply(list(lam) + [0], n) is got
+            again = pieri_multiply(list(lam) + [0], n)
+            assert again == got and again is not got
 
 
 def test_pieri_agrees_with_expansion_small():
@@ -846,9 +848,9 @@ def test_internal_producers_reject_arity_below_one():
 
 
 def test_arity_is_read_as_a_plain_int():
-    # True and 1 share one Pieri memo entry, so an arity must be stored as
-    # the int it reads as, or that entry writes "n": true for either
-    schur._pieri_step.cache_clear()
+    # True and 1 share one Pieri memo entry, so an arity must be kept as a
+    # plain int, or an expansion writes "n": true
+    schur._pieri_diagonal.cache_clear()
     pieri_multiply((1,), True)
     n = pieri_multiply((1,), 1).to_obj()["n"]
     assert n == 1 and type(n) is int

@@ -29,6 +29,7 @@ from doubleschur.poly import (
     poly_to_obj,
     to_difference_basis,
 )
+from doubleschur.schur import SchurExpansion
 from doubleschur.verify import verify_positivity
 from doubleschur.wedge import gl_action_on_wedge, to_wedge_coordinates, x_matrix
 from difference_basis import from_difference_basis
@@ -371,3 +372,22 @@ def test_a_defaced_result_leaves_the_next_call_unchanged():
         _deface(first)
         assert _json(first) != want
         assert _json(call()) == want
+
+
+def test_a_bool_constant_renders_as_its_int():
+    # Poly.const reads a bool as its int, so a bool coefficient is written
+    # "c": "1", which reads back, and certifies as the constant 1
+    obj = SchurExpansion(1, {(): True}).to_obj()
+    assert obj["terms"][0]["coeff"] == [{"x": [], "t": {}, "c": "1"}]
+    assert SchurExpansion.from_obj(obj) == SchurExpansion.unit((), 1)
+    report = check_graham_positivity(True, GrassContext(2, 4))
+    assert certificate_to_obj(report.certificate) == [{"u": {}, "c": "1"}]
+    assert type(Poly.const(True).terms[0]) is int
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "1", None])
+def test_a_constant_that_is_not_an_int_is_refused(bad):
+    with pytest.raises(ValueError, match="constant must be an integer"):
+        Poly.const(bad)
+    with pytest.raises(ValueError, match="constant must be an integer"):
+        SchurExpansion(2, {(1,): bad})

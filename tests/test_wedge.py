@@ -421,6 +421,21 @@ def test_symmetric_multiplier_refuses_operators_outside_v():
         symmetric_multiplier(WedgeVector.basis((1, 0), 2, 4), 2)
 
 
+
+def test_indices_arities_and_coefficients_that_are_not_ints_are_refused():
+    # each is read by the one integer rule and refused up front, not read as
+    # a zero matrix (unit(1.5, ...)), an empty arity or a deep build error
+    f = WedgeVector.basis((1,), 1, 4)
+    for call in [lambda: GLMatrix.unit(1.5, 1, 3), lambda: GLMatrix.unit(1, 2.0, 3),
+                 lambda: GLMatrix.unit("1", 1, 3),
+                 lambda: symmetric_multiplier(f, 2.0), lambda: symmetric_multiplier(f, 0),
+                 lambda: GLMatrix(2, [[1, 0], [0, 2.5]]), lambda: GLMatrix.diagonal([1, 2.0]),
+                 lambda: WedgeVector(1, 3, {(0,): 0.5})]:
+        with pytest.raises(ValueError):
+            call()
+    assert GLMatrix.unit(True, 2, 3) == GLMatrix.unit(1, 2, 3)
+    assert symmetric_multiplier(f, True) == symmetric_multiplier(f, 1)
+
 def test_intertwining_on_all_basis_elements():
     # both computation routes agree for every double-monomial operator and
     # every basis class; centralizer_action raises on any disagreement
