@@ -8,8 +8,6 @@ suite.  Exit codes: 0 success, 1 verification failure, 2 usage error
 guard, the recursion depth or memory ran out.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

@@ -13,8 +13,6 @@ one class to the fixed point of the other, the diagonal included, computed
 by the branching rule in `schur._localization`.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import combinations_with_replacement
 from operator import le

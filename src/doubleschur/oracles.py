@@ -7,8 +7,6 @@ exhaustive enumeration.  Used by `verify` and by tests to pin down expected
 values.
 """
 
-from __future__ import annotations
-
 import math
 
 from .schur import partition

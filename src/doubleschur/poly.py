@@ -27,8 +27,6 @@ DegreeOverflow.  Arity 0 (no x-variables) is the coefficient ring
 Z[t1, t2, ...] itself and is used for t-only coefficients.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import comb, inf
 from operator import neg
@@ -224,7 +222,8 @@ class Poly:
         at key 0, at any t-width) is read as its integer, so a product by
         it only scales the other operand, and one by 1 returns that operand
         as it is; operands of different arity still raise ArityMismatch.
-        Any other product is a one-item `_sums_of_products` batch."""
+        Any other product is a one-item `_sums_of_products` batch, which
+        forms it with no operand memo or repacking map."""
         if isinstance(other, Poly):
             if self.nx != other.nx:
                 raise ArityMismatch(f"x-arity mismatch: {self.nx} vs {other.nx}")
@@ -426,10 +425,13 @@ def _multiply_into(products):
     integer.  The caller bounds the degree of every product (DEG_LIMIT).
 
     Each term of the smaller operand gives one row, the larger operand
-    shifted by that term.  The keys of a row are distinct, so a row written
-    into an empty out collides with nothing and is one dict comprehension.
-    Returns whether a sum cancelled: its deleted key keeps a slot in out's
-    table, so a caller that stores out copies it compact."""
+    shifted by that term and scaled by c times its coefficient.  The keys
+    of a row are distinct, so a row written into an empty out collides
+    with nothing and is one dict comprehension.  A row scaled by 1 or -1,
+    as nearly every row of a Pieri divisor, strip factor or e1 is, adds
+    or subtracts a's coefficients without multiplying them.  Returns
+    whether a sum cancelled: its deleted key keeps a slot in out's table,
+    so a caller that stores out copies it compact."""
     cancelled = False
     for out, c, a, b in products:
         if not c:
@@ -441,15 +443,33 @@ def _multiply_into(products):
             cc = c * c2
             if not out:
                 out.update({k1 + k2: c1 * cc for k1, c1 in a.items()})
-                continue
-            for k1, c1 in a.items():
-                k = k1 + k2
-                v = get(k, 0) + c1 * cc
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-                    cancelled = True
+            elif cc == 1:
+                for k1, c1 in a.items():
+                    k = k1 + k2
+                    v = get(k, 0) + c1
+                    if v:
+                        out[k] = v
+                    else:
+                        del out[k]
+                        cancelled = True
+            elif cc == -1:
+                for k1, c1 in a.items():
+                    k = k1 + k2
+                    v = get(k, 0) - c1
+                    if v:
+                        out[k] = v
+                    else:
+                        del out[k]
+                        cancelled = True
+            else:
+                for k1, c1 in a.items():
+                    k = k1 + k2
+                    v = get(k, 0) + c1 * cc
+                    if v:
+                        out[k] = v
+                    else:
+                        del out[k]
+                        cancelled = True
     return cancelled
 
 
@@ -465,13 +485,30 @@ def _sums_of_products(nx, items):
     is left out.  c is an integer, p and q are Polys.  Raises ArityMismatch
     and DegreeOverflow as p * q would, for every item listed.
 
-    `items` is materialized first, so that every operand stays alive while
+    `items` is materialized first.  A one-item batch, such as every `p * q`
+    of two non-constant polynomials, widens its two operands and reads
+    their degrees directly.  A longer batch keeps every operand alive while
     its `id` is a memo key: each distinct operand is repacked once to the
     common width and its degree read once, even when a generator yields
     temporaries.  Every product then goes into its key's term dict in one
     `_multiply_into` batch, and every sum is copied compact when a key of
     the batch cancelled."""
     items = list(items)
+    if len(items) == 1:
+        (key, c, p, q), = items
+        odd = p if p.nx != nx else q
+        if odd.nx != nx:
+            raise ArityMismatch(f"x-arity mismatch: {odd.nx} vs {nx}")
+        tw = max(p.tw, q.tw)
+        # a constant operand has degree 0 and only scales, as in p * q
+        da = max(p.terms, default=0) >> F * (nx + p.tw)
+        db = max(q.terms, default=0) >> F * (nx + q.tw)
+        if da and db and da + db >= DEG_LIMIT:
+            raise DegreeOverflow("product degree exceeds the packed monomial bound")
+        terms = {}
+        if _multiply_into(((terms, c, p._widened(tw), q._widened(tw)),)):
+            terms = dict(terms)
+        return {key: Poly(nx, tw, terms)} if terms else {}
     operands = {id(p): p for item in items for p in item[2:]}
     tw = 0
     for p in operands.values():
@@ -573,7 +610,8 @@ def to_difference_basis(p, m):
     to J-2 (a lower pass has no term to move), the residual t_{J-1} is
     u_{J-1} itself, and u_J .. u_{m-1} do not occur.  Otherwise the
     substitutions run up to i = m-1 and the largest term left holding t_m
-    is reported.
+    is reported.  Either way they run in place on one copy of p's terms,
+    packed at the width of the result.
 
     An int p is read as `Poly.const(p)`.  p keeps a weak reference to its
     certificate at the last m (`Poly._difference`, outside p's equality
@@ -593,16 +631,18 @@ def to_difference_basis(p, m):
         raise ValueError(f"polynomial involves t-indices beyond t{m}")
     invariant = _shift_derivative_vanishes(p, slots)
     # slot j carries u_j after the substitutions, which write in place on
-    # a copy of p's terms at width w: J - 1 cuts off every term holding t_J
-    # (a constant is cut to width 0), m keeps t_m for the offender.
+    # one copy of p's terms: cut after slot w, J - 1 cutting off every term
+    # holding t_J (a constant is cut to width 0) and m keeping t_m for the
+    # offender, and packed straight at the result's width, m - 1 or m.
     w = (slots[-1] - 1 if slots else 0) if invariant else m
-    terms = p.kill_t_above(w)._widened(w)
-    if terms is p.terms:
-        terms = dict(terms)
+    width = m - 1 if invariant else m
+    cut = (1 << F * max(p.tw - w, 0)) - 1
+    down, up = F * max(p.tw - width, 0), F * max(width - p.tw, 0)
+    terms = {k >> down << up: c for k, c in p.terms.items() if not k & cut}
     for i in range(slots[0] if slots else w, w):
-        _shear_into(terms, w, i)
+        _shear_into(terms, width, i)
     if invariant:
-        cert = Poly(0, m - 1, Poly(0, w, terms)._widened(m - 1))
+        cert = Poly(0, width, terms)
         source._difference = ref(cert)
         return cert
     worst = max(k for k in terms if k & FIELD)

@@ -12,8 +12,6 @@ rule for multiplication by x1 + ... + xn.
 Sign convention: double monomials use (x + t_i), not (x - t_i).
 """
 
-from __future__ import annotations
-
 from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -471,18 +469,24 @@ def expand_in_double_schur(p, n):
     return SchurExpansion._trusted(n, out)
 
 
+@lru_cache(maxsize=None)
 def _addable(lam, n):
-    """Partitions obtained from lam by adding one box, at most n rows."""
+    """Partitions obtained from lam by adding one box, at most n rows: a
+    tuple, memoized per normalized (lam, n)."""
     row = lam + (0,)
-    return [lam[:r] + (row[r] + 1,) + lam[r + 1:]
-            for r in range(min(len(lam) + 1, n)) if r == 0 or row[r - 1] > row[r]]
+    return tuple(lam[:r] + (row[r] + 1,) + lam[r + 1:]
+                 for r in range(min(len(lam) + 1, n)) if r == 0 or row[r - 1] > row[r])
+
+
+# the coefficient 1 of every addable shape in a Pieri expansion, one shared Poly
+_one = Poly.one()
 
 
 @lru_cache(maxsize=None)
 def _pieri_diagonal(lam, n):
     """d(lam) = -(t_{lam_1+n} + t_{lam_2+n-1} + ... + t_{lam_n+1}), the
     coefficient of s_lam in (x1 + ... + xn) * s_lam: an arity-0 Poly,
-    memoized per normalized (lam, n), the one Pieri memo."""
+    memoized per normalized (lam, n), the one Pieri memo of a coefficient."""
     diag = Poly.zero(0)
     for a in add_staircase(lam, n):
         diag = diag - Poly.t(a + 1)
@@ -494,12 +498,13 @@ def pieri_multiply(lam, n):
     coefficient `_pieri_diagonal` d(lam) on lam itself and coefficient 1 on
     each of the `_addable` partitions, lam plus one box in at most n rows.
 
-    Only d(lam) is memoized: each call builds a fresh expansion, which the
-    caller may edit.  n is read by `_arity` first, so True and 1 share the
-    memo entry of n = 1."""
+    d(lam) and the addable shapes are memoized, and every coefficient 1 is
+    one shared `Poly` (a Poly is immutable): each call builds a fresh map,
+    which the caller may edit.  n is read by `_arity` first, so True and 1
+    share the memo entries of n = 1."""
     lam, n = partition(lam), _arity(n)
     return SchurExpansion._trusted(n, {lam: _pieri_diagonal(lam, n),
-                                       **dict.fromkeys(_addable(lam, n), Poly.one())})
+                                       **dict.fromkeys(_addable(lam, n), _one)})
 
 
 class SchurExpansion:
@@ -524,10 +529,10 @@ class SchurExpansion:
     def _trusted(cls, n, coeffs):
         """An expansion whose map the caller built already clean: normalized
         partitions of at most n parts to nonzero arity-0 coefficients.  The
-        constructor of the internal producers, which reads the arity by
-        `_arity` and trusts the map."""
+        constructor of the internal producers, which read the arity by
+        `_arity` before the call: it trusts n and the map."""
         self = object.__new__(cls)
-        self.n = _arity(n)
+        self.n = n
         self.coeffs = coeffs
         return self
 

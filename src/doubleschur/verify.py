@@ -5,8 +5,6 @@ list of failures (first counterexample data included); suites never raise
 on a mathematical failure, only on usage errors.
 """
 
-from __future__ import annotations
-
 from .grass import (
     GrassContext,
     SizeGuardExceeded,

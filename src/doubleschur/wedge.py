@@ -13,8 +13,6 @@ f(x1) + ... + f(xn) acts on the truncated ring; `centralizer_action`
 computes both sides and insists they agree.
 """
 
-from __future__ import annotations
-
 from math import inf
 
 from .poly import Poly, _poly_obj, _sums_of_products, _whole, poly_from_obj

@@ -2,7 +2,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from doubleschur import GrassContext, double_monomial, poly, sigma1_power_expansion
 from doubleschur.poly import (
@@ -631,6 +631,8 @@ def product_batches(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(product_batches())
+# rows scaled by 1, -1 and 2 into an out that holds terms; keys 1 and 6 cancel
+@example(([{1: 1, 6: 2}, {}], [(0, 1, {0: 3, 1: -1, 2: 2}, {0: 1, 4: -1, 8: 2})]))
 def test_multiply_into_matches_naive_double_loop(case):
     outs, products = case
     want = _naive_products(outs, products)
@@ -744,6 +746,10 @@ def sums_batches(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(sums_batches())
+# one-item batches: a key that cancels, a product that vanishes, c = 0
+@example(([(0, 1, x(1) + t(1), x(1) - t(1))], False))
+@example(([(0, 1, Poly.zero(2), x(1) - t(3))], True))
+@example(([(1, 0, x(1) + t(2), x(2) - t(1))], False))
 def test_sums_of_products_matches_naive_products(case):
     items, cancel = case
     before = [dict(p.terms) for _, _, p, q in items for p in (p, q)]
