@@ -9,8 +9,8 @@ Schubert structure constants, and every structure constant is certified
 Graham-positive: a nonnegative integer combination of monomials in the
 differences t_i - t_{i+1}.  The constants are computed in Z[t1..tm] by one
 recursion, the Pieri rule, each of whose chains ends at the restriction of
-one class to the fixed point of the other, the diagonal included, computed
-by the branching rule in `schur._localization`.
+one class to the fixed point of the other, the diagonal included, a sum
+over excited Young diagrams in `schur._localization`.
 """
 
 import math
@@ -91,7 +91,7 @@ class GrassContext(_Record):
     The memos of its products live on it alone, so dropping it frees them:
     `_constants` of `_structure_constant`, `_supports` of `_support`, and
     `_points`, the one memo of `schur._localization` for every fixed point,
-    keyed by a shape and a prefix of the point, which also pools the packed
+    keyed by the restricted shape and the point, which also pools the packed
     monomials of every stored constant and restriction (`poly._pooled`)."""
 
     _fields = ("n", "m")
@@ -240,7 +240,7 @@ def _structure_constant(lam, mu, nu, ctx):
     nu (Knutson-Tao, Duke Math. J. 119, 2003), the double Schur polynomial
     of that factor at the point.  nu = mu restricts lam, nu = lam restricts
     mu, by commutativity, and both give the diagonal; each such key goes to
-    `schur._localization`, one branching rule memoized on ctx, and every
+    `schur._localization`, one excited-diagram sum memoized on ctx, and every
     other key is a Pieri step, whose quotient is stored through the pool
     `ctx._points`, as the restrictions are."""
     key, n = (lam, mu, nu), ctx.n

@@ -14,9 +14,9 @@ Sign convention: double monomials use (x + t_i), not (x - t_i).
 
 from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
 from math import factorial, prod
-from operator import lt
+from operator import itemgetter, lt
 
 from .poly import (DEG_LIMIT, F, FIELD, DegreeOverflow, Poly, _multiply_into,
                    _poly_obj, _pooled, _sums_of_products, _whole, poly_from_obj)
@@ -276,10 +276,9 @@ def _strip_coefficients(indices, tw):
 
 
 def _branches(lam, n):
-    """Each partition mu that interlaces lam, lam_{i+1} <= mu_i <= lam_i with
-    lam padded to n parts, with the t-indices of its strip lam/mu
-    (`_strip_indices`): the terms of the branching on x_n.  Each mu is built
-    weakly decreasing, so trimming its trailing zeros normalizes it."""
+    """The terms of `_schur_groups`'s branching on x_n: each partition mu
+    with lam_{i+1} <= mu_i <= lam_i (lam padded to n parts), normalized,
+    with the t-indices of its strip lam/mu (`_strip_indices`)."""
     padded = lam + (0,) * (n - len(lam))
     return [(mu[:len(mu) - mu.count(0)], _strip_indices(padded, mu, n))
             for mu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(n - 1)))]
@@ -333,55 +332,55 @@ def _schur_groups(lam, n):
 
 
 def _localization(kappa, mu, n, memo):
-    """The double Schur polynomial of a partition kappa in x1..xn at the
-    fixed point of the partition mu, x_k = -t_{a_k} with
-    a_k = mu_k + n - k + 1 (`add_staircase` plus one, as in
-    `_pieri_diagonal`): the restriction of kappa's Schubert class to mu's
-    fixed point (Knutson-Tao, Duke Math. J. 119, 2003), an arity-0 Poly at
-    t-width a_1.  kappa and mu are normalized, of at most n parts.
+    """The restriction of kappa's Schubert class to mu's fixed point
+    (Knutson-Tao, Duke Math. J. 119, 2003): the double Schur polynomial of
+    kappa in x1..xn at x_k = -t_{a_k}, a_k = mu_k + n - k + 1, an arity-0
+    Poly at t-width a_1; kappa and mu are normalized, of at most n parts.
 
-    Evaluated by the branching of `_schur_groups` (`_branches`) with
-    x_j = -t_{a_j}: each box of the strip nu/rho, of t-index c, is the
-    linear form t_c - t_{a_j}, and s_() = 1.  Two exact shortcuts prune
-    it: a strip holding the index a_j has a zero factor, and s_nu in
-    x1..xj vanishes at the point unless nu lies inside (mu_1 + n - j, ...,
-    mu_j + n - j), since the point is that partition's fixed point in j
-    variables (Molev-Sagan, Trans. AMS 351, 1999).  So kappa outside mu
-    gives 0.  `memo` is a dict shared between points: s_nu in x1..xj reads
-    only a_1..a_j (a_1 is also the t-width), so it maps (nu, a_1, ..., a_j)
-    to that value's term dict, and points with a common prefix share their
-    lower levels.  Each value is stored through `memo` as its pool of
-    packed monomials (`poly._pooled`; no shape key is an int)."""
+    It is the sum over the excited Young diagrams C of kappa in mu of the
+    product over the cells (i, j) of C of t_{b_j} - t_{a_i}, with
+    b_j = n + j - mu'_j (Ikeda-Naruse, Trans. AMS 361, 2009): kappa's
+    diagram, if it fits in mu, and every diagram reached by moving a cell
+    (i, j) of C to (i+1, j+1) when (i+1, j+1) lies in mu and none of
+    (i+1, j), (i, j+1), (i+1, j+1) lies in C.  A move adds one to the sum
+    of the row indices, so the diagrams reached in k moves are one set,
+    met at no other k.  They are summed as a trie of their rows, one
+    `_multiply_into` batch per node; a row's b_j are distinct and none is
+    a_i, so its product has no two equal monomials.  `memo`, shared
+    between points, maps (kappa, mu) to the value, pooled through it."""
+    tw = (mu[0] if mu else 0) + n
+    if not kappa:
+        return Poly(0, tw, {0: 1})
     if sum(kappa) >= DEG_LIMIT:
         raise DegreeOverflow("product degree exceeds the packed monomial bound")
-    a = [p + n - k for k, p in enumerate(mu + (0,) * (n - len(mu)))]
-    tw = a[0]
-    unit = [1 << F * tw | 1 << F * (tw - c) for c in range(tw + 1)]
+    got = memo.get((kappa, mu))
+    if got is None:
+        unit = [1 << F * tw | 1 << F * (tw - c) for c in range(tw + 1)]
+        a = [unit[p + n - i] for i, p in enumerate(mu)]
+        b = [unit[n + j - sum(p >= j for p in mu)] for j in range(tw - n + 1)]
+        inside = {(i, j) for i, p in enumerate(mu, 1) for j in range(1, p + 1)}
+        start = frozenset((i, j) for i, p in enumerate(kappa, 1) for j in range(1, p + 1))
+        level, trie = {start} if start <= inside else set(), {}
+        while level:
+            for cells in level:
+                node = trie
+                for i, row in groupby(sorted(cells), itemgetter(0)):
+                    node = node.setdefault((a[i - 1], tuple(b[j] for _, j in row)), {})
+            level = {cells - {(i, j)} | {(i + 1, j + 1)} for cells in level for i, j in cells
+                     if (i + 1, j + 1) in inside
+                     and not {(i + 1, j), (i, j + 1), (i + 1, j + 1)} & cells}
 
-    def value(nu, j):
-        if not nu:
-            return {0: 1}
-        got = memo.get((nu, *a[:j]))
-        if got is not None:
-            return got
-        got, aj = {}, a[j - 1]
-        if len(nu) <= j and all(p <= a[k] + k - j for k, p in enumerate(nu)):
-            products = []
-            for rho, indices in _branches(nu, j):
-                below = aj not in indices and value(rho, j - 1)
-                if below:
-                    # the product of the t_c - t_{a_j}; no two of its
-                    # monomials meet, since a_j is not among the distinct c
-                    strip = {0: 1}
-                    for c in indices:
-                        strip = {k + u: v * sign for k, v in strip.items()
-                                 for u, sign in ((unit[c], 1), (unit[aj], -1))}
-                    products.append((got, 1, below, strip))
+        def total(node):
+            out, products = {}, []
+            for (ai, units), below in node.items():
+                row = {k * ai + sum(s): (-1) ** k for k in range(len(units) + 1)
+                       for s in combinations(units, len(units) - k)}
+                products.append((out, 1, row, total(below) if below else {0: 1}))
             _multiply_into(products)
-        memo[(nu, *a[:j])] = got = _pooled(got, memo)
-        return got
+            return out
 
-    return Poly(0, tw, value(kappa, n))
+        memo[kappa, mu] = got = _pooled(total(trie), memo)
+    return Poly(0, tw, got)
 
 
 def double_schur(lam, n):

@@ -252,11 +252,14 @@ def test_degree_overflow_exits_3_without_a_traceback():
 
 
 def test_recursion_depth_exits_3_without_a_traceback():
-    # The recursion for c_{(12),(1)} on G(1,14) runs about 25 Python frames
-    # below cmd_product; the limit is set there, 12 frames deeper than the
-    # stack at that point, so that it is hit inside the product on every
-    # Python version, whatever each counts as a frame.  Its constants have
-    # at most 2**13 terms, so the run stays cheap even if it is not hit.
+    # The Pieri recursion for c_{(12),(12)}^{(24)} on G(1,25) chains twelve
+    # constants, one frame each, and runs about 21 Python frames below
+    # cmd_product; the limit is set there, 12 frames deeper than the stack
+    # at that point, so that it is hit inside the product on every Python
+    # version, whatever each counts as a frame.  It is hit early, in about
+    # 26 MB; run to the end, the product alone would take about 6 s and
+    # 800 MB (its largest constant has 126,720 terms), and certifying it
+    # more.
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     script = (
@@ -267,8 +270,8 @@ def test_recursion_depth_exits_3_without_a_traceback():
         "    sys.setrecursionlimit(len(traceback.extract_stack()) + 12)\n"
         "    return product(args)\n"
         "cli.cmd_product = shallow\n"
-        "sys.exit(cli.main(['product', '--n', '1', '--m', '14',"
-        " '--lambda', '12', '--mu', '1']))\n")
+        "sys.exit(cli.main(['product', '--n', '1', '--m', '25',"
+        " '--lambda', '12', '--mu', '12']))\n")
     done = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 3

@@ -36,6 +36,7 @@ from doubleschur.schur import (
     pieri_multiply,
     x_sum,
 )
+from branching import branching_localization
 from difference_basis import from_difference_basis, reference_to_difference_basis
 from duality import _conjugate, _reflected
 
@@ -528,12 +529,94 @@ def test_localization_matches_the_product_for_small_and_large_kappa(n, m):
     assert sides == {True, False}
 
 
+def test_localization_matches_the_branching_walk_on_g37():
+    # the excited-diagram sum against the branching rule, term for term and
+    # at the same t-width, on every pair of G(3,7), kappa outside mu included
+    box = GrassContext(3, 7).box_partitions()
+    memo, walk = {}, {}
+    for mu in box:
+        for kappa in box:
+            got = _localization(kappa, mu, 3, memo)
+            want = branching_localization(kappa, mu, 3, walk)
+            assert (got.tw, got.terms) == (want.tw, want.terms), (kappa, mu)
+
+
+@st.composite
+def restriction_pairs(draw):
+    # kappa mostly inside mu (a part of kappa at most the part of mu it is
+    # drawn against), and at most 3 columns wide, so that no value has more
+    # than 2**15 terms
+    n = draw(st.integers(1, 5))
+    mu = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    cap = mu if draw(st.integers(0, 3)) else [6] * n
+    kappa = [min(c, draw(st.integers(0, 3))) for c in cap]
+    return partition(sorted(kappa, reverse=True)), partition(sorted(mu, reverse=True)), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(restriction_pairs())
+def test_localization_matches_the_branching_walk_in_larger_boxes(case):
+    kappa, mu, n = case
+    got = _localization(kappa, mu, n, {})
+    want = branching_localization(kappa, mu, n, {})
+    assert (got.tw, got.terms) == (want.tw, want.terms)
+
+
+def _excited_diagrams(kappa, mu):
+    """The excited Young diagrams of kappa in mu (Ikeda-Naruse), each a set
+    of 1-based cells (i, j): kappa's diagram when it fits in mu, and every
+    diagram reached from it by moving a cell (i, j) to (i+1, j+1) when
+    (i+1, j+1) is a cell of mu and none of (i+1, j), (i, j+1), (i+1, j+1)
+    is a cell of the diagram."""
+    def in_mu(i, j):
+        return i <= len(mu) and j <= mu[i - 1]
+
+    start = frozenset((i, j) for i in range(1, len(kappa) + 1)
+                      for j in range(1, kappa[i - 1] + 1))
+    if not all(in_mu(i, j) for i, j in start):
+        return set()
+    found, stack = {start}, [start]
+    while stack:
+        diagram = stack.pop()
+        for i, j in diagram:
+            step = {(i + 1, j), (i, j + 1), (i + 1, j + 1)}
+            if in_mu(i + 1, j + 1) and not step & diagram:
+                moved = diagram - {(i, j)} | {(i + 1, j + 1)}
+                if moved not in found:
+                    found.add(moved)
+                    stack.append(moved)
+    return found
+
+
+@pytest.mark.parametrize("n,m", [(2, 6), (3, 6)])
+def test_restriction_certificates_are_excited_diagram_sums(n, m):
+    # a weight t_{b_j} - t_{a_i} of a cell (i, j) of mu has b_j < a_i, so it
+    # is u_{b_j} + ... + u_{a_i - 1} in u_k = t_k - t_{k+1}: the diagram
+    # sum written in the u is a certificate positive by construction, and
+    # every restriction constant's certificate from the shear must equal it
+    ctx = GrassContext(n, m)
+    _every_product(ctx)
+    keys = [key for key in ctx._constants if key[2] in key[:2]]
+    assert len(keys) > 50
+    for lam, mu, nu in keys:
+        kappa = mu if nu == lam else lam
+        want = Poly.zero(0)
+        for diagram in _excited_diagrams(kappa, nu):
+            term = Poly.one()
+            for i, j in diagram:
+                b = n + j - sum(p >= j for p in nu)
+                a = nu[i - 1] + n - i + 1
+                term = term * sum((t(k) for k in range(b, a)), Poly.zero(0))
+            want = want + term
+        assert to_difference_basis(ctx._constants[lam, mu, nu], m) == want, (lam, mu, nu)
+
+
 @pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (2, 6), (3, 6), (3, 7)])
 def test_grassmann_duality(n, m):
     # c_{lam,mu}^nu on G(n,m) is omega(c_{lam',mu'}^{nu'}) on G(m-n,m), and
     # the supports correspond under conjugation; the dual side runs m-n
     # x-variables, so it reads other Pieri divisors, other fixed points and
-    # other prefixes of the point memo
+    # other excited diagrams
     ctx, dual = GrassContext(n, m), GrassContext(m - n, m)
     box = ctx.box_partitions()
     for lam in box:
@@ -857,7 +940,7 @@ def test_equal_contexts_share_no_memo_entry():
 
 def _kept_tables(ctx):
     """The term dicts of ctx's constants and of its restriction values, the
-    entries of `_points` keyed by a shape and a prefix of a point."""
+    entries of `_points` keyed by a shape and a point."""
     return ([c.terms for c in ctx._constants.values()]
             + [v for k, v in ctx._points.items() if isinstance(k, tuple)])
 
