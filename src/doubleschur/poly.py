@@ -427,7 +427,8 @@ def _multiply_into(products):
     Each term of the smaller operand gives one row, the larger operand
     shifted by that term and scaled by c times its coefficient.  The keys
     of a row are distinct, so a row written into an empty out collides
-    with nothing and is one dict comprehension.  A row scaled by 1 or -1,
+    with nothing and is one dict comprehension, which copies a's
+    coefficients unmultiplied when the scale is 1.  A row scaled by 1 or -1,
     as nearly every row of a Pieri divisor, strip factor or e1 is, adds
     or subtracts a's coefficients without multiplying them.  Returns
     whether a sum cancelled: its deleted key keeps a slot in out's table,
@@ -442,7 +443,8 @@ def _multiply_into(products):
         for k2, c2 in b.items():
             cc = c * c2
             if not out:
-                out.update({k1 + k2: c1 * cc for k1, c1 in a.items()})
+                out.update({k1 + k2: c1 for k1, c1 in a.items()} if cc == 1 else
+                           {k1 + k2: c1 * cc for k1, c1 in a.items()})
             elif cc == 1:
                 for k1, c1 in a.items():
                     k = k1 + k2

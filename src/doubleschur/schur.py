@@ -219,37 +219,33 @@ def _dominant_groups(p):
     peel's t-width (`_peel_width`), keyed by the packed exponent a at bit 0.
     None if p is not symmetric.
 
-    One pass checks symmetry term by term.  A term at a dominant exponent is
-    kept in its group; every other term must equal its twin, the term with
-    the same t-part at its sorted exponent; and the terms must number the
-    sum over the kept terms of their orbit sizes n!/prod(m_i!) (m_i the
-    multiplicities of the parts).  Every term then lies in the orbit of a
-    kept term with that term's coefficient, and the count leaves no orbit
-    member missing.  Only the kept terms are rewritten, their degree fields
-    lowered by the x-degree.  The largest x-exponent of a symmetric
-    polynomial is dominant, so the largest kept exponent gives the peel's
-    width."""
+    One pass reads each term once.  Its twin is the term with the same
+    t-part at its sorted exponent, the key plus the x-part's twin offset
+    (sorted exponent minus own, 0 when dominant), found once per x-part.
+    A term at a dominant exponent is kept in its group; every other term
+    must equal its twin.  After the pass the terms must number the sum over
+    the kept groups of their sizes times their orbit sizes n!/prod(m_i!)
+    (m_i the multiplicities of the parts).  Every term then lies in the
+    orbit of a kept term with that term's coefficient, and the count leaves
+    no orbit member missing.  Only the kept terms are rewritten, their
+    degree fields lowered by the x-degree.  The largest x-exponent of a
+    symmetric polynomial is dominant, so the largest kept exponent gives
+    the peel's width."""
     n, sh = p.nx, F * p.tw
     hi, tmask = sh + F * n, (1 << sh) - 1
     xmask = ((1 << F * n) - 1) << sh
     terms = p.terms
-    # x-fields of a key -> its sorted x-fields and orbit size, so that
-    # `_orbit` is read once per exponent, not once per term
-    orbits = {}
-    kept, count = defaultdict(dict), 0
+    offsets, kept = {}, defaultdict(dict)
     for k, c in terms.items():
         x = k & xmask
-        o = orbits.get(x)
-        if o is None:
-            d, _, size, _ = _orbit(x >> sh, n)
-            o = orbits[x] = d << sh, size
-        d, size = o
-        if d == x:
+        off = offsets.get(x)
+        if off is None:
+            off = offsets[x] = (_orbit(x >> sh, n)[0] << sh) - x
+        if not off:
             kept[x][k] = c
-            count += size
-        elif terms.get(k - x + d) != c:
+        elif terms.get(k + off) != c:
             return None
-    if count != len(terms):
+    if sum(len(g) * _orbit(x >> sh, n)[2] for x, g in kept.items()) != len(terms):
         return None
     up = F * (_peel_width(p, max(kept, default=0) >> sh) - p.tw)
     return {x >> sh: {(((k >> hi) - deg) << sh | k & tmask) << up: c for k, c in g.items()}
@@ -409,8 +405,8 @@ def _double_schur(lam, n):
     # x-fields to the rearrangement y of a
     top = size << sh + F * n
     return Poly(n, tw, {k + off: c for x, g in dominant.items()
-                        for off in [top + ((y - size + _orbit(x, n)[1]) << sh)
-                                    for y in _orbit_members(x, n)]
+                        for base in [top - ((size - _orbit(x, n)[1]) << sh)]
+                        for off in [base + (y << sh) for y in _orbit_members(x, n)]
                         for k, c in g.items()})
 
 
@@ -433,10 +429,12 @@ def expand_in_double_schur(p, n):
     s_lam (`_schur_groups`) are then maps from dominant x-exponents to Z[t]
     coefficients.  A step pops the leading group, which is the coefficient
     of s_lam as it stands; s_lam's own group of x^lam is 1, so every other
-    group of s_lam is subtracted times it.  No x-exponent of s_lam exceeds
-    lam_1 <= p's largest x1-exponent, so every s_lam fits p's t-width
-    widened to n + lam_1 - 1 (`_peel_width`), the width the groups of p are
-    written at, and no product exceeds p's degree.
+    group of s_lam is subtracted times it.  A group that cancels to nothing
+    stays in the remainder and is skipped when it is popped, so no step
+    sweeps for emptied groups.  No x-exponent of s_lam exceeds lam_1 <= p's
+    largest x1-exponent, so every s_lam fits p's t-width widened to
+    n + lam_1 - 1 (`_peel_width`), the width the groups of p are written
+    at, and no product exceeds p's degree.
     """
     n = _arity(n)
     if p.nx != n:
@@ -450,8 +448,10 @@ def expand_in_double_schur(p, n):
     out = {}
     while rem:
         x = max(rem)
-        lam = partition((x >> F * (n - i)) & FIELD for i in range(1, n + 1))
         c = rem.pop(x)
+        if not c:
+            continue
+        lam = partition((x >> F * (n - i)) & FIELD for i in range(1, n + 1))
         out[lam] = Poly(0, tw, c)
         stw, groups = _schur_groups(lam, n)
         up = F * (tw - stw)
@@ -462,9 +462,6 @@ def expand_in_double_schur(p, n):
                     sg = {k << up: v for k, v in sg.items()}
                 products.append((rem.setdefault(sx, {}), -1, c, sg))
         _multiply_into(products)
-        for sx in groups:
-            if sx in rem and not rem[sx]:
-                del rem[sx]
     return SchurExpansion._trusted(n, out)
 
 

@@ -256,14 +256,19 @@ def test_recursion_depth_exits_3_without_a_traceback():
     # constants, one frame each, and runs about 21 Python frames below
     # cmd_product; the limit is set there, 12 frames deeper than the stack
     # at that point, so that it is hit inside the product on every Python
-    # version, whatever each counts as a frame.  It is hit early, in about
-    # 26 MB; run to the end, the product alone would take about 6 s and
-    # 800 MB (its largest constant has 126,720 terms), and certifying it
-    # more.
+    # version, whatever each counts as a frame.  It is hit early, with a
+    # peak address space of 28 MB; run to the end, the product alone would
+    # take about 6 s and 800 MB (its largest constant has 126,720 terms),
+    # and certifying it more.  The child caps its address space at 128 MiB
+    # first, so that a Python that counts fewer frames fails the message
+    # assertion in about a second, out of memory: with the cap the limit
+    # is still hit at +14 frames (101 MB), and from +15 the run refuses
+    # out of memory after 0.5 s.
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     script = (
-        "import sys, traceback\n"
+        "import resource, sys, traceback\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))\n"
         "from doubleschur import cli\n"
         "product = cli.cmd_product\n"
         "def shallow(args):\n"

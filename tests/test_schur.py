@@ -662,6 +662,33 @@ def test_peel_checks_each_term_and_the_count():
     assert _dominant_groups(Poly(n, 4, {})) == {}
 
 
+def test_peel_symmetry_check_on_fixed_cases():
+    n = 2
+    x1, x2 = Poly.x(1, n), Poly.x(2, n)
+    t1, t2, t3, t4 = (Poly.t(j, n) for j in (1, 2, 3, 4))
+    # both terms are dominant, so no twin is read; x1^2's orbit lacks x2^2,
+    # which only the count (2 + 1 = 3, not 2) sees
+    incomplete = x1 ** 2 + x1 * x2
+    assert _twins_agree(incomplete) and len(incomplete.terms) == 2
+    # the count holds (x1^2 has orbit size 2), but x2^2's twin x1^2 has
+    # coefficient 1, not 2
+    twin_differs = x1 ** 2 + 2 * x2 ** 2
+    assert not _twins_agree(twin_differs) and len(twin_differs.terms) == 2
+    for p in (incomplete, twin_differs):
+        assert not is_symmetric(p)
+        assert _dominant_groups(p) is None
+        with pytest.raises(ValueError, match="^polynomial is not symmetric$"):
+            expand_in_double_schur(p, n)
+    # t-degrees 0, 1, 2 and 3 at the dominant exponent (2, 0), and two at
+    # (1, 1): each is lowered by its own x-degree and written back by it
+    several = ((x1 ** 2 + x2 ** 2) * (1 + t1 + t2 ** 2 + t1 * t3 ** 2)
+               + x1 * x2 * (t4 + t1 ** 3))
+    assert {sum(te.values()) for xe, te, _ in several.iter_terms() if xe == (2, 0)} == \
+        {0, 1, 2, 3}
+    got = expand_in_double_schur(several, n)
+    assert expansion_to_poly(got) == several
+
+
 def test_expand_in_double_schur_round_trip():
     for n, lam in ((2, (2, 1)), (3, (1, 1)), (3, ())):
         got = expand_in_double_schur(double_schur(lam, n), n)
