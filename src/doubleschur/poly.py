@@ -82,15 +82,19 @@ def _whole(value, floor, what="arity"):
 
 class Poly:
     """Immutable sparse polynomial.  Do not mutate `terms` from outside.
-    The private slot `_difference` belongs to `to_difference_basis`."""
+    The private slot `_difference` belongs to `to_difference_basis`, and
+    `_groups` to `schur.py`, which sets it on the symmetric polynomials it
+    writes out from their dominant groups.  Neither takes part in equality
+    or repr."""
 
-    __slots__ = ("nx", "tw", "terms", "_difference", "__weakref__")
+    __slots__ = ("nx", "tw", "terms", "_difference", "_groups", "__weakref__")
 
     def __init__(self, nx, tw=0, terms=None):
         self.nx = nx
         self.tw = tw
         self.terms = {} if terms is None else terms
         self._difference = None
+        self._groups = None
 
     # -- constructors -------------------------------------------------
 
@@ -222,8 +226,11 @@ class Poly:
         at key 0, at any t-width) is read as its integer, so a product by
         it only scales the other operand, and one by 1 returns that operand
         as it is; operands of different arity still raise ArityMismatch.
-        Any other product is a one-item `_sums_of_products` batch, which
-        forms it with no operand memo or repacking map."""
+        A product of two operands that carry their dominant groups (the
+        slot `_groups`, set by `schur.py`) is formed by that slot object
+        from the groups alone, and carries the product's groups.  Any other
+        product is a one-item `_sums_of_products` batch, which forms it
+        with no operand memo or repacking map."""
         if isinstance(other, Poly):
             if self.nx != other.nx:
                 raise ArityMismatch(f"x-arity mismatch: {self.nx} vs {other.nx}")
@@ -231,6 +238,8 @@ class Poly:
                 other = other.terms[0]
             elif len(self.terms) == 1 and 0 in self.terms:
                 self, other = other, self.terms[0]
+            elif self._groups is not None and other._groups is not None:
+                return self._groups.times(other._groups, self.nx)
             else:
                 return _sums_of_products(self.nx, ((0, 1, self, other),)).get(0, Poly(self.nx))
         elif not isinstance(other, int):

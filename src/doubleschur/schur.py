@@ -19,7 +19,7 @@ from math import factorial, prod
 from operator import itemgetter, lt
 
 from .poly import (DEG_LIMIT, F, FIELD, DegreeOverflow, Poly, _multiply_into,
-                   _poly_obj, _pooled, _sums_of_products, _whole, poly_from_obj)
+                   _poly_obj, _pooled, _whole, poly_from_obj)
 
 __all__ = [
     "partition",
@@ -98,11 +98,14 @@ def remove_staircase(nu):
 
 
 def x_sum(n):
-    """x1 + ... + xn."""
-    acc = Poly.zero(n)
-    for i in range(1, n + 1):
-        acc = acc + Poly.x(i, n)
-    return acc
+    """x1 + ... + xn, written out from its one dominant group (x1,
+    coefficient 1) and carrying it (`_Groups`), so that its product with
+    another such polynomial is formed from the groups; the arity-0 zero
+    polynomial at n = 0."""
+    n = _whole(n, 0)
+    if not n:
+        return Poly.zero(0)
+    return _written(n, _Groups(0, {1 << F * (n - 1): {0: 1}}, 1))
 
 
 def double_monomial(k, var=1, nvars=1):
@@ -379,15 +382,112 @@ def _localization(kappa, mu, n, memo):
     return Poly(0, tw, got)
 
 
+class _Groups:
+    """What the private slot `Poly._groups` holds for a symmetric polynomial
+    this module wrote out (`_written`): its t-width, its dominant groups in
+    the form of `_schur_groups`, its degree and whether it is homogeneous of
+    that degree.  The groups may be a cached `_schur_groups` entry, so they
+    are read-only.  `Poly.__mul__` hands the product of two such
+    polynomials to `times`."""
+
+    __slots__ = ("tw", "groups", "degree", "homogeneous")
+
+    def __init__(self, tw, groups, degree, homogeneous=True):
+        self.tw, self.groups, self.degree = tw, groups, degree
+        self.homogeneous = homogeneous
+
+    def times(self, other, n):
+        """The product of the polynomials in x1..xn that carry self and
+        other, as `_written` from its dominant groups alone.
+
+        The group of a dominant z in the product is the sum, over the
+        x-exponents a of one factor and the rearrangements y of the dominant
+        exponents b of the other with a + y = z, of the product of the
+        groups of a and b: the other factor's group of y is its group of b.
+        The a run over the factor with fewer x-exponents, each a
+        rearrangement of one of its dominant exponents, and a + y is tested
+        dominant on the packed ints before any coefficient is touched.
+        Every product goes into one `_multiply_into` batch, and the degree
+        is bounded as in `Poly.__mul__`."""
+        a, b = self, other
+        if a.degree and b.degree and a.degree + b.degree >= DEG_LIMIT:
+            raise DegreeOverflow("product degree exceeds the packed monomial bound")
+        if sum(_orbit(x, n)[2] for x in a.groups) > sum(_orbit(x, n)[2] for x in b.groups):
+            a, b = b, a
+        tw = max(a.tw, b.tw)
+        ua, ub = F * (tw - a.tw), F * (tw - b.tw)
+        rows = [({k << ub: c for k, c in h.items()} if ub else h, _orbit_members(y, n))
+                for y, h in b.groups.items()]
+        groups, products = {}, []
+        for x, g in a.groups.items():
+            if ua:
+                g = {k << ua: c for k, c in g.items()}
+            for ax in _orbit_members(x, n):
+                for h, ys in rows:
+                    for y in ys:
+                        z = ax + y
+                        if _orbit(z, n)[0] == z:
+                            products.append((groups.setdefault(z, {}), 1, g, h))
+        _multiply_into(products)
+        return _written(n, _Groups(tw, {z: g for z, g in groups.items() if g},
+                                   a.degree + b.degree, a.homogeneous and b.homogeneous))
+
+
+def _written(n, marked):
+    """The polynomial in x1..xn whose dominant groups are those of the
+    `_Groups` marked, written out and carrying them: the Z[t] coefficient of
+    x^a goes to every rearrangement of a."""
+    tw, size = marked.tw, marked.degree
+    sh = F * tw
+    if marked.homogeneous:
+        # the group of x^a holds t-degree size - |a| in every key; adding
+        # `off` sets the degree to size and the x-fields to the
+        # rearrangement y of a
+        top = size << sh + F * n
+        terms = {k + off: c for x, g in marked.groups.items()
+                 for base in [top - ((size - _orbit(x, n)[1]) << sh)]
+                 for off in [base + (y << sh) for y in _orbit_members(x, n)]
+                 for k, c in g.items()}
+    else:
+        # each key's t-degree d moves up to the degree field, plus |a|
+        lift = (1 << sh + F * n) - (1 << sh)
+        terms = {k + (k >> sh) * lift + off: c for x, g in marked.groups.items()
+                 for base in [_orbit(x, n)[1] << F * n]
+                 for off in [(base + y) << sh for y in _orbit_members(x, n)]
+                 for k, c in g.items()}
+    p = Poly(n, tw, terms)
+    p._groups = marked
+    return p
+
+
+def _symmetrized(f, n):
+    """f(x1) + ... + f(xn) for a Poly f in x1 alone (arity 1), written out
+    from its dominant groups and carrying them: n times f's constant term
+    at x^0 and f's coefficient of x^j at x1^j."""
+    if not f:
+        return Poly.zero(n)
+    sh = F * f.tw
+    tmask = (1 << sh) - 1
+    groups = {}
+    for k, c in f.terms.items():
+        j = (k >> sh) & FIELD
+        groups.setdefault(j << F * (n - 1), {})[
+            ((k >> sh + F) - j) << sh | k & tmask] = c if j else n * c
+    return _written(n, _Groups(f.tw, groups, max(f.terms) >> sh + F, False))
+
+
 def double_schur(lam, n):
     """The double Schur polynomial of lam in x1..xn, written out from the
-    dominant groups of `_schur_groups`: the Z[t] coefficient of x^a goes to
-    every rearrangement of a.  The build and `expand_in_double_schur` read
-    the groups alone; this flat form is written out for its caller and is
-    not retained.  The memo keeps the last two results only, so a caller
-    that alternates between a fixed shape and others (lam against every mu)
-    writes the fixed one once.  lam is normalized before the memo is read,
-    so [2, 1, 0] and (2, 1) share one entry."""
+    dominant groups of `_schur_groups` (`_written`): the Z[t] coefficient of
+    x^a goes to every rearrangement of a.  The result carries those groups,
+    so that `Poly.__mul__` forms its product with another polynomial that
+    carries its own (x_sum, s_mu, their products) from the groups alone, and
+    `expand_in_double_schur` peels it without reading its flat terms.  The
+    build and the peel read the groups alone; this flat form is written out
+    for its caller and is not retained.  The memo keeps the last two results
+    only, so a caller that alternates between a fixed shape and others (lam
+    against every mu) writes the fixed one once.  lam is normalized before
+    the memo is read, so [2, 1, 0] and (2, 1) share one entry."""
     n = _arity(n)
     lam = partition(lam)
     if len(lam) > n:
@@ -398,16 +498,7 @@ def double_schur(lam, n):
 @lru_cache(maxsize=2)
 def _double_schur(lam, n):
     """`double_schur` of a normalized partition lam, memoized per (lam, n)."""
-    tw, dominant = _schur_groups(lam, n)
-    sh, size = F * tw, sum(lam)
-    # s_lam is homogeneous of degree |lam|, so the group of x^a holds t-degree
-    # |lam| - |a| in every key; adding `off` sets the degree to |lam| and the
-    # x-fields to the rearrangement y of a
-    top = size << sh + F * n
-    return Poly(n, tw, {k + off: c for x, g in dominant.items()
-                        for base in [top - ((size - _orbit(x, n)[1]) << sh)]
-                        for off in [base + (y << sh) for y in _orbit_members(x, n)]
-                        for k, c in g.items()})
+    return _written(n, _Groups(*_schur_groups(lam, n), sum(lam)))
 
 
 double_schur.cache_info = _double_schur.cache_info
@@ -423,9 +514,13 @@ def expand_in_double_schur(p, n):
     recurse.  The leading x-monomial strictly decreases and the total
     x-degree never grows, so this terminates.
 
-    Only the dominant groups of p are kept (`_dominant_groups`): dropping
-    the others is linear, the leading exponent of a symmetric polynomial is
-    dominant, and one with no dominant term is zero.  The remainder and each
+    Only the dominant groups of p are kept: dropping the others is linear,
+    the leading exponent of a symmetric polynomial is dominant, and one with
+    no dominant term is zero.  A p that carries its groups (`Poly._groups`:
+    s_lam, x_sum and their products, symmetric as written) is peeled from
+    fresh copies of them, since they may be a cached `_schur_groups` entry;
+    any other p is checked symmetric and its groups are read off its terms
+    by `_dominant_groups`.  The remainder and each
     s_lam (`_schur_groups`) are then maps from dominant x-exponents to Z[t]
     coefficients.  A step pops the leading group, which is the coefficient
     of s_lam as it stands; s_lam's own group of x^lam is 1, so every other
@@ -439,12 +534,19 @@ def expand_in_double_schur(p, n):
     n = _arity(n)
     if p.nx != n:
         raise ValueError(f"expected a polynomial in x1..x{n}, got arity {p.nx}")
-    rem = _dominant_groups(p)
-    if rem is None:
-        raise ValueError("polynomial is not symmetric")
-    if p.terms and max(p.terms) >> F * (n + p.tw) >= DEG_LIMIT:
-        raise DegreeOverflow("product degree exceeds the packed monomial bound")
-    tw = _peel_width(p, max(rem, default=0))
+    marked = p._groups
+    if marked is None:
+        rem = _dominant_groups(p)
+        if rem is None:
+            raise ValueError("polynomial is not symmetric")
+        if p.terms and max(p.terms) >> F * (n + p.tw) >= DEG_LIMIT:
+            raise DegreeOverflow("product degree exceeds the packed monomial bound")
+        tw = _peel_width(p, max(rem, default=0))
+    else:
+        # its degree is below the bound: every writer of groups raises past it
+        tw = _peel_width(p, max(marked.groups, default=0))
+        up = F * (tw - p.tw)
+        rem = {x: {k << up: c for k, c in g.items()} for x, g in marked.groups.items()}
     out = {}
     while rem:
         x = max(rem)
@@ -578,7 +680,23 @@ class SchurExpansion:
 
 
 def expansion_to_poly(e):
-    """Evaluate a SchurExpansion back to the symmetric polynomial it names."""
-    out = _sums_of_products(e.n, ((0, 1, c.as_arity(e.n), double_schur(lam, e.n))
-                                  for lam, c in e.coeffs.items()))
-    return out.get(0, Poly.zero(e.n))
+    """Evaluate a SchurExpansion back to the symmetric polynomial it names,
+    written out from its dominant groups and carrying them (`_written`):
+    the sum of c_lam times the groups of s_lam (`_schur_groups`), in one
+    `_multiply_into` batch, under the degree bound of `Poly.__mul__`."""
+    n = e.n
+    shapes = [(c, sum(lam), *_schur_groups(lam, n)) for lam, c in e.coeffs.items()]
+    if not shapes:
+        return Poly.zero(n)
+    tw = max(max(c.tw, stw) for c, _, stw, _ in shapes)
+    degree, groups, products = 0, {}, []
+    for c, size, stw, sg in shapes:
+        d = max(c.terms, default=0) >> F * c.tw
+        if d and size and d + size >= DEG_LIMIT:
+            raise DegreeOverflow("product degree exceeds the packed monomial bound")
+        degree = max(degree, d + size)
+        c, up = c._widened(tw), F * (tw - stw)
+        products += [(groups.setdefault(x, {}), 1, c,
+                      {k << up: v for k, v in g.items()} if up else g) for x, g in sg.items()]
+    _multiply_into(products)
+    return _written(n, _Groups(tw, {x: g for x, g in groups.items() if g}, degree, False))

@@ -5,7 +5,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from doubleschur.grass import GrassContext
 from doubleschur import schur
@@ -15,6 +15,7 @@ from doubleschur.schur import (
     _dominant,
     _dominant_groups,
     _orbit,
+    _peel_width,
     _schur_groups,
     add_staircase,
     alternant,
@@ -723,13 +724,76 @@ def test_peel_writes_into_no_cached_group():
     inputs = []
     for lam in box_partitions(n, 3):
         s = double_schur(lam, n)
-        inputs += [s, x_sum(n) * s, Poly.t(5, n) * s + 3 * double_schur((1,), n)]
-    # every shape these peels can meet lies in the n x 4 box
-    memo = {mu: copy.deepcopy(_schur_groups(mu, n)) for mu in box_partitions(n, 4)}
+        # s, x_sum * s and s * s_(2,1) carry their groups, the last unmarked
+        inputs += [s, x_sum(n) * s, s * double_schur((2, 1), n),
+                   Poly.t(5, n) * s + 3 * double_schur((1,), n)]
+    # every shape these peels can meet lies in the n x 5 box
+    memo = {mu: copy.deepcopy(_schur_groups(mu, n)) for mu in box_partitions(n, 5)}
     for p in inputs:
-        assert set(expand_in_double_schur(p, n).coeffs) <= set(memo)
+        first = expand_in_double_schur(p, n)
+        assert set(first.coeffs) <= set(memo)
+        assert expand_in_double_schur(p, n) == first
     for mu, groups in memo.items():
         assert _schur_groups(mu, n) == groups, mu
+
+
+def _unmarked(p):
+    """p with the same terms, carrying no groups: its products go through
+    the kernel and its peel through `_dominant_groups`."""
+    return Poly(p.nx, p.tw, dict(p.terms))
+
+
+@st.composite
+def marked_pairs(draw):
+    """Two factors that carry their groups, x_sum(n) (drawn as None) or a
+    double Schur polynomial of at most 3 columns, the empty shape included,
+    at n <= 4.  At n = 4 the sizes add up to at most 9, so that the kernel
+    product of the oracle stays under a second."""
+    n = draw(st.integers(1, 4))
+    shapes = st.sampled_from([None] + box_partitions(n, 3))
+    a, b = draw(shapes), draw(shapes)
+    if n == 4:
+        assume(sum(1 if lam is None else sum(lam) for lam in (a, b)) <= 9)
+    return a, b, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(marked_pairs())
+def test_product_of_groups_matches_the_kernel(case):
+    a, b, n = case
+    f, g = (x_sum(n) if lam is None else double_schur(lam, n) for lam in (a, b))
+    p, want = f * g, _unmarked(f) * _unmarked(g)
+    assert want._groups is None and p._groups is not None
+    assert (p.nx, p.tw, p.terms) == (n, want.tw, want.terms)
+    groups = p._groups.groups
+    up = F * (_peel_width(p, max(groups, default=0)) - p.tw)
+    assert {x: {k << up: c for k, c in h.items()} for x, h in groups.items()} == \
+        _dominant_groups(want)
+    got = expand_in_double_schur(p, n)
+    assert got == expand_in_double_schur(want, n)
+    assert got.to_obj() == expand_in_double_schur(want, n).to_obj()
+
+
+def test_groups_are_carried_only_where_they_hold():
+    n = 3
+    s, one = double_schur((2, 1), n), Poly.one(n)
+    assert (x_sum(0), x_sum(0).nx, x_sum(0)._groups) == (Poly.zero(0), 0, None)
+    assert x_sum(n) == Poly.x(1, n) + Poly.x(2, n) + Poly.x(3, n)
+    # a product by the constant 1 is the other operand itself
+    for q in (s * one, one * s, s * 1, 1 * s, s * double_schur((), n)):
+        assert q is s
+    for q in (x_sum(n), s, x_sum(n) * s, s * s):
+        assert q._groups is not None
+    unmarked = [s + s, s - x_sum(n), -s, s * 2, 2 * s, s * -1, s.kill_t_above(2),
+                s.as_arity(n + 1), s * Poly.t(1, n), s * Poly.x(1, n),
+                Poly.x(1, n) * s, s * _unmarked(s), _unmarked(s) * x_sum(n)]
+    assert s.tw > 2
+    for q in unmarked:
+        assert q._groups is None
+    # a kill that cuts nothing returns s itself
+    assert s.kill_t_above(s.tw) is s
+    with pytest.raises(ValueError, match="^polynomial is not symmetric$"):
+        expand_in_double_schur(s + Poly.x(1, n), n)
 
 
 def test_orbit_memo_is_keyed_by_exponent_alone():

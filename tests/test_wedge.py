@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from doubleschur.grass import GrassContext, truncate
-from doubleschur.poly import DegreeOverflow, Poly
-from doubleschur.schur import (SchurExpansion, double_monomial,
-                               expand_in_double_schur, pieri_multiply)
+from doubleschur.poly import F, DegreeOverflow, Poly
+from doubleschur.schur import (SchurExpansion, _dominant_groups, _peel_width,
+                               double_monomial, double_schur, expand_in_double_schur,
+                               expansion_to_poly, pieri_multiply, x_sum)
 from doubleschur.wedge import (
     GLMatrix,
     WedgeVector,
@@ -397,6 +398,55 @@ def test_symmetric_multiplier_of_basis():
     got = symmetric_multiplier(f, 2)
     want = Poly.x(1, 2) + Poly.x(2, 2) + 2 * Poly.t(1, 2)
     assert got == want
+
+
+def _unmarked(p):
+    """p with the same terms, carrying no groups."""
+    return Poly(p.nx, p.tw, dict(p.terms))
+
+
+@st.composite
+def polynomial_sides(draw):
+    """An operator f in V and a combination of box classes at n <= 3, with
+    coefficients that are small ints or single t's."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n + 1, 5))
+    coeff = st.one_of(st.integers(-2, 2), st.integers(1, m).map(Poly.t))
+    f = WedgeVector(1, m, draw(st.dictionaries(st.tuples(st.integers(0, m - 1)), coeff,
+                                               max_size=3)))
+    shapes = st.sampled_from(GrassContext(n, m).box_partitions())
+    e = SchurExpansion(n, draw(st.dictionaries(shapes, coeff, min_size=1, max_size=2)))
+    return f, e, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_sides())
+def test_polynomial_side_is_formed_from_groups_as_the_kernel_forms_it(case):
+    # the multiplier and the evaluated expansion carry their groups, and so
+    # do their product and the multiplier's product with the homogeneous
+    # x_sum; each matches the kernel route term for term
+    f, e, n = case
+    multiplier = Poly.zero(n)
+    for (k,), c in f.coords.items():
+        for i in range(1, n + 1):
+            multiplier = multiplier + c.as_arity(n) * double_monomial(k, i, n)
+    evaluated = Poly.zero(n)
+    for lam, c in e.coeffs.items():
+        evaluated = evaluated + c.as_arity(n) * _unmarked(double_schur(lam, n))
+    pairs = [(symmetric_multiplier(f, n), multiplier), (expansion_to_poly(e), evaluated)]
+    pairs += [(pairs[0][0] * pairs[1][0], multiplier * evaluated),
+              (x_sum(n) * pairs[0][0], _unmarked(x_sum(n)) * multiplier)]
+    for got, want in pairs:
+        assert (got.nx, got.terms) == (n, want.terms)
+        if got:
+            assert got.tw == want.tw
+        if got._groups is not None:
+            groups = got._groups.groups
+            up = F * (_peel_width(got, max(groups, default=0)) - got.tw)
+            assert {x: {k << up: c for k, c in g.items()} for x, g in groups.items()} == \
+                _dominant_groups(want)
+        assert expand_in_double_schur(got, n) == expand_in_double_schur(want, n)
+    assert all(got._groups is not None for got, _ in pairs[:2] if got)
 
 
 def test_operators_outside_v_are_refused():
