@@ -84,8 +84,10 @@ class Poly:
     """Immutable sparse polynomial.  Do not mutate `terms` from outside.
     The private slot `_difference` belongs to `to_difference_basis`, and
     `_groups` to `schur.py`, which sets it on the symmetric polynomials it
-    writes out from their dominant groups.  Neither takes part in equality
-    or repr."""
+    builds from their dominant groups.  Neither takes part in equality or
+    repr.  Such a polynomial leaves its `terms` slot unset until it is first
+    read: `__getattr__` then writes the terms from the groups and stores
+    them, so only callers that read them pay for the write."""
 
     __slots__ = ("nx", "tw", "terms", "_difference", "_groups", "__weakref__")
 
@@ -95,6 +97,17 @@ class Poly:
         self.terms = {} if terms is None else terms
         self._difference = None
         self._groups = None
+
+    def __getattr__(self, name):
+        """Called only when normal lookup fails, which for an unset slot is
+        `terms` on a polynomial that carries its groups and has not been
+        read yet: write its terms once (`schur._Groups.flat`) and store
+        them.  Any other missing name raises AttributeError."""
+        if name != "terms" or self._groups is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
+                                 name=name, obj=self)
+        self.terms = terms = self._groups.flat(self.nx)
+        return terms
 
     # -- constructors -------------------------------------------------
 
@@ -226,20 +239,26 @@ class Poly:
         at key 0, at any t-width) is read as its integer, so a product by
         it only scales the other operand, and one by 1 returns that operand
         as it is; operands of different arity still raise ArityMismatch.
-        A product of two operands that carry their dominant groups (the
-        slot `_groups`, set by `schur.py`) is formed by that slot object
-        from the groups alone, and carries the product's groups.  Any other
-        product is a one-item `_sums_of_products` batch, which forms it
-        with no operand memo or repacking map."""
+        A product of two operands of nonzero degree that carry their
+        dominant groups (the slot `_groups`, set by `schur.py`) is formed by
+        that slot object from the groups alone, before the constant test
+        reads any terms, and carries the product's groups; of two such
+        operands, one of degree 0 is the constant, and only its terms are
+        read.  Any other product is a one-item `_sums_of_products` batch,
+        which forms it with no operand memo or repacking map."""
         if isinstance(other, Poly):
             if self.nx != other.nx:
                 raise ArityMismatch(f"x-arity mismatch: {self.nx} vs {other.nx}")
+            a = self._groups
+            if a is not None and other._groups is not None:
+                if a.degree and other._groups.degree:
+                    return a.times(other._groups, self.nx)
+                if not a.degree:
+                    self, other = other, self
             if len(other.terms) == 1 and 0 in other.terms:
                 other = other.terms[0]
             elif len(self.terms) == 1 and 0 in self.terms:
                 self, other = other, self.terms[0]
-            elif self._groups is not None and other._groups is not None:
-                return self._groups.times(other._groups, self.nx)
             else:
                 return _sums_of_products(self.nx, ((0, 1, self, other),)).get(0, Poly(self.nx))
         elif not isinstance(other, int):

@@ -98,10 +98,10 @@ def remove_staircase(nu):
 
 
 def x_sum(n):
-    """x1 + ... + xn, written out from its one dominant group (x1,
-    coefficient 1) and carrying it (`_Groups`), so that its product with
-    another such polynomial is formed from the groups; the arity-0 zero
-    polynomial at n = 0."""
+    """x1 + ... + xn, carrying its one dominant group (x1, coefficient 1;
+    `_Groups`), so that its product with another such polynomial is formed
+    from the groups; its terms are written on first read (`_written`).  The
+    arity-0 zero polynomial at n = 0."""
     n = _whole(n, 0)
     if not n:
         return Poly.zero(0)
@@ -384,11 +384,12 @@ def _localization(kappa, mu, n, memo):
 
 class _Groups:
     """What the private slot `Poly._groups` holds for a symmetric polynomial
-    this module wrote out (`_written`): its t-width, its dominant groups in
+    this module builds (`_written`): its t-width, its dominant groups in
     the form of `_schur_groups`, its degree and whether it is homogeneous of
     that degree.  The groups may be a cached `_schur_groups` entry, so they
     are read-only.  `Poly.__mul__` hands the product of two such
-    polynomials to `times`."""
+    polynomials to `times`, and the first read of such a polynomial's terms
+    writes them by `flat`."""
 
     __slots__ = ("tw", "groups", "degree", "homogeneous")
 
@@ -432,38 +433,45 @@ class _Groups:
         return _written(n, _Groups(tw, {z: g for z, g in groups.items() if g},
                                    a.degree + b.degree, a.homogeneous and b.homogeneous))
 
+    def flat(self, n):
+        """The terms, at t-width self.tw, of the polynomial in x1..xn whose
+        dominant groups these are: the Z[t] coefficient of x^a goes to every
+        rearrangement of a.  `Poly.__getattr__` calls this on the first read
+        of `terms`, and reports an AttributeError raised here as a missing
+        `terms`, so nothing here may raise one."""
+        sh = F * self.tw
+        if self.homogeneous:
+            # the group of x^a holds t-degree size - |a| in every key; adding
+            # `off` sets the degree to size and the x-fields to the
+            # rearrangement y of a
+            size = self.degree
+            top = size << sh + F * n
+            return {k + off: c for x, g in self.groups.items()
+                    for base in [top - ((size - _orbit(x, n)[1]) << sh)]
+                    for off in [base + (y << sh) for y in _orbit_members(x, n)]
+                    for k, c in g.items()}
+        # each key's t-degree d moves up to the degree field, plus |a|
+        lift = (1 << sh + F * n) - (1 << sh)
+        return {k + (k >> sh) * lift + off: c for x, g in self.groups.items()
+                for base in [_orbit(x, n)[1] << F * n]
+                for off in [(base + y) << sh for y in _orbit_members(x, n)]
+                for k, c in g.items()}
+
 
 def _written(n, marked):
     """The polynomial in x1..xn whose dominant groups are those of the
-    `_Groups` marked, written out and carrying them: the Z[t] coefficient of
-    x^a goes to every rearrangement of a."""
-    tw, size = marked.tw, marked.degree
-    sh = F * tw
-    if marked.homogeneous:
-        # the group of x^a holds t-degree size - |a| in every key; adding
-        # `off` sets the degree to size and the x-fields to the
-        # rearrangement y of a
-        top = size << sh + F * n
-        terms = {k + off: c for x, g in marked.groups.items()
-                 for base in [top - ((size - _orbit(x, n)[1]) << sh)]
-                 for off in [base + (y << sh) for y in _orbit_members(x, n)]
-                 for k, c in g.items()}
-    else:
-        # each key's t-degree d moves up to the degree field, plus |a|
-        lift = (1 << sh + F * n) - (1 << sh)
-        terms = {k + (k >> sh) * lift + off: c for x, g in marked.groups.items()
-                 for base in [_orbit(x, n)[1] << F * n]
-                 for off in [(base + y) << sh for y in _orbit_members(x, n)]
-                 for k, c in g.items()}
-    p = Poly(n, tw, terms)
-    p._groups = marked
+    `_Groups` marked, carrying them.  Its `terms` slot is left unset, so
+    that no flat term is written until one is read (`Poly.__getattr__`,
+    `_Groups.flat`): the product and the peel read the groups alone."""
+    p = Poly.__new__(Poly)
+    p.nx, p.tw, p._difference, p._groups = n, marked.tw, None, marked
     return p
 
 
 def _symmetrized(f, n):
-    """f(x1) + ... + f(xn) for a Poly f in x1 alone (arity 1), written out
-    from its dominant groups and carrying them: n times f's constant term
-    at x^0 and f's coefficient of x^j at x1^j."""
+    """f(x1) + ... + f(xn) for a Poly f in x1 alone (arity 1), carrying its
+    dominant groups (`_written`): n times f's constant term at x^0 and f's
+    coefficient of x^j at x1^j."""
     if not f:
         return Poly.zero(n)
     sh = F * f.tw
@@ -477,17 +485,17 @@ def _symmetrized(f, n):
 
 
 def double_schur(lam, n):
-    """The double Schur polynomial of lam in x1..xn, written out from the
-    dominant groups of `_schur_groups` (`_written`): the Z[t] coefficient of
-    x^a goes to every rearrangement of a.  The result carries those groups,
-    so that `Poly.__mul__` forms its product with another polynomial that
-    carries its own (x_sum, s_mu, their products) from the groups alone, and
-    `expand_in_double_schur` peels it without reading its flat terms.  The
-    build and the peel read the groups alone; this flat form is written out
-    for its caller and is not retained.  The memo keeps the last two results
-    only, so a caller that alternates between a fixed shape and others (lam
-    against every mu) writes the fixed one once.  lam is normalized before
-    the memo is read, so [2, 1, 0] and (2, 1) share one entry."""
+    """The double Schur polynomial of lam in x1..xn, carrying the dominant
+    groups of `_schur_groups` (`_written`), so that `Poly.__mul__` forms its
+    product with another polynomial that carries its own (x_sum, s_mu, their
+    products) from the groups alone, and `expand_in_double_schur` peels it
+    from them.  Its flat terms, the Z[t] coefficient of x^a at every
+    rearrangement of a, are written on their first read and kept by the
+    result; the product and the peel never read them.  The memo keeps the
+    last two results only, so a caller that alternates between a fixed
+    shape and others (lam against every mu) writes the fixed one at most
+    once.  lam is normalized before the memo is read, so [2, 1, 0] and
+    (2, 1) share one entry."""
     n = _arity(n)
     lam = partition(lam)
     if len(lam) > n:
@@ -517,10 +525,11 @@ def expand_in_double_schur(p, n):
     Only the dominant groups of p are kept: dropping the others is linear,
     the leading exponent of a symmetric polynomial is dominant, and one with
     no dominant term is zero.  A p that carries its groups (`Poly._groups`:
-    s_lam, x_sum and their products, symmetric as written) is peeled from
-    fresh copies of them, since they may be a cached `_schur_groups` entry;
-    any other p is checked symmetric and its groups are read off its terms
-    by `_dominant_groups`.  The remainder and each
+    s_lam, x_sum and their products, symmetric as built) is peeled from
+    fresh copies of them, since they may be a cached `_schur_groups` entry,
+    and its flat terms are never read, so never written; any other p is
+    checked symmetric and its groups are read off its terms by
+    `_dominant_groups`.  The remainder and each
     s_lam (`_schur_groups`) are then maps from dominant x-exponents to Z[t]
     coefficients.  A step pops the leading group, which is the coefficient
     of s_lam as it stands; s_lam's own group of x^lam is 1, so every other
@@ -681,9 +690,9 @@ class SchurExpansion:
 
 def expansion_to_poly(e):
     """Evaluate a SchurExpansion back to the symmetric polynomial it names,
-    written out from its dominant groups and carrying them (`_written`):
-    the sum of c_lam times the groups of s_lam (`_schur_groups`), in one
-    `_multiply_into` batch, under the degree bound of `Poly.__mul__`."""
+    carrying its dominant groups (`_written`): the sum of c_lam times the
+    groups of s_lam (`_schur_groups`), in one `_multiply_into` batch, under
+    the degree bound of `Poly.__mul__`."""
     n = e.n
     shapes = [(c, sum(lam), *_schur_groups(lam, n)) for lam, c in e.coeffs.items()]
     if not shapes:

@@ -171,9 +171,9 @@ def multiplication_matrix(f):
 
 def symmetric_multiplier(f, n):
     """f(x1) + ... + f(xn) as a polynomial at arity n, n read by `_arity`:
-    f is formed in x1 alone and written out at arity n from its dominant
-    groups (`schur._symmetrized`), which the result carries, so that its
-    product with an evaluated expansion is formed from the groups."""
+    f is formed in x1 alone and raised to arity n as its dominant groups
+    (`schur._symmetrized`), which the result carries, so that its product
+    with an evaluated expansion is formed from the groups."""
     _check_in_v(f)
     n = _arity(n)
     one = _sums_of_products(1, ((0, 1, c.as_arity(1), double_monomial(k))

@@ -796,6 +796,87 @@ def test_groups_are_carried_only_where_they_hold():
         expand_in_double_schur(s + Poly.x(1, n), n)
 
 
+def _counted_writes(monkeypatch):
+    """The `_Groups` whose flat terms are written from now on, in order."""
+    written, flat = [], schur._Groups.flat
+
+    def counted(self, n):
+        written.append(self)
+        return flat(self, n)
+
+    monkeypatch.setattr(schur._Groups, "flat", counted)
+    return written
+
+
+def test_pieri_path_writes_no_flat_term(monkeypatch):
+    n = 3
+    written = _counted_writes(monkeypatch)
+    sx = x_sum(n)
+    for lam in box_partitions(n, 3):
+        assert expand_in_double_schur(sx * double_schur(lam, n), n) == pieri_multiply(lam, n)
+    pairs = [((1,), (1,)), ((2, 1), (1, 1)), ((3, 1), (2, 2, 1)), ((3,), (3, 3))]
+    products = [double_schur(lam, n) * double_schur(mu, n) for lam, mu in pairs]
+    for p in products:
+        expand_in_double_schur(p, n)
+    s = double_schur((2, 1), n)
+    assert double_schur((), n) * s is s
+    # a product by s_() reads the terms of the constant s_() alone, one term
+    # at key 0; no polynomial of positive degree is written
+    assert not any(g.degree for g in written)
+    for (lam, mu), p in zip(pairs, products):
+        del written[:]
+        terms = p.terms
+        assert p.terms is terms and written == [p._groups]
+        want = _unmarked(double_schur(lam, n)) * _unmarked(double_schur(mu, n))
+        assert type(p) is Poly and (p.tw, terms) == (want.tw, want.terms)
+
+
+def _eager(p):
+    """p written out now, carrying the same groups."""
+    q = Poly(p.nx, p.tw, p._groups.flat(p.nx))
+    q._groups = p._groups
+    return q
+
+
+@settings(max_examples=40, deadline=None)
+@given(marked_pairs())
+def test_lazy_terms_read_as_eager_ones(case):
+    a, b, n = case
+    f, g = (x_sum(n) if lam is None else double_schur(lam, n) for lam in (a, b))
+    p = f * g
+    other = Poly.t(2, n) + Poly.x(1, n) + 3
+    # the product is homogeneous, its evaluated expansion is not
+    for marked in (p._groups, expansion_to_poly(expand_in_double_schur(p, n))._groups):
+        eager = _eager(schur._written(n, marked))
+
+        def lazy():
+            return schur._written(n, marked)
+
+        assert lazy() == eager and eager == lazy()
+        assert bool(lazy()) == bool(eager)
+        assert repr(lazy()) == repr(eager)
+        assert poly_to_obj(lazy()) == poly_to_obj(eager)
+        assert list(lazy().iter_terms()) == list(eager.iter_terms())
+        assert lazy()._widened(marked.tw + 2) == eager._widened(marked.tw + 2)
+        for m in (0, 2, marked.tw):
+            cut, want = lazy().kill_t_above(m), eager.kill_t_above(m)
+            assert (cut.tw, cut.terms) == (want.tw, want.terms)
+        wide, want = lazy().as_arity(n + 1), eager.as_arity(n + 1)
+        assert (wide.nx, wide.tw, wide.terms) == (want.nx, want.tw, want.terms)
+        for got, want in ((lazy() * other, eager * other), (other * lazy(), other * eager)):
+            assert (got.tw, got.terms) == (want.tw, want.terms)
+
+
+def test_a_missing_attribute_is_still_missing():
+    lazy = x_sum(3) * double_schur((2, 1), 3)
+    for p in (lazy, Poly.x(1, 3)):
+        with pytest.raises(AttributeError, match="^'Poly' object has no attribute 'no_such_name'$") \
+                as raised:
+            p.no_such_name
+        assert raised.value.name == "no_such_name"
+    assert hasattr(lazy, "terms") and not hasattr(lazy, "no_such_name")
+
+
 def test_orbit_memo_is_keyed_by_exponent_alone():
     n = 3
     p = x_sum(n) * double_schur((2, 1), n) + Poly.t(5, n) * double_schur((1, 1), n)
