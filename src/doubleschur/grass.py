@@ -145,7 +145,7 @@ def truncate(expansion, ctx):
 def _check_in_box(ctx, *parts):
     """Refuse any of `parts`, normalized partitions, that leaves the box."""
     for p in parts:
-        if len(p) > ctx.n or p and p[0] > ctx.cols:
+        if not ctx.in_box(p):
             raise ValueError(f"partition {p} does not fit the {ctx.n} x {ctx.cols} box")
 
 

@@ -83,11 +83,11 @@ def _whole(value, floor, what="arity"):
 class Poly:
     """Immutable sparse polynomial.  Do not mutate `terms` from outside.
     The private slot `_difference` belongs to `to_difference_basis`, and
-    `_groups` to `schur.py`, which sets it on the symmetric polynomials it
-    builds from their dominant groups.  Neither takes part in equality or
-    repr.  Such a polynomial leaves its `terms` slot unset until it is first
-    read: `__getattr__` then writes the terms from the groups and stores
-    them, so only callers that read them pay for the write."""
+    `_groups` to `schur.py`, which sets it on s_lam, x_sum and their
+    products (None on every other polynomial).  Neither takes part in
+    equality or repr.  Such a polynomial leaves its `terms` slot unset until
+    it is first read: `__getattr__` then writes the terms from the groups
+    and stores them, so only callers that read them pay for the write."""
 
     __slots__ = ("nx", "tw", "terms", "_difference", "_groups", "__weakref__")
 

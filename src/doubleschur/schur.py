@@ -19,7 +19,7 @@ from math import factorial, prod
 from operator import itemgetter, lt
 
 from .poly import (DEG_LIMIT, F, FIELD, DegreeOverflow, Poly, _multiply_into,
-                   _poly_obj, _pooled, _whole, poly_from_obj)
+                   _poly_obj, _pooled, _sums_of_products, _whole, poly_from_obj)
 
 __all__ = [
     "partition",
@@ -383,19 +383,17 @@ def _localization(kappa, mu, n, memo):
 
 
 class _Groups:
-    """What the private slot `Poly._groups` holds for a symmetric polynomial
-    this module builds (`_written`): its t-width, its dominant groups in
-    the form of `_schur_groups`, its degree and whether it is homogeneous of
-    that degree.  The groups may be a cached `_schur_groups` entry, so they
-    are read-only.  `Poly.__mul__` hands the product of two such
-    polynomials to `times`, and the first read of such a polynomial's terms
-    writes them by `flat`."""
+    """What the private slot `Poly._groups` holds for s_lam, x_sum or a
+    product of them (`_written`): its t-width, its dominant groups in the
+    form of `_schur_groups` and its degree, of which it is homogeneous.  The
+    groups may be a cached `_schur_groups` entry, so they are read-only.
+    `Poly.__mul__` hands the product of two such polynomials to `times`, and
+    the first read of such a polynomial's terms writes them by `flat`."""
 
-    __slots__ = ("tw", "groups", "degree", "homogeneous")
+    __slots__ = ("tw", "groups", "degree")
 
-    def __init__(self, tw, groups, degree, homogeneous=True):
+    def __init__(self, tw, groups, degree):
         self.tw, self.groups, self.degree = tw, groups, degree
-        self.homogeneous = homogeneous
 
     def times(self, other, n):
         """The product of the polynomials in x1..xn that carry self and
@@ -431,30 +429,22 @@ class _Groups:
                             products.append((groups.setdefault(z, {}), 1, g, h))
         _multiply_into(products)
         return _written(n, _Groups(tw, {z: g for z, g in groups.items() if g},
-                                   a.degree + b.degree, a.homogeneous and b.homogeneous))
+                                   a.degree + b.degree))
 
     def flat(self, n):
         """The terms, at t-width self.tw, of the polynomial in x1..xn whose
         dominant groups these are: the Z[t] coefficient of x^a goes to every
-        rearrangement of a.  `Poly.__getattr__` calls this on the first read
-        of `terms`, and reports an AttributeError raised here as a missing
-        `terms`, so nothing here may raise one."""
-        sh = F * self.tw
-        if self.homogeneous:
-            # the group of x^a holds t-degree size - |a| in every key; adding
-            # `off` sets the degree to size and the x-fields to the
-            # rearrangement y of a
-            size = self.degree
-            top = size << sh + F * n
-            return {k + off: c for x, g in self.groups.items()
-                    for base in [top - ((size - _orbit(x, n)[1]) << sh)]
-                    for off in [base + (y << sh) for y in _orbit_members(x, n)]
-                    for k, c in g.items()}
-        # each key's t-degree d moves up to the degree field, plus |a|
-        lift = (1 << sh + F * n) - (1 << sh)
-        return {k + (k >> sh) * lift + off: c for x, g in self.groups.items()
-                for base in [_orbit(x, n)[1] << F * n]
-                for off in [(base + y) << sh for y in _orbit_members(x, n)]
+        rearrangement of a.  The polynomial is homogeneous of self.degree, so
+        the group of x^a holds t-degree degree - |a| in every key, and adding
+        `off` sets the degree field and the x-fields to the rearrangement y
+        of a.  `Poly.__getattr__` calls this on the first read of `terms`,
+        and reports an AttributeError raised here as a missing `terms`, so
+        nothing here may raise one."""
+        sh, size = F * self.tw, self.degree
+        top = size << sh + F * n
+        return {k + off: c for x, g in self.groups.items()
+                for base in [top - ((size - _orbit(x, n)[1]) << sh)]
+                for off in [base + (y << sh) for y in _orbit_members(x, n)]
                 for k, c in g.items()}
 
 
@@ -468,34 +458,19 @@ def _written(n, marked):
     return p
 
 
-def _symmetrized(f, n):
-    """f(x1) + ... + f(xn) for a Poly f in x1 alone (arity 1), carrying its
-    dominant groups (`_written`): n times f's constant term at x^0 and f's
-    coefficient of x^j at x1^j."""
-    if not f:
-        return Poly.zero(n)
-    sh = F * f.tw
-    tmask = (1 << sh) - 1
-    groups = {}
-    for k, c in f.terms.items():
-        j = (k >> sh) & FIELD
-        groups.setdefault(j << F * (n - 1), {})[
-            ((k >> sh + F) - j) << sh | k & tmask] = c if j else n * c
-    return _written(n, _Groups(f.tw, groups, max(f.terms) >> sh + F, False))
-
-
 def double_schur(lam, n):
     """The double Schur polynomial of lam in x1..xn, carrying the dominant
     groups of `_schur_groups` (`_written`), so that `Poly.__mul__` forms its
-    product with another polynomial that carries its own (x_sum, s_mu, their
-    products) from the groups alone, and `expand_in_double_schur` peels it
-    from them.  Its flat terms, the Z[t] coefficient of x^a at every
-    rearrangement of a, are written on their first read and kept by the
-    result; the product and the peel never read them.  The memo keeps the
-    last two results only, so a caller that alternates between a fixed
-    shape and others (lam against every mu) writes the fixed one at most
-    once.  lam is normalized before the memo is read, so [2, 1, 0] and
-    (2, 1) share one entry."""
+    product with x_sum, another s_mu or a product of them from the groups
+    alone, and `expand_in_double_schur` peels it from them.  Its flat terms,
+    the Z[t] coefficient of x^a at every rearrangement of a, are written on
+    their first read (a product with any other polynomial, or
+    `expansion_to_poly`) and kept by the result.  The memo keeps the last
+    two results only: a caller that reads the terms of one shape again soon
+    after, or of a fixed shape alternately with others, writes them once,
+    while no more than two written forms outlive their callers (the groups
+    stay in `_schur_groups`).  lam is normalized before the memo is read, so
+    [2, 1, 0] and (2, 1) share one entry."""
     n = _arity(n)
     lam = partition(lam)
     if len(lam) > n:
@@ -527,15 +502,15 @@ def expand_in_double_schur(p, n):
     no dominant term is zero.  A p that carries its groups (`Poly._groups`:
     s_lam, x_sum and their products, symmetric as built) is peeled from
     fresh copies of them, since they may be a cached `_schur_groups` entry,
-    and its flat terms are never read, so never written; any other p is
-    checked symmetric and its groups are read off its terms by
-    `_dominant_groups`.  The remainder and each
-    s_lam (`_schur_groups`) are then maps from dominant x-exponents to Z[t]
-    coefficients.  A step pops the leading group, which is the coefficient
-    of s_lam as it stands; s_lam's own group of x^lam is 1, so every other
-    group of s_lam is subtracted times it.  A group that cancels to nothing
-    stays in the remainder and is skipped when it is popped, so no step
-    sweeps for emptied groups.  No x-exponent of s_lam exceeds lam_1 <= p's
+    and its flat terms are never read, so never written.  Any other p (a
+    sum, an `expansion_to_poly`, a product with a plain factor) is checked
+    symmetric and its groups are read off its terms by `_dominant_groups`.
+    The remainder and each s_lam (`_schur_groups`) are then maps from
+    dominant x-exponents to Z[t] coefficients.  A step pops the leading
+    group, which is the coefficient of s_lam as it stands; s_lam's own group
+    of x^lam is 1, so every other group of s_lam is subtracted times it.  A
+    group that cancels to nothing stays in the remainder and is skipped when
+    it is popped, so no step sweeps for emptied groups.  No x-exponent of s_lam exceeds lam_1 <= p's
     largest x1-exponent, so every s_lam fits p's t-width widened to
     n + lam_1 - 1 (`_peel_width`), the width the groups of p are written
     at, and no product exceeds p's degree.
@@ -689,23 +664,11 @@ class SchurExpansion:
 
 
 def expansion_to_poly(e):
-    """Evaluate a SchurExpansion back to the symmetric polynomial it names,
-    carrying its dominant groups (`_written`): the sum of c_lam times the
-    groups of s_lam (`_schur_groups`), in one `_multiply_into` batch, under
-    the degree bound of `Poly.__mul__`."""
-    n = e.n
-    shapes = [(c, sum(lam), *_schur_groups(lam, n)) for lam, c in e.coeffs.items()]
-    if not shapes:
-        return Poly.zero(n)
-    tw = max(max(c.tw, stw) for c, _, stw, _ in shapes)
-    degree, groups, products = 0, {}, []
-    for c, size, stw, sg in shapes:
-        d = max(c.terms, default=0) >> F * c.tw
-        if d and size and d + size >= DEG_LIMIT:
-            raise DegreeOverflow("product degree exceeds the packed monomial bound")
-        degree = max(degree, d + size)
-        c, up = c._widened(tw), F * (tw - stw)
-        products += [(groups.setdefault(x, {}), 1, c,
-                      {k << up: v for k, v in g.items()} if up else g) for x, g in sg.items()]
-    _multiply_into(products)
-    return _written(n, _Groups(tw, {x: g for x, g in groups.items() if g}, degree, False))
+    """Evaluate a SchurExpansion back to the symmetric polynomial it names:
+    the sum of c_lam times s_lam, in one `_sums_of_products` batch.  The
+    result is a plain polynomial that carries no groups, so its products go
+    through the kernel and its peel through `_dominant_groups`, which checks
+    it symmetric."""
+    out = _sums_of_products(e.n, ((0, 1, c.as_arity(e.n), double_schur(lam, e.n))
+                                  for lam, c in e.coeffs.items()))
+    return out.get(0, Poly.zero(e.n))

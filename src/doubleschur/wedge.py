@@ -19,7 +19,6 @@ from .poly import Poly, _poly_obj, _sums_of_products, _whole, poly_from_obj
 from .schur import (
     SchurExpansion,
     _arity,
-    _symmetrized,
     add_staircase,
     double_monomial,
     expand_in_double_schur,
@@ -170,15 +169,13 @@ def multiplication_matrix(f):
 
 
 def symmetric_multiplier(f, n):
-    """f(x1) + ... + f(xn) as a polynomial at arity n, n read by `_arity`:
-    f is formed in x1 alone and raised to arity n as its dominant groups
-    (`schur._symmetrized`), which the result carries, so that its product
-    with an evaluated expansion is formed from the groups."""
+    """f(x1) + ... + f(xn) as a polynomial at arity n, n read by `_arity`."""
     _check_in_v(f)
     n = _arity(n)
-    one = _sums_of_products(1, ((0, 1, c.as_arity(1), double_monomial(k))
-                                for (k,), c in sorted(f.coords.items())))
-    return _symmetrized(one.get(0, Poly.zero(1)), n)
+    coords = [(k, c.as_arity(n)) for (k,), c in sorted(f.coords.items())]
+    out = _sums_of_products(n, ((0, 1, c, double_monomial(k, i, n))
+                                for i in range(1, n + 1) for k, c in coords))
+    return out.get(0, Poly.zero(n))
 
 
 class WedgeVector:

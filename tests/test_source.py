@@ -36,6 +36,26 @@ def test_packed_format_stays_in_poly_and_schur():
     assert SOURCE.is_dir() and found == []
 
 
+# the dominant-group format: only s_lam, x_sum and their products carry it,
+# and every other module sees plain polynomials
+GROUP_FORMAT = {"_Groups", "_written", "_dominant_groups"}
+
+
+def test_group_format_stays_in_poly_and_schur():
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        if path.name in ("poly.py", "schur.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found.extend(f"{path.name}:{node.lineno} imports {alias.name}"
+                             for alias in node.names if alias.name in GROUP_FORMAT)
+            elif isinstance(node, ast.Attribute) and node.attr in GROUP_FORMAT | {"_groups"}:
+                found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert SOURCE.is_dir() and found == []
+
+
 def test_fixed_points_stay_in_schur():
     # a restriction to a fixed point, the diagonal included, is computed by
     # `schur._localization` alone, so grass.py builds no t-parameter itself
