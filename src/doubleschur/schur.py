@@ -465,27 +465,19 @@ def double_schur(lam, n):
     alone, and `expand_in_double_schur` peels it from them.  Its flat terms,
     the Z[t] coefficient of x^a at every rearrangement of a, are written on
     their first read (a product with any other polynomial, or
-    `expansion_to_poly`) and kept by the result.  The memo keeps the last
-    two results only: a caller that reads the terms of one shape again soon
-    after, or of a fixed shape alternately with others, writes them once,
-    while no more than two written forms outlive their callers (the groups
-    stay in `_schur_groups`).  lam is normalized before the memo is read, so
-    [2, 1, 0] and (2, 1) share one entry."""
+    `expansion_to_poly`) and kept by the result, so they are freed with the
+    caller's references.  Its one memo is that of the groups: lam is
+    normalized before `_schur_groups` is read, so [2, 1, 0] and (2, 1) share
+    one entry."""
     n = _arity(n)
     lam = partition(lam)
     if len(lam) > n:
         raise ValueError(f"partition {lam} has more than {n} parts")
-    return _double_schur(lam, n)
-
-
-@lru_cache(maxsize=2)
-def _double_schur(lam, n):
-    """`double_schur` of a normalized partition lam, memoized per (lam, n)."""
     return _written(n, _Groups(*_schur_groups(lam, n), sum(lam)))
 
 
-double_schur.cache_info = _double_schur.cache_info
-double_schur.cache_clear = _double_schur.cache_clear
+double_schur.cache_info = _schur_groups.cache_info
+double_schur.cache_clear = _schur_groups.cache_clear
 
 
 def expand_in_double_schur(p, n):

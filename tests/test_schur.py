@@ -30,6 +30,7 @@ from doubleschur.schur import (
     strict_sequence,
     x_sum,
 )
+from doubleschur.verify import verify_pieri
 from ssyt import classical_schur_ssyt
 from xstructure import coefficient_of_x, heap_exact_div, is_symmetric, leading_x, swap_x
 
@@ -178,16 +179,19 @@ def test_alternant_single_variable():
 
 def test_alternant_and_double_schur_accept_any_sequence():
     # each argument is normalized before its memo is read, so a list is a
-    # valid key and equal shapes share one entry
+    # valid key and equal shapes share one entry; the memo of double_schur
+    # is that of its groups, `_schur_groups`
     alternant.cache_clear()
-    double_schur.cache_clear()
+    _clear_schur_memos()
     try:
         a = alternant([2, 1, 0], 3)
         assert alternant((2, 1, 0), 3) is a
         assert alternant.cache_info()[:2] == (1, 1)
         s = double_schur([2, 1, 0], 3)
-        assert double_schur((2, 1), 3) is s
-        assert double_schur.cache_info()[:2] == (1, 1)
+        built = double_schur.cache_info()
+        assert built == _schur_groups.cache_info()
+        assert double_schur((2, 1), 3)._groups.groups is s._groups.groups
+        assert double_schur.cache_info()[:2] == (built.hits + 1, built.misses)
         # [2, 1, 0] is the staircase at n = 3
         assert heap_exact_div(alternant(list(add_staircase([2, 1], 3)), 3), a) == s
     finally:
@@ -288,7 +292,6 @@ def test_branching_matches_alternant_ratio(case):
 
 
 def _clear_schur_memos():
-    double_schur.cache_clear()
     _schur_groups.cache_clear()
 
 
@@ -415,46 +418,40 @@ def test_representative_check_counts_one_member_per_distinct_part():
     assert _dominant(_groups(x1 * x2 + x1 * x3 * Poly.t(1, n)), n) is None
 
 
-def test_peel_and_parent_builds_write_out_no_flat_terms():
+def test_peel_and_parent_builds_write_out_no_flat_terms(monkeypatch):
     n = 3
     box = GrassContext(n, 6).box_partitions()
     _clear_schur_memos()
+    written = _counted_writes(monkeypatch)
     try:
         met = set()
-        first = double_schur(box[0], n)
         for lam in box:
             met |= set(expand_in_double_schur(x_sum(n) * double_schur(lam, n), n).coeffs)
-            # the flat memo is bounded: it keeps the last two results only
-            assert double_schur.cache_info().currsize <= 2
+        assert verify_pieri(n, 6)["ok"]
         peel_only = met - set(box)
         assert peel_only
-        # one flat form written per shape read directly and none else: no
-        # peel-only shape and no parent at arity n - 1, though all were built
-        assert double_schur.cache_info().misses == len(box)
+        # no peel and no parent build writes a flat term of positive degree:
+        # only the one-term s_() is written, as the factor of x_sum * s_()
+        assert written and not any(g.degree for g in written)
         built = _schur_groups.cache_info().misses
         for mu in met:
             _schur_groups(mu, n)
         for mu in box_partitions(2, 3):
             _schur_groups(mu, 2)
         assert _schur_groups.cache_info().misses == built
-        # a shape asked for again after it left the memo is written out again,
-        # from the retained groups, with the same terms
-        assert double_schur(box[0], n) == first
-        assert double_schur.cache_info().misses == len(box) + 1
-        assert _schur_groups.cache_info().misses == built
+        # a shape read directly is written only when its terms are read, and
+        # again for each fresh polynomial, from the same retained groups
+        del written[:]
         mu = max(peel_only)
         s = double_schur(mu, n)
-        assert double_schur.cache_info().misses == len(box) + 2
-        assert double_schur(mu, n) == s
+        assert written == []
         assert s == _reference_double_schur(mu, n)
-        assert double_schur.cache_info().currsize <= 2
-        # a fixed shape read against every other (the outer lam of
-        # `verify_routes`) is written once
-        double_schur.cache_clear()
-        for mu in box:
-            double_schur(box[-1], n)
-            double_schur(mu, n)
-        assert double_schur.cache_info().misses == len(box)
+        assert written == [s._groups]
+        again = double_schur(mu, n)
+        assert again is not s and again._groups.groups is s._groups.groups
+        assert again == s
+        assert written == [s._groups, again._groups]
+        assert _schur_groups.cache_info().misses == built
     finally:
         _clear_schur_memos()
 

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from doubleschur.grass import GrassContext, truncate
 from doubleschur.poly import DegreeOverflow, Poly
@@ -421,6 +421,8 @@ def polynomial_sides(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(polynomial_sides())
+# at n = 1 the multiplier of this f is the constant 1
+@example((WedgeVector(1, 2, {(0,): 1}), SchurExpansion(1, {(): 1}), 1))
 def test_polynomial_side_is_formed_by_the_kernel(case):
     # the multiplier and the evaluated expansion are plain polynomials, so
     # their product and the multiplier's product with x_sum go through the
@@ -434,15 +436,21 @@ def test_polynomial_side_is_formed_by_the_kernel(case):
     evaluated = Poly.zero(n)
     for lam, c in e.coeffs.items():
         evaluated = evaluated + c.as_arity(n) * _unmarked(double_schur(lam, n))
+    sx = x_sum(n)
     pairs = [(symmetric_multiplier(f, n), multiplier), (expansion_to_poly(e), evaluated)]
     pairs += [(pairs[0][0] * pairs[1][0], multiplier * evaluated),
-              (x_sum(n) * pairs[0][0], _unmarked(x_sum(n)) * multiplier)]
+              (sx * pairs[0][0], _unmarked(x_sum(n)) * multiplier)]
     for got, want in pairs:
         assert (got.nx, got.terms) == (n, want.terms)
         if got:
             assert got.tw == want.tw
         assert expand_in_double_schur(got, n) == expand_in_double_schur(want, n)
-    assert all(got._groups is None for got, _ in pairs)
+    # a product by the constant 1 is the other operand itself (`Poly.__mul__`),
+    # so x_sum times a multiplier of 1 is x_sum, groups and all; nothing else
+    # here carries groups
+    unit = pairs[0][0].terms == {0: 1}
+    for got, _ in pairs:
+        assert (got._groups is not None) == (unit and got is sx)
 
 
 def test_operators_outside_v_are_refused():
