@@ -152,7 +152,7 @@ def main(argv=None):
     except (SizeGuardExceeded, DegreeOverflow, RecursionError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except MemoryError:
+    except (MemoryError, SystemError):  # CPython 3.11: a frame push out of memory is a SystemError
         pass    # report once the handler has let go of the frames that filled memory
     print("refused: out of memory; the result does not fit in the memory "
           "this process may use", file=sys.stderr)

@@ -185,74 +185,50 @@ def _orbit_members(x, n):
                   for perm in permutations(parts)})
 
 
-def _dominant(groups, n):
+def _dominant(groups, n, every=False):
     """The groups with a weakly decreasing ("dominant") exponent of a
-    polynomial in x1..xn already symmetric in x1..x_{n-1}, given its groups
-    with x1..x_{n-1} weakly decreasing as a map from packed x-exponents to
-    their coefficients; None if the polynomial is not symmetric.
-
-    Every group of that polynomial is the group of an S_{n-1}-rearrangement
-    of one given, and each orbit has one given member per distinct part
-    (the part left to x_n), so it is symmetric under all of S_n exactly when
-    every given group equals its sorted exponent's and every orbit present
-    has that many given members."""
+    polynomial in x1..xn, given as a map from packed x-exponents to their
+    coefficients; None if the polynomial is not symmetric.  The map holds
+    every group (every: a flat polynomial) or, of a polynomial symmetric in
+    x1..x_{n-1}, those with x1..x_{n-1} weakly decreasing: one member of
+    each orbit per distinct part (the part left to x_n).  The polynomial is
+    symmetric under all of S_n exactly when every given group equals its
+    sorted exponent's and every orbit present has that many given members."""
     dominant, members, sizes = {}, {}, {}
     for x, g in groups.items():
-        d, _, _, distinct = _orbit(x, n)
+        d, _, size, distinct = _orbit(x, n)
         if d == x:
             dominant[d] = g
-            sizes[d] = distinct
+            sizes[d] = size if every else distinct
         elif groups.get(d) != g:
             return None
         members[d] = members.get(d, 0) + 1
     return dominant if members == sizes else None
 
 
-def _peel_width(p, x):
-    """The t-width of the peel of p whose largest x-exponent is x (packed,
-    x_n lowest): wide enough for every s_lam with lam_1 at most x1's
-    exponent, whose largest t-index is n + lam_1 - 1."""
-    n = p.nx
-    return max(p.tw, n - 1 + (x >> F * (n - 1)))
-
-
 def _dominant_groups(p):
     """The groups of p at weakly decreasing ("dominant") x-exponents, as
-    elements of Z[t]: the coefficient of x^a, an arity-0 term dict at the
-    peel's t-width (`_peel_width`), keyed by the packed exponent a at bit 0.
-    None if p is not symmetric.
+    elements of Z[t]: the coefficient of x^a, an arity-0 term dict at p's
+    t-width keyed by the packed exponent a at bit 0.  None if p is not
+    symmetric.
 
-    One pass reads each term once.  Its twin is the term with the same
-    t-part at its sorted exponent, the key plus the x-part's twin offset
-    (sorted exponent minus own, 0 when dominant), found once per x-part.
-    A term at a dominant exponent is kept in its group; every other term
-    must equal its twin.  After the pass the terms must number the sum over
-    the kept groups of their sizes times their orbit sizes n!/prod(m_i!)
-    (m_i the multiplicities of the parts).  Every term then lies in the
-    orbit of a kept term with that term's coefficient, and the count leaves
-    no orbit member missing.  Only the kept terms are rewritten, their
-    degree fields lowered by the x-degree.  The largest x-exponent of a
-    symmetric polynomial is dominant, so the largest kept exponent gives
-    the peel's width."""
+    One pass sorts the terms into their groups, each keyed by its term's
+    degree field and t-part, which the members of one orbit share; then
+    `_dominant` checks every group against its sorted exponent's and counts
+    the members of each orbit.  Only the kept groups are rewritten, their
+    degree fields lowered by the x-degree."""
     n, sh = p.nx, F * p.tw
     hi, tmask = sh + F * n, (1 << sh) - 1
     xmask = ((1 << F * n) - 1) << sh
-    terms = p.terms
-    offsets, kept = {}, defaultdict(dict)
-    for k, c in terms.items():
+    groups = defaultdict(dict)
+    for k, c in p.terms.items():
         x = k & xmask
-        off = offsets.get(x)
-        if off is None:
-            off = offsets[x] = (_orbit(x >> sh, n)[0] << sh) - x
-        if not off:
-            kept[x][k] = c
-        elif terms.get(k + off) != c:
-            return None
-    if sum(len(g) * _orbit(x >> sh, n)[2] for x, g in kept.items()) != len(terms):
+        groups[x][k - x] = c
+    kept = _dominant({x >> sh: g for x, g in groups.items()}, n, every=True)
+    if kept is None:
         return None
-    up = F * (_peel_width(p, max(kept, default=0) >> sh) - p.tw)
-    return {x >> sh: {(((k >> hi) - deg) << sh | k & tmask) << up: c for k, c in g.items()}
-            for x, g in kept.items() for deg in [_orbit(x >> sh, n)[1]]}
+    return {x: {((k >> hi) - deg) << sh | k & tmask: c for k, c in g.items()}
+            for x, g in kept.items() for deg in [_orbit(x, n)[1]]}
 
 
 def _strip_indices(lam, mu, n):
@@ -502,27 +478,27 @@ def expand_in_double_schur(p, n):
     group, which is the coefficient of s_lam as it stands; s_lam's own group
     of x^lam is 1, so every other group of s_lam is subtracted times it.  A
     group that cancels to nothing stays in the remainder and is skipped when
-    it is popped, so no step sweeps for emptied groups.  No x-exponent of s_lam exceeds lam_1 <= p's
-    largest x1-exponent, so every s_lam fits p's t-width widened to
-    n + lam_1 - 1 (`_peel_width`), the width the groups of p are written
-    at, and no product exceeds p's degree.
+    it is popped, so no step sweeps for emptied groups.  No product exceeds
+    p's degree.
     """
     n = _arity(n)
     if p.nx != n:
         raise ValueError(f"expected a polynomial in x1..x{n}, got arity {p.nx}")
     marked = p._groups
     if marked is None:
-        rem = _dominant_groups(p)
-        if rem is None:
+        groups = _dominant_groups(p)
+        if groups is None:
             raise ValueError("polynomial is not symmetric")
         if p.terms and max(p.terms) >> F * (n + p.tw) >= DEG_LIMIT:
             raise DegreeOverflow("product degree exceeds the packed monomial bound")
-        tw = _peel_width(p, max(rem, default=0))
     else:
         # its degree is below the bound: every writer of groups raises past it
-        tw = _peel_width(p, max(marked.groups, default=0))
-        up = F * (tw - p.tw)
-        rem = {x: {k << up: c for k, c in g.items()} for x, g in marked.groups.items()}
+        groups = marked.groups
+    # the largest x-exponent is dominant, so its x1-exponent bounds every
+    # lam_1 met, and s_lam's largest t-index is n + lam_1 - 1
+    tw = max(p.tw, n - 1 + (max(groups, default=0) >> F * (n - 1)))
+    up = F * (tw - p.tw)
+    rem = {x: {k << up: c for k, c in g.items()} for x, g in groups.items()}
     out = {}
     while rem:
         x = max(rem)
@@ -531,10 +507,10 @@ def expand_in_double_schur(p, n):
             continue
         lam = partition((x >> F * (n - i)) & FIELD for i in range(1, n + 1))
         out[lam] = Poly(0, tw, c)
-        stw, groups = _schur_groups(lam, n)
+        stw, sgroups = _schur_groups(lam, n)
         up = F * (tw - stw)
         products = []
-        for sx, sg in groups.items():
+        for sx, sg in sgroups.items():
             if sx != x:
                 if up:
                     sg = {k << up: v for k, v in sg.items()}

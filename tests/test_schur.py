@@ -15,7 +15,6 @@ from doubleschur.schur import (
     _dominant,
     _dominant_groups,
     _orbit,
-    _peel_width,
     _schur_groups,
     add_staircase,
     alternant,
@@ -356,7 +355,10 @@ def box_shapes(draw):
 def test_representative_build_matches_flat_build(case):
     lam, n = case
     got, want = double_schur(lam, n), _reference_double_schur(lam, n)
-    assert _schur_groups(lam, n) == (want.tw, _full_orbit_dominant(_groups(want), n))
+    flat = _groups(want)
+    groups = _full_orbit_dominant(flat, n)
+    assert _schur_groups(lam, n) == (want.tw, groups)
+    assert _dominant(flat, n, every=True) == groups
     assert type(got) is Poly
     assert got == want
     assert poly_to_obj(got) == poly_to_obj(want)
@@ -600,19 +602,16 @@ def orbit_cases(draw):
 @given(orbit_cases())
 def test_orbit_check_matches_is_symmetric(case):
     p, n = case
-    groups = _full_orbit_dominant(_groups(p), n)
+    flat = _groups(p)
+    groups = _full_orbit_dominant(flat, n)
     assert (groups is not None) == is_symmetric(p)
+    assert _dominant(flat, n, every=True) == groups
     assert (_dominant_groups(p) is not None) == is_symmetric(p)
     if groups is not None:
         dominant = {k: c for k, c in p.terms.items()
                     if (xe := _x_exponent(p, k)) == tuple(sorted(xe, reverse=True))}
         assert groups == _groups(Poly(n, p.tw, dominant))
-        # the peel's groups: the same, written once at the peel's width, wide
-        # enough for t_{n + lam_1 - 1} with lam_1 the largest x1-exponent
-        x1 = max((_x_exponent(p, k)[0] for k in p.terms), default=0)
-        up = F * (max(p.tw, n - 1 + x1) - p.tw)
-        assert _dominant_groups(p) == {
-            x: {k << up: c for k, c in g.items()} for x, g in groups.items()}
+        assert _dominant_groups(p) == groups
 
 
 def test_orbit_check_needs_more_than_one_swap():
@@ -639,8 +638,9 @@ def test_peel_checks_each_term_and_the_count():
     x1, x2, x3 = (Poly.x(i, n) for i in (1, 2, 3))
     t1, t2, t3 = (Poly.t(j, n) for j in (1, 2, 3))
     e2 = x1 * x2 + x1 * x3 + x2 * x3
-    # x2 x3 t2 is missing, and every term present equals its twin: only the
-    # count (2 dominant terms times orbit size 3 = 6, not 5) fails
+    # x2 x3 t2 is missing, and every term present equals its twin: a check
+    # term by term needs a count to see it, but the group of x2 x3 (t1)
+    # differs from that of x1 x2 (t1 + t2)
     missing = e2 * (t1 + t2) - x2 * x3 * t2
     assert _twins_agree(missing) and len(missing.terms) == 5
     # the count holds (x1 t1 has orbit size 3), but x1 t2, the twin of
@@ -665,7 +665,7 @@ def test_peel_symmetry_check_on_fixed_cases():
     x1, x2 = Poly.x(1, n), Poly.x(2, n)
     t1, t2, t3, t4 = (Poly.t(j, n) for j in (1, 2, 3, 4))
     # both terms are dominant, so no twin is read; x1^2's orbit lacks x2^2,
-    # which only the count (2 + 1 = 3, not 2) sees
+    # which only the count (1 of its 2 members) sees
     incomplete = x1 ** 2 + x1 * x2
     assert _twins_agree(incomplete) and len(incomplete.terms) == 2
     # the count holds (x1^2 has orbit size 2), but x2^2's twin x1^2 has
@@ -762,10 +762,7 @@ def test_product_of_groups_matches_the_kernel(case):
     p, want = f * g, _unmarked(f) * _unmarked(g)
     assert want._groups is None and p._groups is not None
     assert (p.nx, p.tw, p.terms) == (n, want.tw, want.terms)
-    groups = p._groups.groups
-    up = F * (_peel_width(p, max(groups, default=0)) - p.tw)
-    assert {x: {k << up: c for k, c in h.items()} for x, h in groups.items()} == \
-        _dominant_groups(want)
+    assert p._groups.groups == _dominant_groups(want)
     got = expand_in_double_schur(p, n)
     assert got == expand_in_double_schur(want, n)
     assert got.to_obj() == expand_in_double_schur(want, n).to_obj()
