@@ -28,6 +28,13 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
+# the errors `main` refuses with EXIT_GUARD, as tuples built once: a clause
+# that builds its tuple allocates, and may itself run out of memory while
+# the failed computation's frames are still held
+_REFUSED = (SizeGuardExceeded, DegreeOverflow, RecursionError)
+# CPython 3.11: a frame push out of memory is a SystemError
+_OUT_OF_MEMORY = (MemoryError, SystemError)
+
 
 class UsageError(ValueError):
     pass
@@ -149,10 +156,10 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SizeGuardExceeded, DegreeOverflow, RecursionError) as exc:
+    except _REFUSED as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (MemoryError, SystemError):  # CPython 3.11: a frame push out of memory is a SystemError
+    except _OUT_OF_MEMORY:
         pass    # report once the handler has let go of the frames that filled memory
     print("refused: out of memory; the result does not fit in the memory "
           "this process may use", file=sys.stderr)

@@ -456,11 +456,16 @@ def _multiply_into(products):
     shifted by that term and scaled by c times its coefficient.  The keys
     of a row are distinct, so a row written into an empty out collides
     with nothing and is one dict comprehension, which copies a's
-    coefficients unmultiplied when the scale is 1.  A row scaled by 1 or -1,
-    as nearly every row of a Pieri divisor, strip factor or e1 is, adds
-    or subtracts a's coefficients without multiplying them.  Returns
-    whether a sum cancelled: its deleted key keeps a slot in out's table,
-    so a caller that stores out copies it compact."""
+    coefficients unmultiplied when the scale is 1.  A row by the monomial
+    1 (key 0), as every row of x_sum times s_lam, of a peel step by a
+    coefficient 1 and of a strip factor e_0 is, leaves a's keys as they
+    are: into an empty out it is one `dict.update`, of a itself at scale
+    1, so out shares a's key objects, and into any other out at scale 1 or
+    -1 it skips the key addition.  A row scaled by 1 or -1, as nearly
+    every row of a Pieri divisor, strip factor or e1 is, adds or subtracts
+    a's coefficients without multiplying them.  Returns whether a sum
+    cancelled: its deleted key keeps a slot in out's table, so a caller
+    that stores out copies it compact."""
     cancelled = False
     for out, c, a, b in products:
         if not c:
@@ -471,8 +476,27 @@ def _multiply_into(products):
         for k2, c2 in b.items():
             cc = c * c2
             if not out:
-                out.update({k1 + k2: c1 for k1, c1 in a.items()} if cc == 1 else
-                           {k1 + k2: c1 * cc for k1, c1 in a.items()})
+                if not k2:
+                    out.update(a if cc == 1 else {k1: c1 * cc for k1, c1 in a.items()})
+                else:
+                    out.update({k1 + k2: c1 for k1, c1 in a.items()} if cc == 1 else
+                               {k1 + k2: c1 * cc for k1, c1 in a.items()})
+            elif not k2 and cc == 1:
+                for k, c1 in a.items():
+                    v = get(k, 0) + c1
+                    if v:
+                        out[k] = v
+                    else:
+                        del out[k]
+                        cancelled = True
+            elif not k2 and cc == -1:
+                for k, c1 in a.items():
+                    v = get(k, 0) - c1
+                    if v:
+                        out[k] = v
+                    else:
+                        del out[k]
+                        cancelled = True
             elif cc == 1:
                 for k1, c1 in a.items():
                     k = k1 + k2

@@ -185,6 +185,16 @@ def _orbit_members(x, n):
                   for perm in permutations(parts)})
 
 
+@lru_cache(maxsize=None)
+def _dominant_sums(x, y, n):
+    """Every dominant sum ax + by of an orbit member ax of the packed
+    x-exponent x and one by of y, sorted, each as many times as it is met:
+    the exponents at which `_Groups.times` adds the product of x's and y's
+    groups."""
+    return tuple(sorted(z for ax in _orbit_members(x, n) for by in _orbit_members(y, n)
+                        if _orbit(z := ax + by, n)[0] == z))
+
+
 def _dominant(groups, n, every=False):
     """The groups with a weakly decreasing ("dominant") exponent of a
     polynomial in x1..xn, given as a map from packed x-exponents to their
@@ -206,17 +216,26 @@ def _dominant(groups, n, every=False):
     return dominant if members == sizes else None
 
 
+def _peel_width(tw, n, groups):
+    """The t-width of a peel of the dominant groups of a polynomial in
+    x1..xn at t-width tw: its largest x-exponent is dominant, so that
+    exponent's x1-part bounds every lam_1 met, and s_lam's largest t-index
+    is n + lam_1 - 1."""
+    return max(tw, n - 1 + (max(groups, default=0) >> F * (n - 1)))
+
+
 def _dominant_groups(p):
     """The groups of p at weakly decreasing ("dominant") x-exponents, as
-    elements of Z[t]: the coefficient of x^a, an arity-0 term dict at p's
-    t-width keyed by the packed exponent a at bit 0.  None if p is not
-    symmetric.
+    elements of Z[t]: the coefficient of x^a, an arity-0 term dict at the
+    t-width of p's peel (`_peel_width`) keyed by the packed exponent a at
+    bit 0.  None if p is not symmetric.
 
     One pass sorts the terms into their groups, each keyed by its term's
     degree field and t-part, which the members of one orbit share; then
     `_dominant` checks every group against its sorted exponent's and counts
-    the members of each orbit.  Only the kept groups are rewritten, their
-    degree fields lowered by the x-degree."""
+    the members of each orbit.  Only the kept groups are rewritten, once,
+    their degree fields lowered by the x-degree and their t-parts widened
+    to the peel's width, after the others are let go."""
     n, sh = p.nx, F * p.tw
     hi, tmask = sh + F * n, (1 << sh) - 1
     xmask = ((1 << F * n) - 1) << sh
@@ -225,9 +244,11 @@ def _dominant_groups(p):
         x = k & xmask
         groups[x][k - x] = c
     kept = _dominant({x >> sh: g for x, g in groups.items()}, n, every=True)
+    del groups
     if kept is None:
         return None
-    return {x: {((k >> hi) - deg) << sh | k & tmask: c for k, c in g.items()}
+    up = F * (_peel_width(p.tw, n, kept) - p.tw)
+    return {x: {(((k >> hi) - deg) << sh | k & tmask) << up: c for k, c in g.items()}
             for x, g in kept.items() for deg in [_orbit(x, n)[1]]}
 
 
@@ -380,8 +401,9 @@ class _Groups:
         exponents b of the other with a + y = z, of the product of the
         groups of a and b: the other factor's group of y is its group of b.
         The a run over the factor with fewer x-exponents, each a
-        rearrangement of one of its dominant exponents, and a + y is tested
-        dominant on the packed ints before any coefficient is touched.
+        rearrangement of one of its dominant exponents x, and for each pair
+        of dominant exponents x, b the sums a + y that are dominant are read
+        from the memo `_dominant_sums` before any coefficient is touched.
         Every product goes into one `_multiply_into` batch, and the degree
         is bounded as in `Poly.__mul__`."""
         a, b = self, other
@@ -391,18 +413,13 @@ class _Groups:
             a, b = b, a
         tw = max(a.tw, b.tw)
         ua, ub = F * (tw - a.tw), F * (tw - b.tw)
-        rows = [({k << ub: c for k, c in h.items()} if ub else h, _orbit_members(y, n))
-                for y, h in b.groups.items()]
+        rows = [(y, {k << ub: c for k, c in h.items()} if ub else h) for y, h in b.groups.items()]
         groups, products = {}, []
         for x, g in a.groups.items():
             if ua:
                 g = {k << ua: c for k, c in g.items()}
-            for ax in _orbit_members(x, n):
-                for h, ys in rows:
-                    for y in ys:
-                        z = ax + y
-                        if _orbit(z, n)[0] == z:
-                            products.append((groups.setdefault(z, {}), 1, g, h))
+            for y, h in rows:
+                products += [(groups.setdefault(z, {}), 1, g, h) for z in _dominant_sums(x, y, n)]
         _multiply_into(products)
         return _written(n, _Groups(tw, {z: g for z, g in groups.items() if g},
                                    a.degree + b.degree))
@@ -469,10 +486,12 @@ def expand_in_double_schur(p, n):
     the leading exponent of a symmetric polynomial is dominant, and one with
     no dominant term is zero.  A p that carries its groups (`Poly._groups`:
     s_lam, x_sum and their products, symmetric as built) is peeled from
-    fresh copies of them, since they may be a cached `_schur_groups` entry,
-    and its flat terms are never read, so never written.  Any other p (a
-    sum, an `expansion_to_poly`, a product with a plain factor) is checked
-    symmetric and its groups are read off its terms by `_dominant_groups`.
+    fresh copies of them at the peel's width (`_peel_width`), since they
+    may be a cached `_schur_groups` entry, and its flat terms are never
+    read, so never written.  Any other p (a sum, an `expansion_to_poly`, a
+    product with a plain factor) is checked symmetric and its groups are
+    read off its terms by `_dominant_groups`, which writes them once, at
+    that width.
     The remainder and each s_lam (`_schur_groups`) are then maps from
     dominant x-exponents to Z[t] coefficients.  A step pops the leading
     group, which is the coefficient of s_lam as it stands; s_lam's own group
@@ -486,19 +505,18 @@ def expand_in_double_schur(p, n):
         raise ValueError(f"expected a polynomial in x1..x{n}, got arity {p.nx}")
     marked = p._groups
     if marked is None:
-        groups = _dominant_groups(p)
-        if groups is None:
+        # read groups are fresh and at the peel's width: they are the remainder
+        rem = _dominant_groups(p)
+        if rem is None:
             raise ValueError("polynomial is not symmetric")
         if p.terms and max(p.terms) >> F * (n + p.tw) >= DEG_LIMIT:
             raise DegreeOverflow("product degree exceeds the packed monomial bound")
+        tw = _peel_width(p.tw, n, rem)
     else:
         # its degree is below the bound: every writer of groups raises past it
-        groups = marked.groups
-    # the largest x-exponent is dominant, so its x1-exponent bounds every
-    # lam_1 met, and s_lam's largest t-index is n + lam_1 - 1
-    tw = max(p.tw, n - 1 + (max(groups, default=0) >> F * (n - 1)))
-    up = F * (tw - p.tw)
-    rem = {x: {k << up: c for k, c in g.items()} for x, g in groups.items()}
+        tw = _peel_width(p.tw, n, marked.groups)
+        up = F * (tw - p.tw)
+        rem = {x: {k << up: c for k, c in g.items()} for x, g in marked.groups.items()}
     out = {}
     while rem:
         x = max(rem)

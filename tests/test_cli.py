@@ -326,6 +326,41 @@ def test_address_space_cap_exits_3_without_a_traceback(tmp_path):
     assert done.stdout == ""
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmSize from /proc/self/status")
+def test_out_of_memory_handler_allocates_nothing_before_it_lets_go(tmp_path):
+    # The command fills its capped address space with a chain of 3-tuples
+    # and raises an error that holds the chain, so memory is still full
+    # while `main` tests its except clauses: a clause that built its tuple
+    # there would raise a second MemoryError from inside the handler.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import resource, sys\n"
+        "from doubleschur import cli\n"
+        "def fill(args):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        kib = next(int(line.split()[1]) for line in fh\n"
+        "                   if line.startswith('VmSize:'))\n"
+        "    cap = (kib + 4 * 1024) * 1024\n"
+        "    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "    box = [MemoryError()]\n"
+        "    box[0].chain = None\n"
+        "    try:\n"
+        "        while True:\n"
+        "            box[0].chain = (box[0].chain, None, None)\n"
+        "    except MemoryError:\n"
+        "        pass\n"
+        "    raise box.pop()\n"
+        "cli.cmd_table = fill\n"
+        "sys.exit(cli.main(['table', '--n', '1', '--m', '2', '--out', sys.argv[1]]))\n")
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "g12.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 3
+    assert done.stderr.startswith("refused: out of memory")
+    assert "Traceback" not in done.stderr
+
+
 def test_verify_guard_exits_3_before_any_suite_runs(capsys, monkeypatch):
     def refuse(n, m):
         pytest.fail(f"suite ran at n={n}, m={m} past the guard")

@@ -633,12 +633,29 @@ def product_batches(draw):
 @given(product_batches())
 # rows scaled by 1, -1 and 2 into an out that holds terms; keys 1 and 6 cancel
 @example(([{1: 1, 6: 2}, {}], [(0, 1, {0: 3, 1: -1, 2: 2}, {0: 1, 4: -1, 8: 2})]))
+# rows by the monomial 1 (the smaller operand's key 0): into empty outs at
+# scale 1, 2 and -1, the last before a row at key 3 into the same out
+@example(([{}, {}, {}], [(0, 1, {0: 1}, {3: 2, 5: -1}), (1, 2, {0: 1}, {2: 1, 5: -3}),
+                         (2, 1, {0: -1, 3: 1}, {1: 2, 2: 1, 7: 1})]))
+# into random outs at scale 1 (key 0 cancels), -1 (keys 1 and 6 cancel) and
+# 2, the last after a row at key 4 into the same out
+@example(([{0: 5, 3: 1}, {1: 1, 6: 2}],
+          [(0, 1, {0: 1}, {0: -5, 3: 2, 8: 1}), (1, -1, {0: 1, 4: 1}, {1: 1, 6: 2, 9: -1}),
+           (0, 2, {4: 1, 0: 1}, {2: 1, 5: 1, 7: -1})]))
+# into outs that cancel to zero at scale 1, then -1, and at scale 2 after
+# a row at key 3
+@example(([{2: -1, 5: 3, 6: 4}, {1: -2, 2: -2, 4: -4, 5: -2, 7: -2}],
+          [(0, 1, {0: 1}, {2: 1, 5: -3}), (0, -1, {0: 1}, {6: 4}),
+           (1, 2, {3: 1, 0: 1}, {1: 1, 2: 1, 4: 1})]))
 def test_multiply_into_matches_naive_double_loop(case):
     outs, products = case
     want = _naive_products(outs, products)
     a_before = [(dict(a), dict(b)) for _, _, a, b in products]
     poly._multiply_into([(outs[i], c, a, b) for i, c, a, b in products])
     assert outs == want
+    # an out filled from an operand shares its keys, not its table
+    for out in outs:
+        out[-1] = 1
     assert [(a, b) for _, _, a, b in products] == a_before
 
 

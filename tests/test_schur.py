@@ -2,10 +2,11 @@ import copy
 import hashlib
 import json
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
+from operator import add
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from doubleschur.grass import GrassContext
 from doubleschur import schur
@@ -14,6 +15,7 @@ from doubleschur.schur import (
     SchurExpansion,
     _dominant,
     _dominant_groups,
+    _dominant_sums,
     _orbit,
     _schur_groups,
     add_staircase,
@@ -377,6 +379,15 @@ def _groups(p):
     return out
 
 
+def _at_peel_width(groups, n, tw):
+    """Dominant groups stored at t-width tw, widened to the t-width of their
+    peel: that of s_lam for the largest lam_1 met, the x1-part of the
+    largest exponent, when it is wider."""
+    top = max(groups, default=0) >> F * (n - 1)
+    up = F * max(n - 1 + top - tw, 0)
+    return {x: {k << up: c for k, c in g.items()} for x, g in groups.items()}
+
+
 def _full_orbit_dominant(groups, n):
     """Oracle for the symmetry checks of `_dominant` and `_dominant_groups`:
     the groups of a polynomial in x1..xn, given as a map from packed
@@ -611,7 +622,7 @@ def test_orbit_check_matches_is_symmetric(case):
         dominant = {k: c for k, c in p.terms.items()
                     if (xe := _x_exponent(p, k)) == tuple(sorted(xe, reverse=True))}
         assert groups == _groups(Poly(n, p.tw, dominant))
-        assert _dominant_groups(p) == groups
+        assert _dominant_groups(p) == _at_peel_width(groups, n, p.tw)
 
 
 def test_orbit_check_needs_more_than_one_swap():
@@ -762,10 +773,39 @@ def test_product_of_groups_matches_the_kernel(case):
     p, want = f * g, _unmarked(f) * _unmarked(g)
     assert want._groups is None and p._groups is not None
     assert (p.nx, p.tw, p.terms) == (n, want.tw, want.terms)
-    assert p._groups.groups == _dominant_groups(want)
+    assert _at_peel_width(p._groups.groups, n, p.tw) == _dominant_groups(want)
     got = expand_in_double_schur(p, n)
     assert got == expand_in_double_schur(want, n)
     assert got.to_obj() == expand_in_double_schur(want, n).to_obj()
+
+
+def _packed(parts):
+    """The packed x-exponent at bit 0 of the exponents of x1..xn, x_n lowest."""
+    return sum(e << F * i for i, e in enumerate(reversed(parts)))
+
+
+@st.composite
+def exponent_pairs(draw):
+    """Two x-exponents at n <= 5, both dominant (as `_Groups.times` asks)
+    or both as drawn."""
+    n = draw(st.integers(1, 5))
+    x, y = (draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) for _ in range(2))
+    if draw(st.booleans()):
+        x, y = sorted(x, reverse=True), sorted(y, reverse=True)
+    return x, y, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_pairs())
+# one pair of packed ints at two arities, x1 at n = 1 and x2 at n = 2, so
+# that a memo keyed without n answers one of them wrongly
+@example(([1], [1], 1))
+@example(([0, 1], [0, 1], 2))
+def test_dominant_sums_is_the_brute_force_list(case):
+    x, y, n = case
+    want = sorted(_packed(z) for a in set(permutations(x)) for b in set(permutations(y))
+                  for z in [tuple(map(add, a, b))] if list(z) == sorted(z, reverse=True))
+    assert list(_dominant_sums(_packed(x), _packed(y), n)) == want
 
 
 def test_groups_are_carried_only_where_they_hold():

@@ -38,7 +38,7 @@ def test_packed_format_stays_in_poly_and_schur():
 
 # the dominant-group format: only s_lam, x_sum and their products carry it,
 # and every other module sees plain polynomials
-GROUP_FORMAT = {"_Groups", "_written", "_dominant", "_dominant_groups"}
+GROUP_FORMAT = {"_Groups", "_written", "_dominant", "_dominant_groups", "_dominant_sums"}
 
 
 def test_group_format_stays_in_poly_and_schur():
