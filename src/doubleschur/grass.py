@@ -21,6 +21,7 @@ from .poly import (Poly, NotShiftInvariant, _decoded_monomials, _poly_obj, _pool
                    _sums_of_products, _term_objs, _whole, to_difference_basis)
 from .schur import (
     SchurExpansion,
+    _Record,
     _addable,
     _localization,
     _pieri_diagonal,
@@ -62,27 +63,6 @@ def rank_guard(ctx):
         raise SizeGuardExceeded(
             f"basis rank C({ctx.m},{ctx.n}) = {rank} exceeds the table guard "
             f"of {TABLE_GUARD}")
-
-
-class _Record:
-    """Field-wise equality and a `Name(field=value, ...)` repr over the
-    names in `_fields`, for the small value classes below."""
-
-    _fields = ()
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None
-
-    def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({body})"
 
 
 class GrassContext(_Record):

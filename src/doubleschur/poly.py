@@ -762,10 +762,10 @@ def _poly_obj(p, memo):
 def poly_to_obj(p):
     """Canonical JSON form: a list of term objects in canonical order, the
     coefficient as a decimal string.  Each call returns fresh objects.  The
-    serializers of many polynomials (tables, expansions, reports) share one
-    memo per call (`_term_objs`), so the terms within one tree they return
-    share their exponent objects, and equal terms are one object: treat
-    such a tree as read-only."""
+    serializers of many polynomials (tables and positivity reports) share
+    one memo per call (`_term_objs`), so the terms within one tree they
+    return share their exponent objects, and equal terms are one object:
+    treat such a tree as read-only."""
     return _poly_obj(p, {})
 
 

@@ -19,7 +19,7 @@ from math import factorial, prod
 from operator import itemgetter, lt
 
 from .poly import (DEG_LIMIT, F, FIELD, DegreeOverflow, Poly, _multiply_into,
-                   _poly_obj, _pooled, _sums_of_products, _whole, poly_from_obj)
+                   _pooled, _sums_of_products, _whole, poly_from_obj, poly_to_obj)
 
 __all__ = [
     "partition",
@@ -400,17 +400,15 @@ class _Groups:
         x-exponents a of one factor and the rearrangements y of the dominant
         exponents b of the other with a + y = z, of the product of the
         groups of a and b: the other factor's group of y is its group of b.
-        The a run over the factor with fewer x-exponents, each a
-        rearrangement of one of its dominant exponents x, and for each pair
-        of dominant exponents x, b the sums a + y that are dominant are read
-        from the memo `_dominant_sums` before any coefficient is touched.
+        The a run over the x-exponents of self, each a rearrangement of one
+        of its dominant exponents x, and for each pair of dominant exponents
+        x, b the sums a + y that are dominant are read from the memo
+        `_dominant_sums` before any coefficient is touched.
         Every product goes into one `_multiply_into` batch, and the degree
         is bounded as in `Poly.__mul__`."""
         a, b = self, other
         if a.degree and b.degree and a.degree + b.degree >= DEG_LIMIT:
             raise DegreeOverflow("product degree exceeds the packed monomial bound")
-        if sum(_orbit(x, n)[2] for x in a.groups) > sum(_orbit(x, n)[2] for x in b.groups):
-            a, b = b, a
         tw = max(a.tw, b.tw)
         ua, ub = F * (tw - a.tw), F * (tw - b.tw)
         rows = [(y, {k << ub: c for k, c in h.items()} if ub else h) for y, h in b.groups.items()]
@@ -575,11 +573,35 @@ def pieri_multiply(lam, n):
                                        **dict.fromkeys(_addable(lam, n), _one)})
 
 
-class SchurExpansion:
+class _Record:
+    """Field-wise equality and a `Name(field=value, ...)` repr over the
+    names in `_fields`, for the small value classes here and in `grass` and
+    `wedge`.  Equal only to an instance of the same class, and unhashable
+    unless a subclass says otherwise; it adds no `__dict__` of its own."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({body})"
+
+
+class SchurExpansion(_Record):
     """A finite map from partitions to t-only coefficients: the coordinates
     of a symmetric polynomial in the double Schur basis."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = _fields = ("n", "coeffs")
 
     def __init__(self, n, coeffs):
         self.n = n = _arity(n)
@@ -621,25 +643,16 @@ class SchurExpansion:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __eq__(self, other):
-        if not isinstance(other, SchurExpansion):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    __hash__ = None
-
     def __repr__(self):
         body = ", ".join(f"{lam}: {c}" for lam, c in self.items())
         return f"SchurExpansion(n={self.n}, {{{body}}})"
 
     def to_obj(self):
-        """JSON form, partitions in lexicographic order.  The coefficients
-        share one memo (`poly._term_objs`), so terms within the returned
-        tree share their exponent objects: treat it as read-only."""
-        memo = {}
+        """JSON form, partitions in lexicographic order, each coefficient
+        written by `poly_to_obj`: fresh objects on each call."""
         return {
             "n": self.n,
-            "terms": [{"lambda": list(lam), "coeff": _poly_obj(c, memo)}
+            "terms": [{"lambda": list(lam), "coeff": poly_to_obj(c)}
                       for lam, c in self.items()],
         }
 

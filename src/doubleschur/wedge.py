@@ -15,9 +15,10 @@ computes both sides and insists they agree.
 
 from math import inf
 
-from .poly import Poly, _poly_obj, _sums_of_products, _whole, poly_from_obj
+from .poly import Poly, _sums_of_products, _whole, poly_from_obj, poly_to_obj
 from .schur import (
     SchurExpansion,
+    _Record,
     _arity,
     add_staircase,
     double_monomial,
@@ -58,11 +59,11 @@ def _t_coeff(c, m, what):
     return c
 
 
-class GLMatrix:
+class GLMatrix(_Record):
     """m x m matrix over Z[t1..tm] acting on V; entries[r][c] is the
     coefficient of (x|t)^r in the image of (x|t)^c (column = source)."""
 
-    __slots__ = ("m", "entries")
+    __slots__ = _fields = ("m", "entries")
 
     def __init__(self, m, entries):
         entries = [list(row) for row in entries]
@@ -123,13 +124,6 @@ class GLMatrix:
         if not isinstance(other, GLMatrix) or other.m != self.m:
             raise ValueError("shape mismatch")
 
-    def __eq__(self, other):
-        if not isinstance(other, GLMatrix):
-            return NotImplemented
-        return self.m == other.m and self.entries == other.entries
-
-    __hash__ = None
-
     def __repr__(self):
         rows = "; ".join("[" + ", ".join(str(e) for e in row) + "]"
                          for row in self.entries)
@@ -178,12 +172,12 @@ def symmetric_multiplier(f, n):
     return out.get(0, Poly.zero(n))
 
 
-class WedgeVector:
+class WedgeVector(_Record):
     """Element of the n-th wedge power of V: a finite map from strictly
     decreasing basis-index sequences (entries in 0..m-1) to t-only
     coefficients."""
 
-    __slots__ = ("n", "m", "coords")
+    __slots__ = _fields = ("n", "m", "coords")
 
     def __init__(self, n, m, coords):
         ctx = GrassContext(n, m)
@@ -211,26 +205,17 @@ class WedgeVector:
     def __bool__(self):
         return bool(self.coords)
 
-    def __eq__(self, other):
-        if not isinstance(other, WedgeVector):
-            return NotImplemented
-        return (self.n, self.m) == (other.n, other.m) and self.coords == other.coords
-
-    __hash__ = None
-
     def __repr__(self):
         body = ", ".join(f"{nu}: {c}" for nu, c in sorted(self.coords.items()))
         return f"WedgeVector(n={self.n}, m={self.m}, {{{body}}})"
 
     def to_obj(self):
-        """JSON form, wedge indices in lexicographic order.  The coefficients
-        share one memo (`poly._term_objs`), so terms within the returned
-        tree share their exponent objects: treat it as read-only."""
-        memo = {}
+        """JSON form, wedge indices in lexicographic order, each coefficient
+        written by `poly_to_obj`: fresh objects on each call."""
         return {
             "n": self.n,
             "m": self.m,
-            "terms": [{"nu": list(nu), "coeff": _poly_obj(self.coords[nu], memo)}
+            "terms": [{"nu": list(nu), "coeff": poly_to_obj(self.coords[nu])}
                       for nu in sorted(self.coords)],
         }
 

@@ -29,9 +29,9 @@ from doubleschur.poly import (
     poly_to_obj,
     to_difference_basis,
 )
-from doubleschur.schur import SchurExpansion
+from doubleschur.schur import SchurExpansion, pieri_multiply
 from doubleschur.verify import verify_positivity
-from doubleschur.wedge import gl_action_on_wedge, to_wedge_coordinates, x_matrix
+from doubleschur.wedge import WedgeVector, gl_action_on_wedge, to_wedge_coordinates, x_matrix
 from difference_basis import from_difference_basis
 
 
@@ -391,3 +391,22 @@ def test_a_constant_that_is_not_an_int_is_refused(bad):
         Poly.const(bad)
     with pytest.raises(ValueError, match="constant must be an integer"):
         SchurExpansion(2, {(1,): bad})
+
+
+@pytest.mark.parametrize("value, first, second", [
+    (pieri_multiply((1,), 2), 1, 2),
+    (WedgeVector(2, 4, {(1, 0): 1, (2, 0): Poly.t(1), (3, 1): 1}), 0, 2),
+])
+def test_expansion_and_wedge_trees_are_fresh(value, first, second):
+    # two coefficients equal to 1: their term objects are separate objects,
+    # so editing one tree or one term touches nothing else
+    want = _json(value.to_obj())
+    obj = value.to_obj()
+    a, b = (obj["terms"][i]["coeff"][0] for i in (first, second))
+    assert a == b == {"x": [], "t": {}, "c": "1"}
+    assert a is not b and a["x"] is not b["x"] and a["t"] is not b["t"]
+    a["x"].append(1)
+    a["t"]["1"] = 1
+    a["c"] = "2"
+    assert b == {"x": [], "t": {}, "c": "1"}
+    assert _json(value.to_obj()) == want

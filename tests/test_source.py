@@ -1,6 +1,7 @@
 import ast
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "doubleschur"
@@ -76,3 +77,39 @@ def test_cold_import_leaves_out_dataclasses():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_package_exports_each_module_list():
+    # the package re-exports every module's `__all__` and declares no list
+    # of its own, so a name a module declares is always reachable from it
+    import doubleschur
+    from doubleschur import grass, oracles, poly, schur, verify, wedge
+    declared = set()
+    for module in (poly, schur, grass, wedge, oracles, verify):
+        for name in module.__all__:
+            assert getattr(doubleschur, name) is getattr(module, name), name
+        declared.update(module.__all__)
+    public = {name for name, value in vars(doubleschur).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == declared and "certificate_to_obj" in public
+
+
+# the per-call render memo: worth it only where one call writes thousands of
+# terms over shared monomials (tables and positivity reports); every other
+# `to_obj` writes through `poly_to_obj` and returns a fresh tree
+RENDER_MEMO = {"_term_objs", "_poly_obj", "_certificate_obj"}
+
+
+def test_render_memo_stays_in_poly_and_grass():
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        if path.name in ("poly.py", "grass.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found.extend(f"{path.name}:{node.lineno} imports {alias.name}"
+                             for alias in node.names if alias.name in RENDER_MEMO)
+            elif isinstance(node, ast.Attribute) and node.attr in RENDER_MEMO:
+                found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert SOURCE.is_dir() and found == []

@@ -499,3 +499,46 @@ def test_intertwining_on_all_basis_elements():
             f = WedgeVector.basis((k,), 1, 4)
             for lam in ctx.box_partitions():
                 centralizer_action(f, SchurExpansion.unit(lam, n), ctx)
+
+
+# (equal pair, unequal values, repr of the first) for each value class
+VALUE_CASES = [
+    (lambda: SchurExpansion(2, {(1,): 1}),
+     [SchurExpansion(3, {(1,): 1}), SchurExpansion(2, {(1,): 2}),
+      SchurExpansion(2, {(2,): 1})],
+     "SchurExpansion(n=2, {(1,): 1})"),
+    (lambda: WedgeVector(2, 4, {(2, 0): 1, (3, 1): t(2)}),
+     [WedgeVector(2, 5, {(2, 0): 1, (3, 1): t(2)}), WedgeVector(1, 4, {(2,): 1}),
+      WedgeVector(2, 4, {(2, 0): 1, (3, 1): t(1)})],
+     "WedgeVector(n=2, m=4, {(2, 0): 1, (3, 1): t2})"),
+    (lambda: GLMatrix(2, [[1, 0], [t(1), 2]]),
+     [GLMatrix(2, [[1, 0], [t(2), 2]]), GLMatrix.identity(2), GLMatrix.identity(3)],
+     "GLMatrix(m=2, [1, 0]; [t1, 2])"),
+]
+
+
+@pytest.mark.parametrize("make, others, text", VALUE_CASES,
+                         ids=["SchurExpansion", "WedgeVector", "GLMatrix"])
+def test_value_classes_compare_by_fields_and_keep_their_repr(make, others, text):
+    x, y = make(), make()
+    assert x == y and not x != y and x is not y
+    for other in others:
+        assert x != other and not x == other
+    assert not x == object() and x != object()
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(TypeError):
+        hash(x)
+    assert repr(x) == text
+
+
+def test_expansion_never_equals_a_wedge_vector():
+    e = SchurExpansion(1, {(): 1})
+    v = WedgeVector.basis((0,), 1, 1)
+    assert e != v and v != e and not e == v and not v == e
+
+
+def test_reprs_of_computed_values_keep_their_format():
+    assert repr(x_matrix(2)) == "GLMatrix(m=2, [-t1, 0]; [1, -t2])"
+    assert repr(pieri_multiply((1,), 2)) == (
+        "SchurExpansion(n=2, {(1,): -t1 - t3, (1, 1): 1, (2,): 1})")
+    assert repr(WedgeVector.basis((1,), 1, 3)) == "WedgeVector(n=1, m=3, {(1,): 1})"
