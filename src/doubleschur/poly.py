@@ -770,21 +770,25 @@ def poly_to_obj(p):
 
 
 def poly_from_obj(obj, nx=None):
-    """Inverse of poly_to_obj.  The arity is read off the term data and may
-    be pinned (required for the zero polynomial)."""
+    """Inverse of poly_to_obj.  The arity is read off the term data and may be
+    pinned (required for the zero polynomial).  Exponents and a numeric `c`
+    must be ints; a term of degree DEG_LIMIT or more raises DegreeOverflow."""
     terms = {}
     tw = 0
     parsed = []
     for item in obj:
-        xe = tuple(int(e) for e in item["x"])
+        xe = tuple(_whole(e, 0, "exponent") for e in item["x"])
         if nx is None:
             nx = len(xe)
         elif len(xe) != nx:
             raise ArityMismatch("inconsistent x-arity in serialized terms")
-        te = {int(j): int(e) for j, e in item["t"].items()}
-        if any(j < 1 for j in te) or any(e <= 0 for e in te.values()) or any(e < 0 for e in xe):
-            raise ValueError("invalid exponent in serialized term")
-        c = int(item["c"])
+        te = {int(j): _whole(e, 1, "exponent") for j, e in item["t"].items()}
+        if any(j < 1 for j in te):
+            raise ValueError("invalid t-index in serialized term")
+        if sum(xe) + sum(te.values()) >= DEG_LIMIT:
+            raise DegreeOverflow(f"serialized term has total degree {DEG_LIMIT} or more")
+        c = item["c"]
+        c = int(c) if isinstance(c, str) else _whole(c, -inf, "coefficient")
         parsed.append((xe, te, c))
         if te:
             tw = max(tw, max(te))

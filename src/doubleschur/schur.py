@@ -597,11 +597,55 @@ class _Record:
         return f"{type(self).__name__}({body})"
 
 
-class SchurExpansion(_Record):
+class _Coordinates(_Record):
+    """Coordinates in one of the two models of the ring: the last of
+    `_fields`, after the fields that fix the basis, maps basis indices to
+    nonzero t-only coefficients.  `_key` names an index in JSON, and
+    `_index` normalizes one for `get`."""
+
+    __slots__ = ()
+
+    def _map(self):
+        return getattr(self, self._fields[-1])
+
+    def items(self):
+        """(index, coefficient) pairs in lexicographic index order."""
+        return sorted(self._map().items())
+
+    def get(self, index):
+        return self._map().get(self._index(index), Poly.zero(0))
+
+    def is_zero(self):
+        return not self._map()
+
+    def __bool__(self):
+        return bool(self._map())
+
+    def __repr__(self):
+        head = "".join(f"{name}={getattr(self, name)}, " for name in self._fields[:-1])
+        body = ", ".join(f"{k}: {c}" for k, c in self.items())
+        return f"{type(self).__name__}({head}{{{body}}})"
+
+    def to_obj(self):
+        """JSON form: the header fields, then the terms in index order, each
+        coefficient written by `poly_to_obj`: fresh objects on each call."""
+        return {**{name: getattr(self, name) for name in self._fields[:-1]},
+                "terms": [{self._key: list(k), "coeff": poly_to_obj(c)}
+                          for k, c in self.items()]}
+
+    @classmethod
+    def from_obj(cls, obj):
+        return cls(*(obj[name] for name in cls._fields[:-1]),
+                   {tuple(item[cls._key]): poly_from_obj(item["coeff"], nx=0)
+                    for item in obj["terms"]})
+
+
+class SchurExpansion(_Coordinates):
     """A finite map from partitions to t-only coefficients: the coordinates
     of a symmetric polynomial in the double Schur basis."""
 
     __slots__ = _fields = ("n", "coeffs")
+    _key, _index = "lambda", staticmethod(partition)
 
     def __init__(self, n, coeffs):
         self.n = n = _arity(n)
@@ -629,37 +673,6 @@ class SchurExpansion(_Record):
     @classmethod
     def unit(cls, lam, n):
         return cls(n, {partition(lam): Poly.one()})
-
-    def get(self, lam):
-        return self.coeffs.get(partition(lam), Poly.zero(0))
-
-    def items(self):
-        """(partition, coefficient) pairs in lexicographic partition order."""
-        return [(lam, self.coeffs[lam]) for lam in sorted(self.coeffs)]
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __repr__(self):
-        body = ", ".join(f"{lam}: {c}" for lam, c in self.items())
-        return f"SchurExpansion(n={self.n}, {{{body}}})"
-
-    def to_obj(self):
-        """JSON form, partitions in lexicographic order, each coefficient
-        written by `poly_to_obj`: fresh objects on each call."""
-        return {
-            "n": self.n,
-            "terms": [{"lambda": list(lam), "coeff": poly_to_obj(c)}
-                      for lam, c in self.items()],
-        }
-
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(obj["n"], {tuple(item["lambda"]): poly_from_obj(item["coeff"], nx=0)
-                              for item in obj["terms"]})
 
 
 def expansion_to_poly(e):

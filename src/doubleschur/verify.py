@@ -42,10 +42,9 @@ def verify_pieri(n, m):
     every partition in the n x (m-n) box."""
     ctx = GrassContext(n, m)
     failures = []
-    cases = 0
+    box = ctx.box_partitions()
     sx = x_sum(n)
-    for lam in ctx.box_partitions():
-        cases += 1
+    for lam in box:
         expected = pieri_multiply(lam, n)
         got = expand_in_double_schur(sx * double_schur(lam, n), n)
         if got != expected:
@@ -54,7 +53,7 @@ def verify_pieri(n, m):
                 "pieri": expected.to_obj(),
                 "expansion": got.to_obj(),
             })
-    return _report("pieri", n, m, cases, failures)
+    return _report("pieri", n, m, len(box), failures)
 
 
 def verify_positivity(n, m):
@@ -69,13 +68,11 @@ def verify_positivity(n, m):
     table = full_structure_table(ctx)
     failures = []
     certificates = []
-    cases = 0
     memo = {}
     rendered = {}   # id(report) -> its JSON form; the table keeps each report alive
     for (lam, mu) in sorted(table.entries):
         for nu in sorted(table.entries[(lam, mu)]):
             coeff, report = table.entries[(lam, mu)][nu]
-            cases += 1
             obj = rendered.get(id(report))
             if obj is None:
                 obj = rendered[id(report)] = report._obj(memo)
@@ -84,7 +81,7 @@ def verify_positivity(n, m):
             certificates.append(record)
             if not report.positive:
                 failures.append(record)
-    return _report("positivity", n, m, cases, failures,
+    return _report("positivity", n, m, len(certificates), failures,
                    certificates=certificates)
 
 
@@ -98,10 +95,8 @@ def verify_specialize(n, m):
                                 f"enumeration guard of {LR_ENUMERATION_LIMIT}")
     box = ctx.box_partitions()
     failures = []
-    cases = 0
     for lam in box:
         for mu in box:
-            cases += 1
             prod = schubert_product(lam, mu, ctx)
             got = {}
             for nu, c in prod.items():
@@ -121,25 +116,24 @@ def verify_specialize(n, m):
                     "got": {str(k): v for k, v in sorted(got.items())},
                     "expected": {str(k): v for k, v in sorted(expected.items())},
                 })
-    return _report("specialize", n, m, cases, failures)
+    return _report("specialize", n, m, len(box) ** 2, failures)
 
 
 def verify_intertwine(n, m):
     """Wedge-side action of each double-monomial multiplication operator
     against polynomial-side multiplication, on every basis class."""
     ctx = GrassContext(n, m)
+    box = ctx.box_partitions()
     failures = []
-    cases = 0
     for k in range(m):
         f = WedgeVector.basis((k,), 1, m)
         matrix, multiplier = multiplication_matrix(f), symmetric_multiplier(f, n)
-        for lam in ctx.box_partitions():
-            cases += 1
+        for lam in box:
             try:
                 _centralizer_action(matrix, multiplier, SchurExpansion.unit(lam, n), ctx)
             except PathDisagreement as exc:
                 failures.append({"k": k, "lambda": list(lam), "error": str(exc)})
-    return _report("intertwine", n, m, cases, failures)
+    return _report("intertwine", n, m, m * len(box), failures)
 
 
 SYT_KMAX = 6
@@ -150,7 +144,6 @@ def verify_syt(n, m):
     standard tableau counts, for k up to SYT_KMAX."""
     ctx = GrassContext(n, m)
     failures = []
-    cases = 0
     for k in range(SYT_KMAX + 1):
         expansion = sigma1_power_expansion(k, ctx)
         got = {}
@@ -163,7 +156,6 @@ def verify_syt(n, m):
                 got[lam] = c.evaluate((), ())
         expected = {lam: syt_count(lam) for lam in ctx.box_partitions()
                     if sum(lam) == k}
-        cases += 1
         if bad_coeff is not None:
             failures.append({"k": k, "non-integer top coefficient": bad_coeff})
         elif got != expected:
@@ -172,7 +164,7 @@ def verify_syt(n, m):
                 "got": {str(k_): v for k_, v in sorted(got.items())},
                 "expected": {str(k_): v for k_, v in sorted(expected.items())},
             })
-    return _report("syt", n, m, cases, failures, kmax=SYT_KMAX)
+    return _report("syt", n, m, SYT_KMAX + 1, failures, kmax=SYT_KMAX)
 
 
 def verify_routes(n, m):
@@ -182,10 +174,8 @@ def verify_routes(n, m):
     ctx = GrassContext(n, m)
     box = ctx.box_partitions()
     failures = []
-    cases = 0
     for lam in box:
         for mu in box:
-            cases += 1
             recursion = schubert_product(lam, mu, ctx)
             expansion = schubert_product_by_expansion(lam, mu, ctx)
             if recursion != expansion:
@@ -194,7 +184,7 @@ def verify_routes(n, m):
                     "recursion": recursion.to_obj(),
                     "expansion": expansion.to_obj(),
                 })
-    return _report("routes", n, m, cases, failures)
+    return _report("routes", n, m, len(box) ** 2, failures)
 
 
 SUITES = {

@@ -15,9 +15,10 @@ computes both sides and insists they agree.
 
 from math import inf
 
-from .poly import Poly, _sums_of_products, _whole, poly_from_obj, poly_to_obj
+from .poly import Poly, _sums_of_products, _whole
 from .schur import (
     SchurExpansion,
+    _Coordinates,
     _Record,
     _arity,
     add_staircase,
@@ -172,12 +173,13 @@ def symmetric_multiplier(f, n):
     return out.get(0, Poly.zero(n))
 
 
-class WedgeVector(_Record):
+class WedgeVector(_Coordinates):
     """Element of the n-th wedge power of V: a finite map from strictly
     decreasing basis-index sequences (entries in 0..m-1) to t-only
     coefficients."""
 
     __slots__ = _fields = ("n", "m", "coords")
+    _key, _index = "nu", staticmethod(tuple)
 
     def __init__(self, n, m, coords):
         ctx = GrassContext(n, m)
@@ -195,35 +197,6 @@ class WedgeVector(_Record):
     @classmethod
     def basis(cls, nu, n, m):
         return cls(n, m, {tuple(nu): Poly.one()})
-
-    def get(self, nu):
-        return self.coords.get(tuple(nu), Poly.zero(0))
-
-    def is_zero(self):
-        return not self.coords
-
-    def __bool__(self):
-        return bool(self.coords)
-
-    def __repr__(self):
-        body = ", ".join(f"{nu}: {c}" for nu, c in sorted(self.coords.items()))
-        return f"WedgeVector(n={self.n}, m={self.m}, {{{body}}})"
-
-    def to_obj(self):
-        """JSON form, wedge indices in lexicographic order, each coefficient
-        written by `poly_to_obj`: fresh objects on each call."""
-        return {
-            "n": self.n,
-            "m": self.m,
-            "terms": [{"nu": list(nu), "coeff": poly_to_obj(self.coords[nu])}
-                      for nu in sorted(self.coords)],
-        }
-
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(obj["n"], obj["m"],
-                   {tuple(item["nu"]): poly_from_obj(item["coeff"], nx=0)
-                    for item in obj["terms"]})
 
 
 def gl_action_on_wedge(X, w):

@@ -446,3 +446,22 @@ def test_verify_unknown_suite_exits_2(capsys):
 
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    "schur --n 2 --lambda 1 --format text",
+    "product --n 1 --m 2 --lambda 1 --mu 1",
+])
+def test_readme_examples_print_what_the_readme_shows(capsys, command):
+    # the README prints each example's output as the `#` lines that follow
+    # the command, one output line wrapped over them
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    shown = []
+    for line in lines[lines.index(f"doubleschur {command}") + 1:]:
+        if not line.startswith("#"):
+            break
+        shown.append(line[1:].strip())
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0 and shown
+    assert out.strip() == "".join(shown)

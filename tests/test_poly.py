@@ -539,6 +539,44 @@ def test_json_zero_poly_needs_arity():
         poly_from_obj([])
 
 
+def test_json_reads_the_largest_degree_the_packed_format_takes():
+    p = poly_from_obj([{"x": [DEG_LIMIT - 1], "t": {}, "c": "1"}])
+    assert p == x(1, 1) ** (DEG_LIMIT - 1)
+    assert poly_from_obj(poly_to_obj(p)) == p
+
+
+@pytest.mark.parametrize("term", [
+    {"x": [DEG_LIMIT], "t": {}, "c": "1"},
+    {"x": [70000], "t": {}, "c": "1"},
+    {"x": [], "t": {"1": 65536}, "c": "1"},
+    {"x": [1, 70000], "t": {}, "c": "1"},
+    {"x": [DEG_LIMIT - 1], "t": {"1": 1}, "c": "1"},
+], ids=["x^32768", "x^70000", "t1^65536", "x1*x2^70000", "x^32767*t1"])
+def test_json_refuses_a_term_the_packed_format_cannot_hold(term):
+    # a field of 16 bits would wrap, and the degree field would disagree
+    # with the exponents: a term of degree DEG_LIMIT or more is refused
+    with pytest.raises(DegreeOverflow):
+        poly_from_obj([term])
+
+
+@pytest.mark.parametrize("term", [
+    {"x": [1.5], "t": {"2": 2.9}, "c": 2.7},
+    {"x": [1.0], "t": {}, "c": "1"},
+    {"x": [], "t": {"2": 2.9}, "c": "1"},
+    {"x": ["1"], "t": {}, "c": "1"},
+    {"x": [], "t": {}, "c": 2.7},
+    {"x": [], "t": {}, "c": "2.7"},
+], ids=["all-floats", "x-float", "t-float", "x-string", "c-float", "c-decimal-string"])
+def test_json_refuses_exponents_and_coefficients_that_are_not_ints(term):
+    with pytest.raises(ValueError):
+        poly_from_obj([term])
+
+
+def test_json_reads_a_numeric_coefficient_and_bool_exponents_as_ints():
+    assert poly_from_obj([{"x": [True], "t": {"2": True}, "c": -3}]) == -3 * x(1, 1) * t(2, 1)
+    assert poly_from_obj([{"x": [], "t": {}, "c": 10 ** 30}], nx=0) == Poly.const(10 ** 30)
+
+
 def test_json_sparse_t_map_has_no_zero_exponents():
     p = x(1) * t(3)
     (term,) = poly_to_obj(p)

@@ -23,6 +23,7 @@ from doubleschur.grass import (
 from doubleschur.poly import (
     F,
     FIELD,
+    DegreeOverflow,
     NotShiftInvariant,
     Poly,
     _poly_obj,
@@ -410,3 +411,50 @@ def test_expansion_and_wedge_trees_are_fresh(value, first, second):
     a["c"] = "2"
     assert b == {"x": [], "t": {}, "c": "1"}
     assert _json(value.to_obj()) == want
+
+
+def _t_coeff(terms):
+    return _build(0, [((), te, c) for te, c in terms])
+
+
+@st.composite
+def coordinates(draw):
+    """A SchurExpansion or a WedgeVector of up to four terms, each with a
+    t-only coefficient in t_1..t_m."""
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(1, m - 1))
+    coeffs = st.lists(st.tuples(st.dictionaries(st.integers(1, m), st.integers(1, 3), max_size=3),
+                                st.integers(-5, 5)), max_size=3).map(_t_coeff)
+    if draw(st.booleans()):
+        lams = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(
+            lambda parts: tuple(sorted(parts, reverse=True)))
+        return SchurExpansion(n, draw(st.dictionaries(lams, coeffs, max_size=4)))
+    nus = st.sets(st.integers(0, m - 1), min_size=n, max_size=n).map(
+        lambda entries: tuple(sorted(entries, reverse=True)))
+    return WedgeVector(n, m, draw(st.dictionaries(nus, coeffs, max_size=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coordinates())
+@example(SchurExpansion(2, {}))
+@example(WedgeVector(2, 4, {(3, 1): Poly.t(4), (1, 0): -2}))
+def test_coordinates_round_trip_through_json(value):
+    obj = value.to_obj()
+    header = ["n", "terms"] if isinstance(value, SchurExpansion) else ["n", "m", "terms"]
+    assert list(obj) == header
+    back = type(value).from_obj(json.loads(_json(obj)))
+    assert back == value and _json(back.to_obj()) == _json(obj)
+
+
+@pytest.mark.parametrize("cls, header, key", [
+    (SchurExpansion, {"n": 2}, "lambda"),
+    (WedgeVector, {"n": 2, "m": 4}, "nu"),
+])
+def test_coordinates_refuse_a_coefficient_the_packed_format_cannot_hold(cls, header, key):
+    def obj(term):
+        return {**header, "terms": [{key: [1, 0], "coeff": [term]}]}
+    assert cls.from_obj(obj({"x": [], "t": {"1": 2}, "c": "3"})).get((1, 0)) == 3 * Poly.t(1) ** 2
+    with pytest.raises(DegreeOverflow):
+        cls.from_obj(obj({"x": [], "t": {"1": 65536}, "c": "1"}))
+    with pytest.raises(ValueError, match="must be an integer"):
+        cls.from_obj(obj({"x": [], "t": {"2": 2.9}, "c": 2.7}))

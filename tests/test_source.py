@@ -17,24 +17,31 @@ def test_no_assert_statements_in_library():
     assert SOURCE.is_dir() and found == []
 
 
+def _imports_and_reads(names, attributes, allowed):
+    """Where a library file outside `allowed` imports one of `names`, or
+    reads one of them or of `attributes` as an attribute."""
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        if path.name in allowed:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found.extend(f"{path.name}:{node.lineno} imports {alias.name}"
+                             for alias in node.names if alias.name in names)
+            elif isinstance(node, ast.Attribute) and node.attr in names | attributes:
+                found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert SOURCE.is_dir()
+    return found
+
+
 # the packed format's field width and degree bound, and the kernel that
 # relies on them; every other module multiplies through `_sums_of_products`
 PACKED_FORMAT = {"_multiply_into", "F", "FIELD", "DEG_LIMIT"}
 
 
 def test_packed_format_stays_in_poly_and_schur():
-    found = []
-    for path in sorted(SOURCE.rglob("*.py")):
-        if path.name in ("poly.py", "schur.py"):
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                found.extend(f"{path.name}:{node.lineno} imports {alias.name}"
-                             for alias in node.names if alias.name in PACKED_FORMAT)
-            elif isinstance(node, ast.Attribute) and node.attr in PACKED_FORMAT | {"_widened"}:
-                found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
-    assert SOURCE.is_dir() and found == []
+    assert _imports_and_reads(PACKED_FORMAT, {"_widened"}, ("poly.py", "schur.py")) == []
 
 
 # the dominant-group format: only s_lam, x_sum and their products carry it,
@@ -43,18 +50,7 @@ GROUP_FORMAT = {"_Groups", "_written", "_dominant", "_dominant_groups", "_domina
 
 
 def test_group_format_stays_in_poly_and_schur():
-    found = []
-    for path in sorted(SOURCE.rglob("*.py")):
-        if path.name in ("poly.py", "schur.py"):
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                found.extend(f"{path.name}:{node.lineno} imports {alias.name}"
-                             for alias in node.names if alias.name in GROUP_FORMAT)
-            elif isinstance(node, ast.Attribute) and node.attr in GROUP_FORMAT | {"_groups"}:
-                found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
-    assert SOURCE.is_dir() and found == []
+    assert _imports_and_reads(GROUP_FORMAT, {"_groups"}, ("poly.py", "schur.py")) == []
 
 
 def test_fixed_points_stay_in_schur():
@@ -101,15 +97,17 @@ RENDER_MEMO = {"_term_objs", "_poly_obj", "_certificate_obj"}
 
 
 def test_render_memo_stays_in_poly_and_grass():
-    found = []
-    for path in sorted(SOURCE.rglob("*.py")):
-        if path.name in ("poly.py", "grass.py"):
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                found.extend(f"{path.name}:{node.lineno} imports {alias.name}"
-                             for alias in node.names if alias.name in RENDER_MEMO)
-            elif isinstance(node, ast.Attribute) and node.attr in RENDER_MEMO:
-                found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
-    assert SOURCE.is_dir() and found == []
+    assert _imports_and_reads(RENDER_MEMO, set(), ("poly.py", "grass.py")) == []
+
+
+def test_coordinate_classes_inherit_their_shared_rules():
+    # the two models' coordinates state items, get, zero test, repr and
+    # JSON form once, in `_Coordinates`; each class keeps only its fields,
+    # its JSON key, its index rule and its own constructors
+    from doubleschur.schur import SchurExpansion, _Coordinates
+    from doubleschur.wedge import WedgeVector
+    shared = {"items", "get", "is_zero", "__bool__", "__repr__", "to_obj", "from_obj"}
+    assert shared <= set(vars(_Coordinates))
+    for cls in (SchurExpansion, WedgeVector):
+        assert cls.__bases__ == (_Coordinates,)
+        assert shared.isdisjoint(vars(cls)), sorted(shared & set(vars(cls)))

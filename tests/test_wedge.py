@@ -542,3 +542,29 @@ def test_reprs_of_computed_values_keep_their_format():
     assert repr(pieri_multiply((1,), 2)) == (
         "SchurExpansion(n=2, {(1,): -t1 - t3, (1, 1): 1, (2,): 1})")
     assert repr(WedgeVector.basis((1,), 1, 3)) == "WedgeVector(n=1, m=3, {(1,): 1})"
+
+
+def test_get_reads_an_index_in_its_normal_form():
+    # a partition drops its trailing zeros; a wedge index is read as given
+    e = SchurExpansion(3, {(2, 1): t(1), (1,): 2})
+    assert e.get([2, 1, 0]) == e.get((2, 1)) == t(1)
+    assert e.get([1, 0, 0]) == Poly.const(2) and e.get((3,)) == Poly.zero(0)
+    w = WedgeVector(2, 4, {(2, 0): t(2), (3, 1): 1})
+    assert w.get([2, 0]) == w.get((2, 0)) == t(2)
+    assert w.get([2]) == Poly.zero(0)
+
+
+def test_wedge_items_are_pairs_in_index_order():
+    w = WedgeVector(2, 5, {(4, 0): 1, (1, 0): t(1), (3, 2): 2, (3, 0): 0})
+    assert w.items() == [((1, 0), t(1)), ((3, 2), Poly.const(2)), ((4, 0), Poly.one())]
+    assert WedgeVector(2, 5, {}).items() == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda coeffs: SchurExpansion(2, {(1,): c for c in coeffs}),
+    lambda coeffs: WedgeVector(2, 4, {(1, 0): c for c in coeffs}),
+], ids=["SchurExpansion", "WedgeVector"])
+def test_coordinates_are_zero_exactly_without_terms(make):
+    for coeffs, zero in (((), True), ((0,), True), ((t(1) - t(1),), True), ((t(1),), False)):
+        value = make(coeffs)
+        assert value.is_zero() is zero and bool(value) is not zero
