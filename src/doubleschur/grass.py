@@ -17,7 +17,7 @@ import math
 from itertools import combinations_with_replacement
 from operator import le
 
-from .poly import (Poly, NotShiftInvariant, _decoded_monomials, _poly_obj, _pooled,
+from .poly import (Poly, NotShiftInvariant, _decoded_monomials, _poly_term, _pooled,
                    _sums_of_products, _term_objs, _whole, to_difference_basis)
 from .schur import (
     SchurExpansion,
@@ -266,41 +266,20 @@ class PositivityReport(_Record):
     def _obj(self, memo):
         if self.positive:
             return {"positive": self.positive,
-                    "certificate": _certificate_obj(self.certificate, memo),
+                    "certificate": _term_objs(self.certificate, _certificate_term, memo),
                     "differences_used": list(self.differences_used)}
         return {"positive": self.positive, "certificate": None,
                 "reason": self.reason, "offender": self.offender}
-
-    def annotate(self, product_obj):
-        """Attach this report to a serialized product entry: `certificate`
-        holds the u-expansion itself, remaining fields ride alongside (nested
-        under `violation` when the check failed)."""
-        return self._annotate(product_obj, {})
-
-    def _annotate(self, product_obj, memo):
-        if self.positive:
-            product_obj.update(certificate=_certificate_obj(self.certificate, memo),
-                               positive=self.positive,
-                               differences_used=list(self.differences_used))
-        else:
-            product_obj.update(certificate=None, positive=self.positive,
-                               violation={"reason": self.reason, "offender": self.offender})
-        return product_obj
 
 
 def certificate_to_obj(cert):
     """Canonical JSON form of a difference-basis expansion: term list with
     sparse u-exponent maps.  Each call returns fresh objects."""
-    return _certificate_obj(cert, {})
+    return _term_objs(cert, _certificate_term, {})
 
 
 def _certificate_term(x, t, c):
     return {"u": t, "c": c}
-
-
-def _certificate_obj(cert, memo):
-    """`certificate_to_obj` through the memo of `poly._term_objs`."""
-    return _term_objs(cert, _certificate_term, memo)
 
 
 def check_graham_positivity(c, ctx):
@@ -388,11 +367,23 @@ def _certified_product(lam, mu, ctx):
 
 
 def _products_to_obj(products, memo):
-    """JSON form of a `_certified_product` map, nu in lexicographic order.
-    Its terms share objects through `memo` (see `poly._term_objs`), so the
-    list is read-only."""
-    return [report._annotate({"nu": list(nu), "coeff": _poly_obj(c, memo)}, memo)
-            for nu, (c, report) in sorted(products.items())]
+    """JSON form of a `_certified_product` map, nu in lexicographic order:
+    the one writer of a certified-product entry.  A positive report adds
+    its certificate, `positive` and `differences_used`; a failed one a null
+    certificate, `positive` and its `violation`.  Its terms share objects
+    through `memo` (see `poly._term_objs`), so the list is read-only."""
+    out = []
+    for nu, (c, report) in sorted(products.items()):
+        entry = {"nu": list(nu), "coeff": _term_objs(c, _poly_term, memo)}
+        if report.positive:
+            entry.update(certificate=_term_objs(report.certificate, _certificate_term, memo),
+                         positive=report.positive,
+                         differences_used=list(report.differences_used))
+        else:
+            entry.update(certificate=None, positive=report.positive,
+                         violation={"reason": report.reason, "offender": report.offender})
+        out.append(entry)
+    return out
 
 
 def full_structure_table(ctx):

@@ -589,8 +589,10 @@ def _pack(nx, tw, xe, te):
     key = sum(xe) + sum(te.values())
     for e in xe:
         key = (key << F) | e
-    for j in range(1, tw + 1):
-        key = (key << F) | te.get(j, 0)
+    # one shift, then each t-exponent ORed into its slot: linear in tw
+    key <<= F * tw
+    for j, e in te.items():
+        key |= e << F * (tw - j)
     return key
 
 
@@ -754,11 +756,6 @@ def _poly_term(x, t, c):
     return {"x": x, "t": t, "c": c}
 
 
-def _poly_obj(p, memo):
-    """`poly_to_obj` through the memo of `_term_objs`."""
-    return _term_objs(p, _poly_term, memo)
-
-
 def poly_to_obj(p):
     """Canonical JSON form: a list of term objects in canonical order, the
     coefficient as a decimal string.  Each call returns fresh objects.  The
@@ -766,7 +763,7 @@ def poly_to_obj(p):
     one memo per call (`_term_objs`), so the terms within one tree they
     return share their exponent objects, and equal terms are one object:
     treat such a tree as read-only."""
-    return _poly_obj(p, {})
+    return _term_objs(p, _poly_term, {})
 
 
 def poly_from_obj(obj, nx=None):

@@ -14,7 +14,7 @@ Sign convention: double monomials use (x + t_i), not (x - t_i).
 
 from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import combinations, groupby, permutations, product
+from itertools import combinations, groupby, product
 from math import factorial, prod
 from operator import itemgetter, lt
 
@@ -179,10 +179,13 @@ def _orbit(x, n):
 
 @lru_cache(maxsize=None)
 def _orbit_members(x, n):
-    """Every packed x-exponent whose parts rearrange those of x."""
-    parts = [(x >> F * i) & FIELD for i in range(n)]
-    return tuple({sum(e << F * i for i, e in enumerate(perm))
-                  for perm in permutations(parts)})
+    """Every packed x-exponent whose parts rearrange those of x, each once:
+    the parts, in sorted order, are inserted one at a time at every position
+    of each distinct arrangement of the parts before them."""
+    members = {()}
+    for e in sorted((x >> F * i) & FIELD for i in range(n)):
+        members = {a[:i] + (e,) + a[i:] for a in members for i in range(len(a) + 1)}
+    return tuple(sum(e << F * i for i, e in enumerate(a)) for a in members)
 
 
 @lru_cache(maxsize=None)

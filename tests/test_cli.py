@@ -251,6 +251,23 @@ def test_degree_overflow_exits_3_without_a_traceback():
     assert done.stdout == ""
 
 
+def test_schur_at_n_20_lists_each_orbit_once():
+    # the 40 terms of s_(1) in x1..x20: each orbit of an exponent is listed
+    # member by member, not through its 20! permutations
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "doubleschur", "schur", "--n", "20", "--lambda", "1"],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert done.returncode == 0, done.stderr
+    terms = json.loads(done.stdout)["schur"]
+    assert len(terms) == 40
+    assert sorted(map(json.dumps, terms)) == sorted(
+        [json.dumps({"x": [int(i == j) for i in range(20)], "t": {}, "c": "1"})
+         for j in range(20)]
+        + [json.dumps({"x": [0] * 20, "t": {str(j): 1}, "c": "1"}) for j in range(1, 21)])
+
+
 def test_recursion_depth_exits_3_without_a_traceback():
     # The Pieri recursion for c_{(12),(12)}^{(24)} on G(1,25) chains twelve
     # constants, one frame each, and runs about 21 Python frames below

@@ -12,6 +12,7 @@ from doubleschur import grass
 from doubleschur.grass import (
     GrassContext,
     _in_support,
+    _products_to_obj,
     _structure_constant,
     _support,
     SizeGuardExceeded,
@@ -23,7 +24,7 @@ from doubleschur.grass import (
     truncate,
 )
 from doubleschur.oracles import lr_coefficient, syt_count
-from doubleschur.poly import Poly, to_difference_basis
+from doubleschur.poly import Poly, poly_to_obj, to_difference_basis
 from doubleschur.schur import (
     SchurExpansion,
     _addable,
@@ -728,8 +729,9 @@ def test_positivity_detects_shift_variance():
 
 
 def test_negative_report_json_shapes():
-    # the flat reason/offender of to_obj and the nested violation of
-    # annotate, key order included (JSON output is byte-compared)
+    # the flat reason/offender of to_obj and the nested violation of a
+    # certified-product entry, key order included (JSON output is
+    # byte-compared)
     cases = [
         (t(2) - t(1), "negative coefficient", "-1 on u-monomial {'1': 1}"),
         (t(1) + t(2), "not shift-invariant", "2*t2"),
@@ -739,9 +741,9 @@ def test_negative_report_json_shapes():
         assert json.dumps(rep.to_obj()) == json.dumps(
             {"positive": False, "certificate": None,
              "reason": reason, "offender": offender})
-        assert json.dumps(rep.annotate({"nu": [1], "coeff": "c"})) == json.dumps(
-            {"nu": [1], "coeff": "c", "certificate": None, "positive": False,
-             "violation": {"reason": reason, "offender": offender}})
+        assert json.dumps(_products_to_obj({(1,): (c, rep)}, {})) == json.dumps(
+            [{"nu": [1], "coeff": poly_to_obj(c), "certificate": None, "positive": False,
+              "violation": {"reason": reason, "offender": offender}}])
 
 
 def test_positivity_rejects_t_beyond_m():
@@ -986,3 +988,22 @@ def test_certificate_lives_as_long_as_a_report_holds_it():
     assert alive() is None
     again = check_graham_positivity(c, ctx)
     assert again.positive and again.to_obj() == before
+
+
+def _assign_field():
+    GrassContext(2, 5).n = 3
+
+
+def _delete_field():
+    del GrassContext(2, 5).m
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (_assign_field, AttributeError, "cannot assign to field 'n'"),
+    (_delete_field, AttributeError, "cannot delete field 'm'"),
+    (lambda: truncate(SchurExpansion(3, {}), GrassContext(2, 5)), ValueError,
+     "expansion arity 3 does not match n=2"),
+], ids=["assign", "delete", "truncate-arity"])
+def test_grass_refusals(refused, error, message):
+    with pytest.raises(error, match=message):
+        refused()

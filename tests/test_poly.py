@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -577,6 +578,45 @@ def test_json_reads_a_numeric_coefficient_and_bool_exponents_as_ints():
     assert poly_from_obj([{"x": [], "t": {}, "c": 10 ** 30}], nx=0) == Poly.const(10 ** 30)
 
 
+def test_json_reads_a_large_t_index_in_linear_time():
+    # the key is shifted once over the t-slots and the exponent ORed into
+    # its slot; one shift per slot took about 4.6 s for this 1.6-million-bit
+    # key (2 vCPUs, Python 3.11)
+    j = 100_000
+    start = time.perf_counter()
+    p = poly_from_obj([{"x": [], "t": {str(j): 2}, "c": "3"}])
+    assert time.perf_counter() - start < 1.0
+    assert p == 3 * t(j, 0) ** 2 and p.tw == j
+    # the writer decodes every slot of a key, so the write-back is checked
+    # at a smaller index
+    q = 3 * t(5_000) ** 2 * x(1) + t(1)
+    assert poly_from_obj(poly_to_obj(q)) == q
+
+
+@pytest.mark.parametrize("obj, want", [
+    ([{"x": [1], "t": {}, "c": "0"}, {"x": [0], "t": {"2": 1}, "c": "2"}],
+     2 * t(2, 1)),
+    ([{"x": [1], "t": {"1": 1}, "c": "2"}, {"x": [1], "t": {"1": 1}, "c": -2}],
+     Poly.zero(1)),
+    ([{"x": [1], "t": {}, "c": "2"}, {"x": [1], "t": {}, "c": "-2"},
+      {"x": [1], "t": {}, "c": "5"}], 5 * x(1, 1)),
+], ids=["zero-coefficient", "cancelling-terms", "cancelled-then-written"])
+def test_json_skips_zero_coefficients_and_drops_terms_that_cancel(obj, want):
+    p = poly_from_obj(obj)
+    assert p == want and 0 not in p.terms.values()
+
+
+@pytest.mark.parametrize("obj, error, message", [
+    ([{"x": [1], "t": {}, "c": "1"}, {"x": [1, 0], "t": {}, "c": "1"}],
+     ArityMismatch, "inconsistent x-arity in serialized terms"),
+    ([{"x": [], "t": {"0": 1}, "c": "1"}], ValueError, "invalid t-index in serialized term"),
+    ([{"x": [], "t": {"-2": 1}, "c": "1"}], ValueError, "invalid t-index in serialized term"),
+], ids=["x-arity", "t-index-0", "t-index-negative"])
+def test_json_refuses_inconsistent_arity_and_t_indices_below_1(obj, error, message):
+    with pytest.raises(error, match=message):
+        poly_from_obj(obj)
+
+
 def test_json_sparse_t_map_has_no_zero_exponents():
     p = x(1) * t(3)
     (term,) = poly_to_obj(p)
@@ -858,3 +898,16 @@ def test_str_rendering():
     p = x(1) ** 2 - 3 * t(2) + 1
     assert str(p) == "x1^2 - 3*t2 + 1"
     assert str(Poly.zero(2)) == "0"
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: Poly.x(3, 2), ArityMismatch, "x3 does not exist at arity 2"),
+    (lambda: (Poly.x(1, 1) + Poly.t(1, 1)).t_only(), ArityMismatch,
+     "polynomial involves x-variables"),
+    (lambda: Poly.x(1, 2).evaluate((1,), ()), ArityMismatch, "expected 2 x-values"),
+    (lambda: (Poly.t(1) * Poly.t(3)).evaluate((), (1, 2)), ValueError,
+     "no value supplied for t3"),
+], ids=["x-index", "t-only", "x-values", "t-values"])
+def test_poly_refusals(refused, error, message):
+    with pytest.raises(error, match=message):
+        refused()

@@ -17,6 +17,7 @@ from doubleschur.schur import (
     _dominant_groups,
     _dominant_sums,
     _orbit,
+    _orbit_members,
     _schur_groups,
     add_staircase,
     alternant,
@@ -774,9 +775,9 @@ def test_product_of_groups_matches_the_kernel(case):
     assert want._groups is None and p._groups is not None
     assert (p.nx, p.tw, p.terms) == (n, want.tw, want.terms)
     assert _at_peel_width(p._groups.groups, n, p.tw) == _dominant_groups(want)
-    got = expand_in_double_schur(p, n)
-    assert got == expand_in_double_schur(want, n)
-    assert got.to_obj() == expand_in_double_schur(want, n).to_obj()
+    got, expected = expand_in_double_schur(p, n), expand_in_double_schur(want, n)
+    assert got == expected
+    assert got.to_obj() == expected.to_obj()
 
 
 def _packed(parts):
@@ -806,6 +807,21 @@ def test_dominant_sums_is_the_brute_force_list(case):
     want = sorted(_packed(z) for a in set(permutations(x)) for b in set(permutations(y))
                   for z in [tuple(map(add, a, b))] if list(z) == sorted(z, reverse=True))
     assert list(_dominant_sums(_packed(x), _packed(y), n)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+@example([2, 2, 2, 2, 2, 2])
+@example([0, 0, 0, 0, 0, 0])
+@example([5, 4, 3, 2, 1, 0])
+@example([0, 3, 1, 3, 0, 0])
+@example([7])
+def test_orbit_members_are_the_distinct_permutations(parts):
+    n = len(parts)
+    got = _orbit_members(_packed(parts), n)
+    assert len(got) == len(set(got)) == _orbit(_packed(parts), n)[2]
+    assert set(got) == {_packed(perm) for perm in permutations(parts)}
 
 
 def test_groups_are_carried_only_where_they_hold():
@@ -1074,3 +1090,13 @@ def test_expansion_json_round_trip():
     obj = e.to_obj()
     assert [term["lambda"] for term in obj["terms"]] == [[], [2, 1]]
     assert SchurExpansion.from_obj(json.loads(json.dumps(obj))) == e
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: strict_sequence((2, -1)), ValueError, r"negative entry in \(2, -1\)"),
+    (lambda: expand_in_double_schur(x_sum(2), 3), ValueError,
+     "expected a polynomial in x1..x3, got arity 2"),
+], ids=["negative-entry", "expansion-arity"])
+def test_schur_refusals(refused, error, message):
+    with pytest.raises(error, match=message):
+        refused()

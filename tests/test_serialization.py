@@ -11,7 +11,7 @@ from doubleschur.grass import (
     GrassContext,
     PositivityReport,
     StructureTable,
-    _certificate_obj,
+    _certificate_term,
     _certified_product,
     _products_to_obj,
     certificate_to_obj,
@@ -26,7 +26,8 @@ from doubleschur.poly import (
     DegreeOverflow,
     NotShiftInvariant,
     Poly,
-    _poly_obj,
+    _poly_term,
+    _term_objs,
     poly_to_obj,
     to_difference_basis,
 )
@@ -327,8 +328,9 @@ def test_one_memo_keeps_arities_widths_and_renderers_apart():
     assert x1.terms.keys() == t1.terms.keys()
     memo = {}
     for p in (x1, t1, x1 + 2, t1 + 2, Poly(0, 3, (t1 + 2)._widened(3))):
-        assert _json(_poly_obj(p, memo)) == _json(_reference_poly_to_obj(p))
-        assert _json(_certificate_obj(p, memo)) == _json(_reference_certificate_to_obj(p))
+        assert _json(_term_objs(p, _poly_term, memo)) == _json(_reference_poly_to_obj(p))
+        assert (_json(_term_objs(p, _certificate_term, memo))
+                == _json(_reference_certificate_to_obj(p)))
 
 
 def _deface(obj):
@@ -359,7 +361,6 @@ def test_a_defaced_result_leaves_the_next_call_unchanged():
         lambda: poly_to_obj(c.as_arity(2) * Poly.x(1, 2)),
         lambda: certificate_to_obj(report.certificate),
         report.to_obj,
-        lambda: report.annotate({}),
         lambda: _products_to_obj(products, {}),
         table.to_obj,
         _per_pair_table(ctx).to_obj,

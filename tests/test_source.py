@@ -93,7 +93,7 @@ def test_package_exports_each_module_list():
 # the per-call render memo: worth it only where one call writes thousands of
 # terms over shared monomials (tables and positivity reports); every other
 # `to_obj` writes through `poly_to_obj` and returns a fresh tree
-RENDER_MEMO = {"_term_objs", "_poly_obj", "_certificate_obj"}
+RENDER_MEMO = {"_term_objs", "_poly_term", "_certificate_term"}
 
 
 def test_render_memo_stays_in_poly_and_grass():

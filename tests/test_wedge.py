@@ -568,3 +568,32 @@ def test_coordinates_are_zero_exactly_without_terms(make):
     for coeffs, zero in (((), True), ((0,), True), ((t(1) - t(1),), True), ((t(1),), False)):
         value = make(coeffs)
         assert value.is_zero() is zero and bool(value) is not zero
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: GLMatrix(2, [[1, 0]]), ValueError, "expected an 2 x 2 matrix"),
+    (lambda: GLMatrix(2, [[1, 0], [0]]), ValueError, "expected an 2 x 2 matrix"),
+    (lambda: GLMatrix.unit(3, 1, 2), ValueError, r"unit matrix indices \(3,1\) out of range"),
+    (lambda: GLMatrix.unit(1, 0, 2), ValueError, r"unit matrix indices \(1,0\) out of range"),
+    (lambda: GLMatrix.identity(2) + GLMatrix.identity(3), ValueError, "shape mismatch"),
+    (lambda: GLMatrix.identity(2) @ GLMatrix.identity(3), ValueError, "shape mismatch"),
+    (lambda: gl_action_on_wedge(GLMatrix.identity(3), WedgeVector.basis((1,), 1, 2)),
+     ValueError, "shape mismatch"),
+    (lambda: to_wedge_coordinates(SchurExpansion(3, {}), GrassContext(2, 5)), ValueError,
+     "arity mismatch"),
+    (lambda: from_wedge_coordinates(WedgeVector.basis((1, 0), 2, 4), GrassContext(2, 5)),
+     ValueError, "shape mismatch"),
+    (lambda: WedgeVector(1, 3, {(3,): 1}), ValueError,
+     r"wedge index \(3,\) has an entry >= m = 3"),
+    (lambda: coweight_to_lambda((1, 1, 0), GrassContext(1, 3)), ValueError,
+     "not a 0/1 vector of length 3 with 1 ones"),
+    (lambda: coweight_to_lambda((1, 0), GrassContext(1, 3)), ValueError,
+     "not a 0/1 vector of length 3 with 1 ones"),
+    (lambda: coweight_to_lambda((2, 0, 0), GrassContext(1, 3)), ValueError,
+     "not a 0/1 vector of length 3 with 1 ones"),
+], ids=["short-matrix", "ragged-matrix", "unit-row", "unit-column", "add-shape",
+        "matmul-shape", "action-shape", "to-wedge-arity", "from-wedge-shape",
+        "wedge-entry", "coweight-count", "coweight-length", "coweight-entry"])
+def test_wedge_refusals(refused, error, message):
+    with pytest.raises(error, match=message):
+        refused()
