@@ -5,7 +5,9 @@ polynomial ring in one variable over Z[t1, t2, ...]; alternants (the
 skew-symmetric determinants det((x_i|t)^{nu_j})) give a basis of the
 skew-symmetric polynomials indexed by strictly decreasing sequences nu.
 The double Schur polynomial of a partition is built by branching on the
-last variable; the alternant ratio it equals is its test oracle.  This
+last variable or, for a partition of n parts, as its first column
+(x1 + t1)...(xn + t1) times the polynomial of the rest at t-indices
+raised by one; the alternant ratio it equals is its test oracle.  This
 module also provides the expansion in the double Schur basis and the Pieri
 rule for multiplication by x1 + ... + xn.
 
@@ -15,7 +17,7 @@ Sign convention: double monomials use (x + t_i), not (x - t_i).
 from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations, groupby, product
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import itemgetter, lt
 
 from .poly import (DEG_LIMIT, F, FIELD, DegreeOverflow, Poly, _multiply_into,
@@ -190,12 +192,36 @@ def _orbit_members(x, n):
 
 @lru_cache(maxsize=None)
 def _dominant_sums(x, y, n):
-    """Every dominant sum ax + by of an orbit member ax of the packed
-    x-exponent x and one by of y, sorted, each as many times as it is met:
-    the exponents at which `_Groups.times` adds the product of x's and y's
-    groups."""
-    return tuple(sorted(z for ax in _orbit_members(x, n) for by in _orbit_members(y, n)
-                        if _orbit(z := ax + by, n)[0] == z))
+    """The dominant sums z = ax + by of an orbit member ax of the packed
+    x-exponent x and one by of y, as sorted pairs (z, count), count the
+    number of pairs (ax, by) that meet z: `_Groups.times` adds the product
+    of x's and y's groups at z, scaled by count.
+
+    When one exponent is 0/1, 1^k 0^(n-k) as that of e_k, no orbit is
+    walked.  The other's parts fall into blocks, b_v of them equal to v; z
+    raises j_v parts of each block by one, for every choice of j_v <= b_v
+    with sum k, and the j are read back off z, so each choice gives its own
+    z.  A pair meets z exactly when by picks, among the parts of z equal to
+    u, the j_(u-1) that ax holds one lower, so count is the product over
+    the blocks of C(#(v+1) in z, j_v).  Every other pair of exponents walks
+    the members of both orbits."""
+    xs, ys = ([(e >> F * i) & FIELD for i in range(n)] for e in (x, y))
+    if max(xs) <= 1:
+        xs, ys = ys, xs
+    if max(ys) > 1:
+        return tuple(sorted(Counter(z for ax in _orbit_members(x, n) for by in _orbit_members(y, n)
+                                    if _orbit(z := ax + by, n)[0] == z).items()))
+    k, blocks = sum(ys), sorted(Counter(xs).items())
+    sums = []
+    for js in product(*(range(min(b, k) + 1) for _, b in blocks)):
+        if sum(js) == k:
+            z = Counter()
+            for (v, b), j in zip(blocks, js):
+                z[v] += b - j
+                z[v + 1] += j
+            sums.append((sum(e << F * i for i, e in enumerate(sorted(z.elements()))),
+                         prod(comb(z[v + 1], j) for (v, _), j in zip(blocks, js))))
+    return tuple(sorted(sums))
 
 
 def _dominant(groups, n, every=False):
@@ -298,13 +324,26 @@ def _schur_groups(lam, n):
     the boxes (i,j) of lam/mu of (x_n + t_{n+j-i}); at n = 0 only the empty
     partition, s = 1.
 
+    A partition of n parts takes no branching.  In the alternant form
+    s_lam = det((x_i|t)^{lam_j+n-j}) / det((x_i|t)^{n-j}) (same sources)
+    every numerator entry has exponent at least 1 when lam_n >= 1, and
+    (x_i|t)^k = (x_i + t_1)(x_i|t_2, t_3, ...)^{k-1}, so row i gives up
+    x_i + t_1; the denominator is the Vandermonde, free of t.  So s_lam is
+    the column factor (x1 + t_1)...(xn + t_1), whose group of
+    x^{(1^k 0^{n-k})} is t_1^{n-k} at t-width 1, times s_{lam - 1^n} with
+    every t-index raised by one: at t-width w + 1, each key's degree field
+    moves up one slot and its t-fields keep their bits.  `_Groups.times`
+    forms the product, which is symmetric as both factors are, so it has no
+    check to pass; each column is one level of recursion.
+
     Only the groups with x1..x_{n-1} weakly decreasing are formed.  The
     group of x^a x_n^k gathers, over mu, s_mu's dominant group of x^a times
     the x_n^k-coefficient of mu's strip (`_strip_coefficients`), all in one
     `_multiply_into` batch.  Each s_mu was checked symmetric when it was
     built and the strip involves x_n and t only, so the sum is symmetric in
     x1..x_{n-1}, and `_dominant` on these representatives checks symmetry
-    under all of S_n.  Every product has degree at most |lam|.
+    under all of S_n.  Every product has degree at most |lam|.  Only shapes
+    of fewer than n parts branch.
 
     The groups are stored rewritten once with every key taken from the pool
     `_keys`, so that equal keys of all stored shapes are one int object."""
@@ -312,6 +351,16 @@ def _schur_groups(lam, n):
         return 0, {0: {0: 1}}
     if sum(lam) >= DEG_LIMIT:
         raise DegreeOverflow("product degree exceeds the packed monomial bound")
+    if len(lam) == n:
+        stw, rest = _schur_groups(tuple(p - 1 for p in lam if p > 1), n)
+        sh = F * stw
+        lift = (1 << sh + F) - (1 << sh)
+        ones = [sum(1 << F * (n - i) for i in range(1, k + 1)) for k in range(n + 1)]
+        column = _Groups(1, {x: {(n - k) << F | n - k: 1} for k, x in enumerate(ones)}, n)
+        shifted = _Groups(stw + 1, {x: {k + (k >> sh) * lift: c for k, c in g.items()}
+                                    for x, g in rest.items()}, sum(lam) - n)
+        built = column.times(shifted, n)._groups
+        return built.tw, {x: _pooled(g, _keys) for x, g in built.groups.items()}
     parents = [(_schur_groups(mu, n - 1), indices) for mu, indices in _branches(lam, n)]
     tw = max(max([stw, *indices]) for (stw, _), indices in parents)
     groups = defaultdict(dict)
@@ -405,10 +454,13 @@ class _Groups:
         groups of a and b: the other factor's group of y is its group of b.
         The a run over the x-exponents of self, each a rearrangement of one
         of its dominant exponents x, and for each pair of dominant exponents
-        x, b the sums a + y that are dominant are read from the memo
-        `_dominant_sums` before any coefficient is touched.
-        Every product goes into one `_multiply_into` batch, and the degree
-        is bounded as in `Poly.__mul__`."""
+        x, b the sums a + y that are dominant, with the number of pairs
+        (a, y) that meet each, are read from the memo `_dominant_sums`
+        before any coefficient is touched; that number scales the one
+        product of the groups of x and b added there.  Every product goes
+        into one `_multiply_into` batch, and the degree is bounded as in
+        `Poly.__mul__`.  `_schur_groups` builds a shape of n parts as one
+        such product, its first column times the rest."""
         a, b = self, other
         if a.degree and b.degree and a.degree + b.degree >= DEG_LIMIT:
             raise DegreeOverflow("product degree exceeds the packed monomial bound")
@@ -420,7 +472,8 @@ class _Groups:
             if ua:
                 g = {k << ua: c for k, c in g.items()}
             for y, h in rows:
-                products += [(groups.setdefault(z, {}), 1, g, h) for z in _dominant_sums(x, y, n)]
+                products += [(groups.setdefault(z, {}), count, g, h)
+                             for z, count in _dominant_sums(x, y, n)]
         _multiply_into(products)
         return _written(n, _Groups(tw, {z: g for z, g in groups.items() if g},
                                    a.degree + b.degree))

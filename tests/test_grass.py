@@ -453,29 +453,40 @@ def _reference_localize(mu, lam, n):
     """s_mu(x|t) at the torus-fixed point x_k = -t_{lam_k+n-k+1}, by the
     tableau formula: the sum over semistandard tableaux T of shape mu with
     entries at most n of the product over cells (i, j) of
-    t_{T(i,j)+j-i} - t_{lam_T(i,j)+n-T(i,j)+1}.  Branches through a
-    vanishing factor are cut.  Zero unless mu is contained in lam."""
+    t_{T(i,j)+j-i} - t_{lam_T(i,j)+n-T(i,j)+1}.  Rows through a vanishing
+    factor are cut.  Zero unless mu is contained in lam.
+
+    The tableaux are summed row by row: a row's product depends on the row
+    alone, and the sum over the rows below it on the row alone (each entry
+    must exceed the one above it), so both are memoized per row."""
     padded = lam + (0,) * (n - len(lam))
-    cells = [(i, j) for i in range(1, len(mu) + 1) for j in range(1, mu[i - 1] + 1)]
-    filling = {}
+    weights, sums = {}, {}
 
-    def fill(idx, acc):
-        if idx == len(cells):
-            return acc
-        i, j = cells[idx]
-        low = filling[(i, j - 1)] if j > 1 else 1
-        if i > 1:
-            low = max(low, filling[(i - 1, j)] + 1)
-        total = Poly.zero(0)
-        for v in range(low, n + 1):
-            a, b = v + j - i, padded[v - 1] + n - v + 1
-            if a == b:
-                continue
-            filling[(i, j)] = v
-            total = total + fill(idx + 1, acc * (Poly.t(a) - Poly.t(b)))
-        return total
+    def weight(i, row):
+        if (i, row) not in weights:
+            acc = Poly.one()
+            for j, v in enumerate(row, 1):
+                a, b = v + j - i, padded[v - 1] + n - v + 1
+                if a == b:
+                    acc = None
+                    break
+                acc = acc * (Poly.t(a) - Poly.t(b))
+            weights[i, row] = acc
+        return weights[i, row]
 
-    return fill(0, Poly.one())
+    def below(i, above):
+        # the sum over the fillings of rows i, i + 1, ... under the row above
+        if i > len(mu):
+            return Poly.one()
+        if (i, above) not in sums:
+            total = Poly.zero(0)
+            for row in combinations_with_replacement(range(1, n + 1), mu[i - 1]):
+                if all(v > u for v, u in zip(row, above)) and weight(i, row) is not None:
+                    total = total + weight(i, row) * below(i + 1, row)
+            sums[i, above] = total
+        return sums[i, above]
+
+    return below(1, (0,) * (mu[0] if mu else 0))
 
 
 @pytest.mark.parametrize("n,m", [(1, 6), (2, 6), (3, 6)])

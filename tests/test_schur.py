@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations, product
 from operator import add
@@ -298,25 +299,27 @@ def _clear_schur_memos():
 
 
 def test_one_swap_check_catches_an_asymmetric_build(monkeypatch):
-    # s_(1,1,1)(x1..x3) = s_(1,1)(x1, x2) * (x3 + t1); building it with
-    # x3 + t2 instead gives (x1 + t1)(x2 + t1)(x3 + t2), which is symmetric
-    # in x1, x2 but not under x2 <-> x3
+    # s_(1,1,1)(x1..x4) = s_(1,1,1)(x1..x3) + s_(1,1)(x1..x3) * (x4 + t2),
+    # the strip over (1,1) being the box (3,1) at t_(4+1-3); building it
+    # with x4 + t3 instead gives a sum that is symmetric in x1..x3 but not
+    # under x3 <-> x4.  A shape of n parts is a column product that never
+    # reads the strips, so the shape here has fewer parts than variables
     real_strip = schur._strip_indices
 
     def wrong_strip(lam, mu, n):
         indices = real_strip(lam, mu, n)
-        return [2] if (lam, mu, n) == ((1, 1, 1), (1, 1), 3) else indices
+        return [3] if (lam, mu, n) == ((1, 1, 1, 0), (1, 1, 0), 4) else indices
 
     _clear_schur_memos()
     try:
         with monkeypatch.context() as patch:
             patch.setattr(schur, "_strip_indices", wrong_strip)
             with pytest.raises(RuntimeError, match="came out asymmetric"):
-                double_schur((1, 1, 1), 3)
+                double_schur((1, 1, 1), 4)
     finally:
         _clear_schur_memos()
-    assert real_strip((1, 1, 1), (1, 1), 3) == [1]
-    assert is_symmetric(double_schur((1, 1, 1), 3))
+    assert real_strip((1, 1, 1, 0), (1, 1, 0), 4) == [2]
+    assert is_symmetric(double_schur((1, 1, 1), 4))
 
 
 @lru_cache(maxsize=None)
@@ -802,11 +805,22 @@ def exponent_pairs(draw):
 # that a memo keyed without n answers one of them wrongly
 @example(([1], [1], 1))
 @example(([0, 1], [0, 1], 2))
+# a 0/1 exponent in either place, at k = 0, k = n and in between, so that
+# the block rule is pinned against the orbit walk: blocks of equal parts,
+# a block raised into the next one, and both exponents 0/1
+@example(([3, 3, 1, 1, 0], [1, 1, 0, 0, 0], 5))
+@example(([1, 1, 1, 0, 0], [2, 1, 1, 0, 0], 5))
+@example(([2, 1, 1, 0], [0, 0, 0, 0], 4))
+@example(([0, 0, 0, 0], [3, 2, 2, 0], 4))
+@example(([3, 2, 2, 0, 0], [1, 1, 1, 1, 1], 5))
+@example(([1, 1, 1, 1], [2, 2, 1, 0], 4))
+@example(([1, 0, 1, 0], [0, 1, 1, 1], 4))
+@example(([2, 2, 2], [0, 1, 0], 3))
 def test_dominant_sums_is_the_brute_force_list(case):
     x, y, n = case
-    want = sorted(_packed(z) for a in set(permutations(x)) for b in set(permutations(y))
-                  for z in [tuple(map(add, a, b))] if list(z) == sorted(z, reverse=True))
-    assert list(_dominant_sums(_packed(x), _packed(y), n)) == want
+    want = Counter(_packed(z) for a in set(permutations(x)) for b in set(permutations(y))
+                   for z in [tuple(map(add, a, b))] if list(z) == sorted(z, reverse=True))
+    assert list(_dominant_sums(_packed(x), _packed(y), n)) == sorted(want.items())
 
 
 @settings(max_examples=300, deadline=None)
