@@ -223,9 +223,9 @@ class Poly:
         at key 0, at any t-width) is read as its integer, so a product by
         it only scales the other operand, and one by 1 returns that operand
         as it is; operands of different arity raise ArityMismatch before
-        the terms of either are read.  Any other product is a one-item
-        `_sums_of_products` batch, which forms it with no operand memo or
-        repacking map."""
+        the terms of either are read.  Any other product is `_bounded`, then
+        one `_multiply_into` call on both operands at their common t-width;
+        a zero product is at t-width 0."""
         if isinstance(other, Poly):
             if self.nx != other.nx:
                 raise ArityMismatch(f"x-arity mismatch: {self.nx} vs {other.nx}")
@@ -234,7 +234,12 @@ class Poly:
             elif len(self.terms) == 1 and 0 in self.terms:
                 self, other = other, self.terms[0]
             else:
-                return _sums_of_products(self.nx, ((0, 1, self, other),)).get(0, Poly(self.nx))
+                _bounded(_degree(self) + _degree(other))
+                tw = max(self.tw, other.tw)
+                terms = {}
+                if _multiply_into(((terms, 1, self._widened(tw), other._widened(tw)),)):
+                    terms = dict(terms)
+                return Poly(self.nx, tw, terms) if terms else Poly(self.nx)
         elif not isinstance(other, int):
             return NotImplemented
         if other == 0:
@@ -421,10 +426,21 @@ class Poly:
         return f"Poly[{self.nx}]({self})"
 
 
+def _degree(p):
+    """The total degree of p, the top field of its largest key; 0 for zero."""
+    return max(p.terms, default=0) >> F * (p.nx + p.tw)
+
+
+def _bounded(d):
+    """Refuse a product of degree d whose fields could overflow (DEG_LIMIT)."""
+    if d >= DEG_LIMIT:
+        raise DegreeOverflow("product degree exceeds the packed monomial bound")
+
+
 def _multiply_into(products):
     """For each (out, c, a, b) of `products`, accumulate c * a * b into the
     term dict out; a and b are term dicts packed at one width, c an
-    integer.  The caller bounds the degree of every product (DEG_LIMIT).
+    integer.  The caller bounds the degree of every product (`_bounded`).
 
     Each term of the smaller operand gives one row, the larger operand
     shifted by that term and scaled by c times its coefficient.  The keys
@@ -513,46 +529,28 @@ def _sums_of_products(nx, items):
     is left out.  c is an integer, p and q are Polys.  Raises ArityMismatch
     and DegreeOverflow as p * q would, for every item listed.
 
-    `items` is materialized first.  A one-item batch, such as every `p * q`
-    of two non-constant polynomials, widens its two operands and reads
-    their degrees directly.  A longer batch keeps every operand alive while
+    `items` is materialized first, and every operand is kept alive while
     its `id` is a memo key: each distinct operand is repacked once to the
     common width and its degree read once, even when a generator yields
     temporaries.  Every product then goes into its key's term dict in one
     `_multiply_into` batch, and every sum is copied compact when a key of
     the batch cancelled."""
     items = list(items)
-    if len(items) == 1:
-        (key, c, p, q), = items
-        odd = p if p.nx != nx else q
-        if odd.nx != nx:
-            raise ArityMismatch(f"x-arity mismatch: {odd.nx} vs {nx}")
-        tw = max(p.tw, q.tw)
-        # a constant operand has degree 0 and only scales, as in p * q
-        da = max(p.terms, default=0) >> F * (nx + p.tw)
-        db = max(q.terms, default=0) >> F * (nx + q.tw)
-        if da and db and da + db >= DEG_LIMIT:
-            raise DegreeOverflow("product degree exceeds the packed monomial bound")
-        terms = {}
-        if _multiply_into(((terms, c, p._widened(tw), q._widened(tw)),)):
-            terms = dict(terms)
-        return {key: Poly(nx, tw, terms)} if terms else {}
     operands = {id(p): p for item in items for p in item[2:]}
     tw = 0
     for p in operands.values():
         if p.nx != nx:
             raise ArityMismatch(f"x-arity mismatch: {p.nx} vs {nx}")
         tw = max(tw, p.tw)
-    packed = {i: (p._widened(tw), max(p.terms, default=0) >> F * (nx + p.tw))
-              for i, p in operands.items()}
+    packed = {i: (p._widened(tw), _degree(p)) for i, p in operands.items()}
     out = {}
     products = []
     for key, c, p, q in items:
         a, da = packed[id(p)]
         b, db = packed[id(q)]
         # a constant operand has degree 0 and only scales, as in p * q
-        if da and db and da + db >= DEG_LIMIT:
-            raise DegreeOverflow("product degree exceeds the packed monomial bound")
+        if da and db:
+            _bounded(da + db)
         products.append((out.setdefault(key, {}), c, a, b))
     cancelled = _multiply_into(products)
     return {key: Poly(nx, tw, dict(terms) if cancelled else terms)

@@ -22,8 +22,8 @@ from itertools import combinations, groupby, product
 from math import comb, factorial, prod
 from operator import itemgetter, lt
 
-from .poly import (DEG_LIMIT, F, FIELD, DegreeOverflow, Poly, _multiply_into,
-                   _pooled, _sums_of_products, _whole, poly_from_obj, poly_to_obj)
+from .poly import (F, FIELD, Poly, _bounded, _degree, _multiply_into, _pooled,
+                   _sums_of_products, _whole, poly_from_obj, poly_to_obj)
 
 __all__ = [
     "partition",
@@ -351,8 +351,7 @@ def _schur_groups(lam, n):
     `_keys`, so that equal keys of all stored shapes are one int object."""
     if n == 0:
         return 0, {0: {0: 1}}
-    if sum(lam) >= DEG_LIMIT:
-        raise DegreeOverflow("product degree exceeds the packed monomial bound")
+    _bounded(sum(lam))
     if len(lam) == n:
         stw, rest = _schur_groups(tuple(p - 1 for p in lam if p > 1), n)
         sh = F * stw
@@ -401,8 +400,7 @@ def _localization(kappa, mu, n, memo):
     tw = (mu[0] if mu else 0) + n
     if not kappa:
         return Poly(0, tw, {0: 1})
-    if sum(kappa) >= DEG_LIMIT:
-        raise DegreeOverflow("product degree exceeds the packed monomial bound")
+    _bounded(sum(kappa))
     got = memo.get((kappa, mu))
     if got is None:
         unit = [1 << F * tw | 1 << F * (tw - c) for c in range(tw + 1)]
@@ -498,12 +496,11 @@ class _Symmetric(Poly):
         (a, y) that meet each, are read from the memo `_dominant_sums`
         before any coefficient is touched; that number scales the one
         product of the groups of x and b added there.  Every product goes
-        into one `_multiply_into` batch, and the degree is bounded as in
+        into one `_multiply_into` batch, and the degree is `_bounded` as in
         `Poly.__mul__`.  `_schur_groups` builds a shape of n parts as one
         such product, its first column times the rest."""
         a, b, n = self, other, self.nx
-        if a._degree + b._degree >= DEG_LIMIT:
-            raise DegreeOverflow("product degree exceeds the packed monomial bound")
+        _bounded(a._degree + b._degree)
         tw = max(a.tw, b.tw)
         ua, ub = F * (tw - a.tw), F * (tw - b.tw)
         rows = [(y, {k << ub: c for k, c in h.items()} if ub else h) for y, h in b._groups.items()]
@@ -526,9 +523,9 @@ def double_schur(lam, n):
     the Z[t] coefficient of x^a at every rearrangement of a, are written on
     their first read (a product with any other polynomial, or
     `expansion_to_poly`) and kept by the result, so they are freed with the
-    caller's references.  Its one memo is that of the groups: lam is
-    normalized before `_schur_groups` is read, so [2, 1, 0] and (2, 1) share
-    one entry."""
+    caller's references.  Its one memo is that of the groups, emptied with
+    their key pool `_keys` by `double_schur.cache_clear`: lam is normalized
+    before `_schur_groups` is read, so [2, 1, 0] and (2, 1) share one entry."""
     n = _arity(n)
     lam = partition(lam)
     if len(lam) > n:
@@ -536,8 +533,13 @@ def double_schur(lam, n):
     return _Symmetric(n, *_schur_groups(lam, n), sum(lam))
 
 
+def _clear_schur_groups():
+    _schur_groups.cache_clear()
+    _keys.clear()
+
+
 double_schur.cache_info = _schur_groups.cache_info
-double_schur.cache_clear = _schur_groups.cache_clear
+double_schur.cache_clear = _clear_schur_groups
 
 
 def expand_in_double_schur(p, n):
@@ -574,8 +576,7 @@ def expand_in_double_schur(p, n):
         rem = _dominant_groups(p)
         if rem is None:
             raise ValueError("polynomial is not symmetric")
-        if p.terms and max(p.terms) >> F * (n + p.tw) >= DEG_LIMIT:
-            raise DegreeOverflow("product degree exceeds the packed monomial bound")
+        _bounded(_degree(p))
         tw = _peel_width(p.tw, n, rem)
     else:
         # its degree is below the bound: every writer of groups raises past it

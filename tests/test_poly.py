@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import time
@@ -892,6 +893,33 @@ def test_sums_of_products_degree_bound_is_that_of_mul():
     # a constant or zero operand only scales, as in p * q
     assert poly._sums_of_products(0, [(0, 3, Poly.const(2), half), (1, 1, Poly.zero(0), half)]) \
         == {0: 6 * half}
+
+
+def test_mul_forms_each_product_without_a_batch(monkeypatch):
+    # p * q of two non-constant polynomials is one `_multiply_into` call of
+    # its own, so `test_sums_of_products_matches_naive_products` compares two
+    # independent paths; plain and group-carrying factors in both orders, of
+    # mixed t-widths, and zero factors give the batch's results, pinned
+    from doubleschur.schur import double_schur, x_sum
+    p, q = x(1) + t(1), _stored_at(x(2) - 2 * t(3), 5)
+    s = double_schur((2, 1), 2)
+    cases = [(p, q), (q, p), (p, s), (s, q), (x_sum(2), p), (Poly.zero(2), q), (p, Poly.zero(2))]
+    want = [Poly.sum_of_products([(1, a, b)]) for a, b in cases]
+    half = Poly.t(1) ** (DEG_LIMIT // 2)
+
+    def batch(nx, items):
+        raise AssertionError("p * q went through _sums_of_products")
+
+    monkeypatch.setattr(poly, "_sums_of_products", batch)
+    got = [a * b for a, b in cases]
+    assert [(type(r), r.tw, r.terms) for r in got] == [(Poly, w.tw, w.terms) for w in want]
+    assert [r.tw for r in got] == [5, 5, 3, 5, 1, 0, 0]
+    assert str(got[0]) == "x1*x2 - 2*x1*t3 + x2*t1 - 2*t1*t3"
+    objs = json.dumps([[r.tw, poly_to_obj(r)] for r in got]).encode()
+    assert hashlib.sha256(objs).hexdigest() == \
+        "36cd7c878a3e9d2e9956823c46b7bea0898525cbe63de891a07177c3a669338a"
+    with pytest.raises(DegreeOverflow, match="^product degree exceeds the packed monomial bound$"):
+        half * half
 
 
 def test_str_rendering():

@@ -300,6 +300,18 @@ def _clear_schur_memos():
     _schur_groups.cache_clear()
 
 
+def test_cache_clear_frees_the_key_pool():
+    # the pool `_keys` holds every key of the stored shapes, so it is
+    # emptied with their memo; a rebuild writes the same bytes
+    shapes = [((2, 1), 3), ((3, 3, 1), 3), ((2,), 4), ((1, 1), 2)]
+    first = [json.dumps(poly_to_obj(double_schur(lam, n))) for lam, n in shapes]
+    assert schur._keys
+    double_schur.cache_clear()
+    assert not schur._keys and double_schur.cache_info().currsize == 0
+    assert [json.dumps(poly_to_obj(double_schur(lam, n))) for lam, n in shapes] == first
+    assert schur._keys and double_schur.cache_info().currsize >= len(shapes)
+
+
 def test_one_swap_check_catches_an_asymmetric_build(monkeypatch):
     # s_(1,1,1)(x1..x4) = s_(1,1,1)(x1..x3) + s_(1,1)(x1..x3) * (x4 + t2),
     # the strip over (1,1) being the box (3,1) at t_(4+1-3); building it

@@ -35,13 +35,22 @@ def _imports_and_reads(names, attributes, allowed):
     return found
 
 
-# the packed format's field width and degree bound, and the kernel that
-# relies on them; every other module multiplies through `_sums_of_products`
-PACKED_FORMAT = {"_multiply_into", "F", "FIELD", "DEG_LIMIT"}
+# the packed format's field width and the kernel that relies on it; every
+# other module multiplies through `_sums_of_products`
+PACKED_FORMAT = {"_multiply_into", "F", "FIELD"}
 
 
 def test_packed_format_stays_in_poly_and_schur():
     assert _imports_and_reads(PACKED_FORMAT, {"_widened"}, ("poly.py", "schur.py")) == []
+
+
+def test_degree_bound_is_stated_once_in_poly():
+    # every product, flat or from groups, is refused by `poly._bounded`
+    # alone, so the bound is read and its message written in poly.py only
+    assert _imports_and_reads({"DEG_LIMIT"}, set(), ("poly.py",)) == []
+    message = "product degree exceeds the packed monomial bound"
+    assert sum(path.read_text(encoding="utf-8").count(message)
+               for path in SOURCE.rglob("*.py")) == 1
 
 
 # the dominant-group format: only s_lam, x_sum and their products carry it,
