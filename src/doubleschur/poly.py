@@ -649,10 +649,10 @@ def to_difference_basis(p, m):
     """
     if isinstance(p, int):
         p = Poly.const(p)
+    m = _whole(m, 1, "m")
     cert = p._difference and p._difference()
     if cert is not None and cert.tw + 1 == m:
         return cert
-    m = _whole(m, 1, "m")
     source, p = p, p.t_only()
     slots = p._t_indices()
     if slots and slots[-1] > m:
@@ -741,7 +741,8 @@ def poly_to_obj(p):
 def poly_from_obj(obj, nx=None):
     """Inverse of poly_to_obj.  The arity is read off the term data and may be
     pinned (required for the zero polynomial).  Exponents and a numeric `c`
-    must be ints; a term of degree DEG_LIMIT or more raises DegreeOverflow."""
+    must be ints, and no two keys of a `t` map may name one index; a term
+    of degree DEG_LIMIT or more raises DegreeOverflow."""
     terms = {}
     tw = 0
     parsed = []
@@ -752,7 +753,7 @@ def poly_from_obj(obj, nx=None):
         elif len(xe) != nx:
             raise ArityMismatch("inconsistent x-arity in serialized terms")
         te = {int(j): _whole(e, 1, "exponent") for j, e in item["t"].items()}
-        if any(j < 1 for j in te):
+        if len(te) < len(item["t"]) or any(j < 1 for j in te):
             raise ValueError("invalid t-index in serialized term")
         if sum(xe) + sum(te.values()) >= DEG_LIMIT:
             raise DegreeOverflow(f"serialized term has total degree {DEG_LIMIT} or more")

@@ -19,7 +19,7 @@ Sign convention: double monomials use (x + t_i), not (x - t_i).
 from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations, groupby, product
-from math import comb, factorial, prod
+from math import factorial, prod
 from operator import itemgetter, lt
 
 from .poly import (F, FIELD, Poly, _bounded, _degree, _multiply_into, _pooled,
@@ -199,31 +199,17 @@ def _dominant_sums(x, y, n):
     number of pairs (ax, by) that meet z: `_Symmetric._times` adds the product
     of x's and y's groups at z, scaled by count.
 
-    When one exponent is 0/1, 1^k 0^(n-k) as that of e_k, no orbit is
-    walked.  The other's parts fall into blocks, b_v of them equal to v; z
-    raises j_v parts of each block by one, for every choice of j_v <= b_v
-    with sum k, and the j are read back off z, so each choice gives its own
-    z.  A pair meets z exactly when by picks, among the parts of z equal to
-    u, the j_(u-1) that ax holds one lower, so count is the product over
-    the blocks of C(#(v+1) in z, j_v).  Every other pair of exponents walks
-    the members of both orbits."""
-    xs, ys = ([(e >> F * i) & FIELD for i in range(n)] for e in (x, y))
-    if max(xs) <= 1:
-        xs, ys = ys, xs
-    if max(ys) > 1:
-        return tuple(sorted(Counter(z for ax in _orbit_members(x, n) for by in _orbit_members(y, n)
-                                    if _orbit(z := ax + by, n)[0] == z).items()))
-    k, blocks = sum(ys), sorted(Counter(xs).items())
-    sums = []
-    for js in product(*(range(min(b, k) + 1) for _, b in blocks)):
-        if sum(js) == k:
-            z = Counter()
-            for (v, b), j in zip(blocks, js):
-                z[v] += b - j
-                z[v + 1] += j
-            sums.append((sum(e << F * i for i, e in enumerate(sorted(z.elements()))),
-                         prod(comb(z[v + 1], j) for (v, _), j in zip(blocks, js))))
-    return tuple(sorted(sums))
+    S_n moves the pairs whose sum lies in the orbit of z onto one another,
+    and every ax pairs with as many by as x does, so count is
+    |orbit(x)| * #{by : x + by sorts to z} / |orbit(z)|.  x may be any
+    member of its orbit, and the roles of x and y are symmetric, so x is
+    taken from the larger orbit and only the smaller one is walked.  The
+    sums are sorted by `_orbit`'s unmemoized body, so that its memo keeps
+    the dominant z alone."""
+    if _orbit(x, n)[2] < _orbit(y, n)[2]:
+        x, y = y, x
+    hits = Counter(_orbit.__wrapped__(x + by, n)[0] for by in _orbit_members(y, n))
+    return tuple(sorted((z, _orbit(x, n)[2] * c // _orbit(z, n)[2]) for z, c in hits.items()))
 
 
 def _dominant(groups, n, every=False):

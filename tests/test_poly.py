@@ -329,6 +329,16 @@ def test_difference_basis_keeps_the_certificate_of_the_last_m():
     assert to_difference_basis(q, 3) is to_difference_basis(q, 3)
 
 
+def test_difference_basis_reads_m_before_the_kept_certificate():
+    p = t(1, 0) - t(2, 0)
+    cert = to_difference_basis(p, 3)
+    assert to_difference_basis(p, 3) is cert
+    # 3.0 is refused on a fresh input, so a kept certificate may not answer it
+    for q in (_fresh(p), p):
+        with pytest.raises(ValueError):
+            to_difference_basis(q, 3.0)
+
+
 def test_difference_basis_raises_on_every_call_for_a_variant_input():
     p = t(3, 0) ** 2 - t(1, 0)
     for _ in range(3):
@@ -612,7 +622,13 @@ def test_json_skips_zero_coefficients_and_drops_terms_that_cancel(obj, want):
      ArityMismatch, "inconsistent x-arity in serialized terms"),
     ([{"x": [], "t": {"0": 1}, "c": "1"}], ValueError, "invalid t-index in serialized term"),
     ([{"x": [], "t": {"-2": 1}, "c": "1"}], ValueError, "invalid t-index in serialized term"),
-], ids=["x-arity", "t-index-0", "t-index-negative"])
+    # two keys that name one t-index: neither exponent may be dropped
+    ([{"x": [], "t": {"2": 1, "02": 1}, "c": "1"}], ValueError,
+     "invalid t-index in serialized term"),
+    ([{"x": [1], "t": {"2": 1, " 2": 4}, "c": "1"}], ValueError,
+     "invalid t-index in serialized term"),
+], ids=["x-arity", "t-index-0", "t-index-negative", "t-index-twice-zero-padded",
+        "t-index-twice-spaced"])
 def test_json_refuses_inconsistent_arity_and_t_indices_below_1(obj, error, message):
     with pytest.raises(error, match=message):
         poly_from_obj(obj)

@@ -819,9 +819,18 @@ def exponent_pairs(draw):
 # that a memo keyed without n answers one of them wrongly
 @example(([1], [1], 1))
 @example(([0, 1], [0, 1], 2))
-# a 0/1 exponent in either place, at k = 0, k = n and in between, so that
-# the block rule is pinned against the orbit walk: blocks of equal parts,
-# a block raised into the next one, and both exponents 0/1
+# the count scales by the fixed exponent's orbit and divides by z's, so
+# it is pinned where they differ: orbits of unequal size in both argument
+# orders, a one-member orbit against a large one, a walk whose sums fall
+# into orbits of sizes 6, 3 and 3, and two equal orbits with repeated
+# parts; the cases after them hold 0/1 exponents at k = 0, k = n and in
+# between, and repeated parts
+@example(([2, 1, 0, 0], [1, 1, 1, 0], 4))
+@example(([1, 1, 1, 0], [2, 1, 0, 0], 4))
+@example(([2, 2, 2, 2], [3, 2, 1, 0], 4))
+@example(([3, 2, 1, 0], [0, 0, 0, 0], 4))
+@example(([2, 1, 0], [1, 0, 0], 3))
+@example(([3, 1, 1, 0], [2, 1, 0, 0], 4))
 @example(([3, 3, 1, 1, 0], [1, 1, 0, 0, 0], 5))
 @example(([1, 1, 1, 0, 0], [2, 1, 1, 0, 0], 5))
 @example(([2, 1, 1, 0], [0, 0, 0, 0], 4))
